@@ -13,17 +13,14 @@ from .csma import (
     stationary_distribution,
 )
 from .metrics import DEFAULT_MCS_TABLE, McsRow, McsTable, mcs_quantize, ofdm_efficiency, summarize
-from .oracle import OracleConfig, OracleReport, mc_dist_rate, mc_mu_rate, mc_su_rate, zfbf_effective_gains
+from .oracle import OracleConfig, OracleReport, mc_dist_rate, mc_mu_rate, mc_su_rate
 from .pipeline import RunConfig, Seeds, evaluate, mc_validate, sweep
 from .propagation import (
     GainMatrix,
     PathlossParams,
     ShadowMap,
-    fading_stream,
     gain_matrix,
     pathloss_db,
-    sample_fading,
-    sector_gain,
 )
 from .radio_plan import (
     AssociationMap,
@@ -44,12 +41,9 @@ from .rates import (
     Technology,
     average_over_ctmc,
     dist_mu_rate,
-    mu_rate_state,
-    mu_sinr,
-    peak_rate_isolated,
     peak_rate_matrix,
-    su_rate_state,
     throughput_report,
+    zf_rates,
 )
 from .scenario import (
     ApNode,

@@ -62,20 +62,11 @@ def _build_config(args) -> pipeline.RunConfig:
             scenario[key] = val
 
     overrides = {"scenario": scenario}
-    simple = {
-        "technology": args.technology,
-        "channelization": args.channelization,
-        "power_db": args.power_db,
-        "antennas": args.antennas,
-        "rho": args.rho,
-        "rate_mode": args.rate_mode,
-        "n_clusters": args.n_clusters,
-        "overhead_discount": args.overhead_discount,
-        "sector_width_deg": args.sector_width_deg,
-        "sector_orientation_deg": args.sector_orientation_deg,
-        "outage_threshold_bps": args.outage_threshold_bps,
-    }
-    overrides.update({k: v for k, v in simple.items() if v is not None})
+    for key in ("technology", "channelization", "power_db", "antennas", "rho",
+                "rate_mode", "n_clusters", "overhead_discount", "sector_width_deg",
+                "sector_orientation_deg", "outage_threshold_bps"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     if args.cca_db is not None:
         overrides["cca_db"] = (None if args.cca_db == "disabled"
                                else float(args.cca_db))

@@ -157,20 +157,32 @@ def _maximal_independent_masks(nbr: list[int], cap: int) -> list[int]:
     return sorted(out)
 
 
-def _channel_state_arrays(graph: ContentionGraph, mode: CtmcMode,
-                          cap: int) -> dict[int, tuple[list[int], np.ndarray]]:
-    """Per channel: (member ap ids, state matrix over those members)."""
+def _channel_state_arrays(graph: ContentionGraph, mode: CtmcMode | None, cap: int
+                          ) -> dict[int, tuple[list[int], np.ndarray, CtmcMode]]:
+    """Per channel: (member ap ids, state matrix over those members, mode).
+
+    Mode None enumerates every independent set of a channel and falls back
+    to its maximal independent sets only when that channel overflows `cap`.
+    """
     result = {}
     for ch in graph.channels:
         members = graph.members(ch)
         nbr = _neighbor_masks(members, graph.adjacency)
+        ch_mode = mode
         if mode == CtmcMode.NO_CSMA:
             masks = [(1 << len(members)) - 1]
         elif mode == CtmcMode.MAXIMAL_ONLY:
             masks = _maximal_independent_masks(nbr, cap)
-        else:
+        elif mode == CtmcMode.ALL_INDEPENDENT_SETS:
             masks = _all_independent_masks(nbr, cap)
-        result[ch] = (members, _masks_to_matrix(masks, len(members)))
+        else:
+            try:
+                ch_mode = CtmcMode.ALL_INDEPENDENT_SETS
+                masks = _all_independent_masks(nbr, cap)
+            except StateSpaceOverflow:
+                ch_mode = CtmcMode.MAXIMAL_ONLY
+                masks = _maximal_independent_masks(nbr, cap)
+        result[ch] = (members, _masks_to_matrix(masks, len(members)), ch_mode)
     return result
 
 
@@ -201,7 +213,7 @@ def enumerate_states(graph: ContentionGraph, mode: CtmcMode,
         return np.ones((1, graph.n_aps), dtype=np.uint8)
     per_channel = _channel_state_arrays(graph, mode, cap)
     total = 1
-    for _, states in per_channel.values():
+    for _, states, _ in per_channel.values():
         total *= len(states)
         if total > cap:
             raise StateSpaceOverflow(
@@ -209,26 +221,12 @@ def enumerate_states(graph: ContentionGraph, mode: CtmcMode,
                 "use MAXIMAL_ONLY mode")
     col = {ap: idx for idx, ap in enumerate(graph.ap_order)}
     out = np.zeros((total, graph.n_aps), dtype=np.uint8)
-    sizes = [len(states) for _, states in per_channel.values()]
+    sizes = [len(states) for _, states, _ in per_channel.values()]
     grids = np.indices(sizes).reshape(len(sizes), -1)
-    for axis, (members, states) in enumerate(per_channel.values()):
+    for axis, (members, states, _) in enumerate(per_channel.values()):
         cols = [col[ap] for ap in members]
         out[:, cols] = states[grids[axis]]
     return out
-
-
-def auto_mode(graph: ContentionGraph, cap: int = DEFAULT_STATE_CAP) -> CtmcMode:
-    """Full enumeration when it fits under the cap, else maximal sets only."""
-    try:
-        per_channel = _channel_state_arrays(graph, CtmcMode.ALL_INDEPENDENT_SETS, cap)
-        total = 1
-        for _, states in per_channel.values():
-            total *= len(states)
-            if total > cap:
-                raise StateSpaceOverflow("product too large")
-        return CtmcMode.ALL_INDEPENDENT_SETS
-    except StateSpaceOverflow:
-        return CtmcMode.MAXIMAL_ONLY
 
 
 @dataclass
@@ -279,21 +277,17 @@ def channel_ctmcs(graph: ContentionGraph, rho: float,
                   cap: int = DEFAULT_STATE_CAP) -> dict[int, ChannelCtmc]:
     """One chain per channel. Channels evolve independently, and the full
     product chain's stationary law factorizes across them, so per-channel
-    models are exact and avoid materializing the product space."""
-    if mode is None:
-        try:
-            mode = CtmcMode.ALL_INDEPENDENT_SETS
-            per_channel = _channel_state_arrays(graph, mode, cap)
-        except StateSpaceOverflow:
-            mode = CtmcMode.MAXIMAL_ONLY
-            per_channel = _channel_state_arrays(graph, mode, cap)
-    else:
-        per_channel = _channel_state_arrays(graph, mode, cap)
+    models are exact and avoid materializing the product space.
+
+    Mode None enumerates every independent set, falling back to maximal
+    independent sets only on the channels whose enumeration exceeds `cap`;
+    each chain's model records the mode it used."""
     out = {}
-    for ch, (members, states) in per_channel.items():
+    for ch, (members, states, ch_mode) in _channel_state_arrays(
+            graph, mode, cap).items():
         out[ch] = ChannelCtmc(
             channel_id=ch,
             members=tuple(members),
-            model=stationary_distribution(states, rho, mode),
+            model=stationary_distribution(states, rho, ch_mode),
         )
     return out

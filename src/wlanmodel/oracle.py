@@ -43,24 +43,6 @@ class OracleReport:
     resample_events: int = 0
 
 
-def zfbf_effective_gains(h_matrix: np.ndarray) -> np.ndarray:
-    """Per-stream effective power gains of the zero-forcing precoder.
-
-    For an M x S channel matrix (S <= M, full column rank) the k-th gain is
-    1 / [(H^H H)^-1]_kk; these are the squared effective channel amplitudes
-    after column-normalized ZF precoding.
-    """
-    h_matrix = np.asarray(h_matrix)
-    if h_matrix.ndim != 2 or h_matrix.shape[0] < h_matrix.shape[1]:
-        raise ValueError("channel matrix must be M x S with S <= M")
-    gram = h_matrix.conj().T @ h_matrix
-    inv = np.linalg.inv(gram)
-    xi = 1.0 / np.real(np.diag(inv))
-    if not np.all(np.isfinite(xi)) or np.any(xi <= 0):
-        raise np.linalg.LinAlgError("rank-deficient channel matrix")
-    return xi
-
-
 def _rayleigh(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
@@ -219,12 +201,11 @@ def mc_mu_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
         state_rng = np.random.default_rng([config.seed, ch_id, 1 << 20])
         for state_idx, (state, weight, draws) in enumerate(
                 _state_jobs(ctmc, config, state_rng)):
-            _, streams_list = mu_channel_state_rates(
+            _, chosen = mu_channel_state_rates(
                 gains, assoc, aps, members, state[None, :], det_tech, n_users)
-            streams = streams_list[0]
+            streams = dict(zip(members, chosen[0].tolist()))
             rng = np.random.default_rng([config.seed, ch_id, state_idx])
-            active = [members[b] for b in np.flatnonzero(state)
-                      if streams.get(members[b], 0) > 0]
+            active = [ap for ap in members if streams[ap] > 0]
             if not active:
                 continue
             cells = {i: list(assoc.sets[i]) for i in active}

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -24,6 +25,9 @@ THREADS_ENV = "WLANMODEL_THREADS"
 
 SWEEP_AXES = ("n_aps", "n_users", "cca_db", "power_db", "channelization",
               "n_clusters", "rho", "antennas")
+#: Sweep axes that set one RunConfig field, with the field's type.
+_FIELD_AXES = {"power_db": float, "channelization": str, "n_clusters": int,
+               "rho": float, "antennas": int}
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,7 @@ class RunConfig:
             raise ValueError("overhead_discount must be in (0, 1]")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["seeds"] = asdict(self.seeds)
-        d["oracle"] = asdict(self.oracle)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -163,21 +164,19 @@ class EvaluationResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _stage(label: str):
-    """Wrap stage errors with the pipeline stage that raised them."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, _StageError):
-                raise _StageError(f"[{label}] {exc}") from exc
-            return False
-    return _Ctx()
-
-
 class _StageError(RuntimeError):
     pass
+
+
+@contextmanager
+def _stage(label: str):
+    """Wrap stage errors with the pipeline stage that raised them."""
+    try:
+        yield
+    except _StageError:
+        raise
+    except Exception as exc:
+        raise _StageError(f"[{label}] {exc}") from exc
 
 
 def evaluate(config: RunConfig) -> EvaluationResult:
@@ -203,15 +202,18 @@ def _evaluate_contended(config, scenario, gains, tech, channels, echo):
     with _stage("channel-plan"):
         plan = radio_plan.assign_channels(gains, aps, channels, config.seeds.plan)
     with _stage("association"):
-        peak = rates.peak_rate_matrix(gains, aps, tech)
-        assoc = radio_plan.associate_users(
-            peak, config.seeds.plan, fallback_metric=rates.snr_matrix(gains, aps))
+        peak, snr = rates.peak_rate_matrix(gains, aps, tech)
+        assoc = radio_plan.associate_users(peak, config.seeds.plan,
+                                           fallback_metric=snr)
     with _stage("contention"):
         graph = csma.build_contention_graph(gains, plan, aps, config.cca_db)
         # Disabled carrier sensing means nobody defers: single all-on state.
         mode = csma.CtmcMode.NO_CSMA if config.cca_db is None else None
         mac = csma.channel_ctmcs(graph, config.rho, mode, config.state_cap)
-    notes = []
+    notes = [f"channel {ch}: more than {config.state_cap} independent sets; "
+             f"chain uses its {c.model.n_states} maximal independent sets only"
+             for ch, c in sorted(mac.items())
+             if c.model.mode == csma.CtmcMode.MAXIMAL_ONLY]
     stream_choice: dict = {}
     with _stage("rates"):
         avg = np.zeros(n_users)
@@ -382,22 +384,12 @@ def resolve_sweep_point(config: RunConfig, value) -> RunConfig:
     axis = config.sweep_axis
     point = replace(config, sweep_axis=None, sweep_values=[])
     if axis in ("n_aps", "n_users"):
-        scenario = dict(config.scenario)
-        scenario[axis] = int(value)
-        return replace(point, scenario=scenario)
+        return replace(point, scenario={**config.scenario, axis: int(value)})
     if axis == "cca_db":
         return replace(point, cca_db=None if value in ("disabled", None) else float(value))
-    if axis == "power_db":
-        return replace(point, power_db=float(value))
-    if axis == "channelization":
-        return replace(point, channelization=str(value))
-    if axis == "n_clusters":
-        return replace(point, n_clusters=int(value))
-    if axis == "rho":
-        return replace(point, rho=float(value))
-    if axis == "antennas":
-        return replace(point, antennas=int(value))
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis not in _FIELD_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    return replace(point, **{axis: _FIELD_AXES[axis](value)})
 
 
 @dataclass
@@ -422,27 +414,21 @@ def sweep(config: RunConfig) -> SweepResult:
                            errors={}, point_results={"run": result})
     values = list(config.sweep_values)
     threads = int(os.environ.get(THREADS_ENV, "1"))
-    summaries, errors, results = {}, {}, {}
+    if threads < 1:
+        raise ValueError(f"{THREADS_ENV} must be at least 1, got {threads}")
+    errors, results = {}, {}
 
     def _run(value):
         return evaluate(resolve_sweep_point(config, value))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {v: pool.submit(_run, v) for v in values}
-            for v in values:
-                try:
-                    results[v] = futures[v].result()
-                except Exception as exc:  # per-point failures recorded
-                    errors[v] = str(exc)
-    else:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {v: pool.submit(_run, v) for v in values}
         for v in values:
             try:
-                results[v] = _run(v)
-            except Exception as exc:
+                results[v] = futures[v].result()
+            except Exception as exc:  # per-point failures recorded
                 errors[v] = str(exc)
-    for v, res in results.items():
-        summaries[v] = res.report.summary
+    summaries = {v: res.report.summary for v, res in results.items()}
     return SweepResult(axis=config.sweep_axis, values=values,
                        summaries=summaries, errors=errors, point_results=results)
 
@@ -492,13 +478,7 @@ def mc_validate(config: RunConfig) -> ValidationResult:
     """
     gaussian_cfg = replace(config, rate_mode="gaussian")
     det = evaluate(gaussian_cfg)
-    ocfg = oracle.OracleConfig(
-        n_realizations=config.oracle.n_realizations,
-        seed=config.seeds.oracle,
-        subcarriers=config.oracle.subcarriers,
-        state_enum_threshold=config.oracle.state_enum_threshold,
-        chunk=config.oracle.chunk,
-    )
+    ocfg = oracle.OracleConfig(seed=config.seeds.oracle, **asdict(config.oracle))
     tech = det.tech.technology
     if tech == rates.Technology.SU_BEAMFORMING:
         orep = oracle.mc_su_rate(det.scenario, det.gains, det.plan, det.assoc,

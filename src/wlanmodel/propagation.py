@@ -9,12 +9,12 @@ above the noise floor and gains are linear attenuations <= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .scenario import ApNode, Point, Scenario, ScenarioClass, wall_crossings
+from .scenario import Point, Scenario, ScenarioClass, wall_crossings
 
 #: Default profiles. The indoor profile is a log-distance fit typical of
 #: open indoor WLAN deployments; the outdoor profile is steeper with more
@@ -46,13 +46,7 @@ class PathlossParams:
         return cls(profile="indoor", **INDOOR_PROFILE)
 
     def to_dict(self) -> dict:
-        return {
-            "a_db": self.a_db,
-            "b_db_per_decade": self.b_db_per_decade,
-            "shadowing_sigma_db": self.shadowing_sigma_db,
-            "reference_distance_m": self.reference_distance_m,
-            "profile": self.profile,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PathlossParams":
@@ -129,17 +123,6 @@ def pathloss_db(params: PathlossParams, scenario: Scenario, p1: Point, p2: Point
     return pl
 
 
-def sector_gain(ap: ApNode, target: Point) -> float:
-    """1.0 if the bearing to target lies inside the AP sector (edges inclusive)."""
-    if ap.sector is None:
-        return 1.0
-    dx = target[0] - ap.position[0]
-    dy = target[1] - ap.position[1]
-    bearing = math.degrees(math.atan2(dy, dx))
-    diff = (bearing - ap.sector.orientation_deg + 180.0) % 360.0 - 180.0
-    return 1.0 if abs(diff) <= ap.sector.width_deg / 2.0 else 0.0
-
-
 @dataclass
 class GainMatrix:
     """Linear power gains: ap_to_ut[i, k] and ap_to_ap[i, j], transmitter first.
@@ -198,12 +181,20 @@ def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, shadows: Shado
 
 
 def _sector_mask(scenario: Scenario, targets: np.ndarray) -> np.ndarray:
+    """1.0 where the bearing from an AP to a target lies inside the AP's
+    sector (edges inclusive), else 0.0; omni APs reach every target.
+    Returns [n_aps, n_targets]."""
     mask = np.ones((scenario.n_aps, targets.shape[0]))
-    for i, ap in enumerate(scenario.aps):
-        if ap.sector is None:
-            continue
-        for t in range(targets.shape[0]):
-            mask[i, t] = sector_gain(ap, (targets[t, 0], targets[t, 1]))
+    rows = [i for i, ap in enumerate(scenario.aps) if ap.sector is not None]
+    if not rows:
+        return mask
+    pos = scenario.ap_positions()[rows]
+    orientation = np.array([scenario.aps[i].sector.orientation_deg for i in rows])
+    half_width = np.array([scenario.aps[i].sector.width_deg / 2.0 for i in rows])
+    bearing = np.degrees(np.arctan2(targets[None, :, 1] - pos[:, None, 1],
+                                    targets[None, :, 0] - pos[:, None, 0]))
+    diff = (bearing - orientation[:, None] + 180.0) % 360.0 - 180.0
+    mask[rows] = np.abs(diff) <= half_width[:, None]
     return mask
 
 
@@ -226,15 +217,3 @@ def gain_matrix(scenario: Scenario, params: PathlossParams, seed: int) -> GainMa
     ap_to_ap = 10.0 ** (-pl_ap / 10.0) * _sector_mask(scenario, ap_pos)
     np.fill_diagonal(ap_to_ap, 0.0)  # self-gain unused
     return GainMatrix(ap_to_ut=ap_to_ut, ap_to_ap=ap_to_ap, seed=seed)
-
-
-def fading_stream(*key: int) -> np.random.Generator:
-    """Independent, reproducible fading stream for a consumer key tuple."""
-    return np.random.default_rng(list(key))
-
-
-def sample_fading(m: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex normal vector, unit variance/entry."""
-    if m < 1:
-        raise ValueError("fading vector length must be >= 1")
-    return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)

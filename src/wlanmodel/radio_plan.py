@@ -47,9 +47,6 @@ class ChannelPlan:
     ap_channel: dict[int, int]
     permutation_seed: int
 
-    def aps_on(self, channel_id: int) -> list[int]:
-        return [ap for ap, c in self.ap_channel.items() if c == channel_id]
-
     def width_hz(self, channel_id: int) -> float:
         for ch in self.channels:
             if ch.id == channel_id:
@@ -101,9 +98,6 @@ class AssociationMap:
     @property
     def serving_ap(self) -> dict[int, int]:
         return {ut: ap for ap, uts in self.sets.items() for ut in uts}
-
-    def cell_size(self, ap_id: int) -> int:
-        return len(self.sets.get(ap_id, ()))
 
 
 def associate_users(peak_rates: np.ndarray, seed: int,

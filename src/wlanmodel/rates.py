@@ -17,7 +17,7 @@ import numpy as np
 from .csma import CtmcModel
 from .metrics import DEFAULT_MCS_TABLE, McsTable, mcs_quantize
 from .propagation import GainMatrix
-from .radio_plan import AssociationMap, ChannelPlan, Cluster
+from .radio_plan import AssociationMap, Cluster
 from .scenario import ApNode
 
 
@@ -54,46 +54,99 @@ def spectral_efficiency(sinr_linear, tech: TechConfig):
     return eff
 
 
-def peak_rate_isolated(gains: GainMatrix, aps: tuple[ApNode, ...], ap_id: int,
-                       ut_id: int, tech: TechConfig = TechConfig()) -> float:
-    """Interference-free beamformed link rate: eff(g * M * P)."""
-    ap = aps[ap_id]
-    snr = gains.ap_to_ut[ap_id, ut_id] * ap.antennas * ap.power_linear
-    return float(spectral_efficiency(snr, tech))
-
-
 def peak_rate_matrix(gains: GainMatrix, aps: tuple[ApNode, ...],
-                     tech: TechConfig = TechConfig()) -> np.ndarray:
-    """Isolated peak rates for every (AP, user) pair, [n_aps, n_users]."""
+                     tech: TechConfig = TechConfig()) -> tuple[np.ndarray, np.ndarray]:
+    """Isolated peak rates eff(g*M*P) for every (AP, user) pair, and the
+    beamformed SNR g*M*P they come from; both [n_aps, n_users]."""
     snr = gains.ap_to_ut * np.array(
         [ap.antennas * ap.power_linear for ap in aps])[:, None]
-    return np.asarray(spectral_efficiency(snr, tech))
+    return np.asarray(spectral_efficiency(snr, tech)), snr
 
 
-def snr_matrix(gains: GainMatrix, aps: tuple[ApNode, ...]) -> np.ndarray:
-    """Raw beamformed SNR per (AP, user); association fallback metric."""
-    return gains.ap_to_ut * np.array(
-        [ap.antennas * ap.power_linear for ap in aps])[:, None]
+def _zf_sinr(n_ant, n_pool, gp, streams, one_plus_i):
+    """Large-array zero-forcing SINR: (N - S + 1)/B * gP / S / (1 + I), and
+    zero rather than negative for S > N + 1."""
+    return np.maximum(n_ant - streams + 1, 0) / n_pool * gp / streams / one_plus_i
 
 
-def _channel_layout(gains: GainMatrix, assoc: AssociationMap,
-                    aps: tuple[ApNode, ...], members: list[int]):
-    """Gather the per-channel evaluation arrays for a member AP list."""
-    users = [ut for ap in members for ut in assoc.sets.get(ap, ())]
+def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
+             n_ant: np.ndarray, n_pool: np.ndarray, cap: np.ndarray,
+             tech: TechConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-forcing rates of user groups, each choosing its stream count.
+
+    Group j pools n_pool[j] = B transmitters with n_ant[j] antennas in all
+    and serves S <= cap[j] streams; its user k then gets
+    (S/|j|) * eff((n_ant - S + 1)/B * gP_k / S / (1 + I_k)). Each group keeps
+    the S maximizing (S/|j|) * sum_k eff, summed before scaling so that exact
+    ties (quantized mode) keep the smallest S. SU beamforming is cap 1,
+    concentrated MU-MIMO is B = 1 and pooled MU-MIMO is one group of B APs.
+
+    gp and group are per user, [n_u]; one_plus_i is [..., n_u] over any
+    leading state axes; n_ant, n_pool and cap are per group. Returns the
+    rates [..., n_u] and the chosen S [..., n_groups] (0 where cap is 0;
+    a read-only broadcast view when every cap is at most 1).
+    """
+    group = np.asarray(group)
+    cap = np.asarray(cap)
+    size = np.maximum(np.bincount(group, minlength=cap.size), 1)
+    n_ant_u, n_pool_u = np.asarray(n_ant)[group], np.asarray(n_pool)[group]
+    eff = spectral_efficiency(_zf_sinr(n_ant_u, n_pool_u, gp, 1, one_plus_i), tech)
+    best_s = np.broadcast_to(np.minimum(cap, 1), eff.shape[:-1] + cap.shape)
+    share = np.minimum(cap, 1) / size
+    if cap.max(initial=0) > 1:
+        member = np.zeros((group.size, cap.size))
+        member[np.arange(group.size), group] = 1.0
+        best_obj = (1 / size) * (eff @ member)
+        best_s = best_s.copy()
+        for s in range(2, int(cap.max()) + 1):
+            eff_s = spectral_efficiency(
+                _zf_sinr(n_ant_u, n_pool_u, gp, s, one_plus_i), tech)
+            obj = (s / size) * (eff_s @ member)
+            better = (obj > best_obj) & (s <= cap)  # strict: ties keep smaller S
+            best_obj = np.where(better, obj, best_obj)
+            best_s[better] = s
+            eff = np.where(better[..., group], eff_s, eff)
+        share = best_s / size
+    eff *= share[..., group]
+    return eff, best_s
+
+
+def _contended_rates(gains: GainMatrix, assoc: AssociationMap,
+                     aps: tuple[ApNode, ...], members: list[int],
+                     states: np.ndarray, tech: TechConfig, n_users_total: int,
+                     multi_user: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Rates of every state of one channel, with each member AP one group.
+
+    An active AP's users see every other active member AP as interference;
+    an inactive AP's users get zero rate and its stream count is 0. An AP
+    with no associated users neither earns rate nor radiates interference,
+    even if the chain marks it on.
+    """
+    out = np.zeros((states.shape[0], n_users_total))
+    cells = [assoc.sets.get(ap, ()) for ap in members]
+    users = [ut for cell in cells for ut in cell]
     if not users:
-        return None
-    own = []
-    for b, ap in enumerate(members):
-        own.extend([b] * len(assoc.sets.get(ap, ())))
-    own = np.array(own)
-    g = gains.ap_to_ut[np.ix_(members, users)]          # [n_m, n_u]
-    p = np.array([aps[a].power_linear for a in members])
+        return out, np.zeros(states.shape, dtype=int)
+    n_cell = np.array([len(cell) for cell in cells])
+    own = np.repeat(np.arange(len(members)), n_cell)
     m_ant = np.array([aps[a].antennas for a in members])
-    cell = np.array([len(assoc.sets.get(members[b], ())) for b in own], dtype=float)
-    # An AP with no associated users has no downlink traffic: it neither
-    # earns rate nor radiates interference, even if the chain marks it on.
-    tx_mask = np.array([1.0 if assoc.sets.get(a, ()) else 0.0 for a in members])
-    return np.array(users), own, g, p, m_ant, cell, tx_mask
+    recv = gains.ap_to_ut[np.ix_(members, users)] * \
+        np.array([aps[a].power_linear for a in members])[:, None]
+    own_recv = recv[own, np.arange(len(users))]
+    tx_mask = (n_cell > 0).astype(float)
+    active = states[:, own]
+    # 1 + I, built in place so that one [states x users] array holds it: the
+    # received power of all active members, less the user's own AP.
+    one_plus_i = (states.astype(float) * tx_mask) @ recv
+    np.subtract(one_plus_i, own_recv, out=one_plus_i, where=active.astype(bool))
+    one_plus_i += 1.0
+    cap = np.minimum(m_ant, n_cell) if multi_user else np.minimum(n_cell, 1)
+    rates, streams = zf_rates(own_recv, one_plus_i, own, m_ant,
+                              np.ones_like(m_ant), cap, tech)
+    del one_plus_i
+    rates *= active
+    out[:, users] = rates
+    return out, streams
 
 
 def su_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
@@ -103,108 +156,27 @@ def su_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
     """Single-user beamforming rates for every state of one channel.
 
     rate = (active / cell size) * eff(g*M*P / (1 + sum of active co-channel
-    interferers g*P)). Returns [n_states, n_users_total]; users outside the
-    channel stay zero.
+    interferers g*P)): zf_rates with one stream. Returns
+    [n_states, n_users_total]; users outside the channel stay zero.
     """
-    out = np.zeros((states.shape[0], n_users_total))
-    layout = _channel_layout(gains, assoc, aps, members)
-    if layout is None:
-        return out
-    users, own, g, p, m_ant, cell, tx_mask = layout
-    recv = g * p[:, None]                              # [n_m, n_u]
-    total = (states.astype(float) * tx_mask) @ recv    # [n_states, n_u]
-    own_recv = recv[own, np.arange(len(users))]
-    active = states[:, own].astype(float)              # [n_states, n_u]
-    interference = total - active * own_recv
-    signal = own_recv * m_ant[own]
-    sinr = signal / (1.0 + interference)
-    out[:, users] = (active / cell) * spectral_efficiency(sinr, tech)
-    return out
-
-
-def su_rate_state(gains: GainMatrix, plan: ChannelPlan, assoc: AssociationMap,
-                  aps: tuple[ApNode, ...], state: np.ndarray,
-                  tech: TechConfig = TechConfig()) -> np.ndarray:
-    """Per-user rates for one full-network activation vector."""
-    state = np.asarray(state)
-    n_users = gains.ap_to_ut.shape[1]
-    rates = np.zeros(n_users)
-    for ch in sorted({c for c in plan.ap_channel.values()}):
-        members = sorted(plan.aps_on(ch))
-        rates += su_channel_state_rates(
-            gains, assoc, aps, members, state[None, members], tech, n_users)[0]
-    return rates
-
-
-def mu_sinr(g_ik: float, m_antennas: int, power_linear: float, streams: int,
-            interference: float) -> float:
-    """Zero-forcing downlink SINR in the large-array limit."""
-    if not 1 <= streams <= m_antennas:
-        raise ValueError("stream count must satisfy 1 <= S <= M")
-    num = (m_antennas - streams + 1) * g_ik * power_linear / streams
-    return num / (1.0 + interference)
+    return _contended_rates(gains, assoc, aps, members, states, tech,
+                            n_users_total, multi_user=False)[0]
 
 
 def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
                            aps: tuple[ApNode, ...], members: list[int],
                            states: np.ndarray, tech: TechConfig,
-                           n_users_total: int) -> tuple[np.ndarray, list[dict[int, int]]]:
+                           n_users_total: int) -> tuple[np.ndarray, np.ndarray]:
     """Concentrated MU-MIMO rates per state of one channel.
 
-    Each active AP picks the stream count maximizing its own quantity
-    sum_k (S/|cell|) * eff(sinr_k(S)) over 1 <= S <= min(M, |cell|); ties go
-    to the smallest S. All cell users then get rate (S*/|cell|) * eff.
-    Returns the rate matrix and the chosen streams per state.
+    Each active AP serves S* <= min(M, |cell|) streams chosen by zf_rates;
+    all its cell users get rate (S*/|cell|) * eff. Returns the rate matrix
+    [n_states, n_users_total] and the chosen streams [n_states, n_members],
+    0 for inactive or user-less APs.
     """
-    out = np.zeros((states.shape[0], n_users_total))
-    streams_per_state: list[dict[int, int]] = [dict() for _ in range(states.shape[0])]
-    layout = _channel_layout(gains, assoc, aps, members)
-    if layout is None:
-        return out, streams_per_state
-    users, own, g, p, m_ant, cell, tx_mask = layout
-    recv = g * p[:, None]
-    total = (states.astype(float) * tx_mask) @ recv
-    own_recv = recv[own, np.arange(len(users))]
-    active = states[:, own].astype(float)
-    interference = total - active * own_recv
-
-    for s_idx in range(states.shape[0]):
-        for b, ap in enumerate(members):
-            if not states[s_idx, b]:
-                continue
-            sel = own == b
-            n_cell = int(cell[sel][0]) if np.any(sel) else 0
-            if n_cell == 0:
-                continue
-            denom = 1.0 + interference[s_idx, sel]
-            g_cell = own_recv[sel]  # g * P for this AP's users
-            best_s, best_obj, best_eff = 0, -1.0, None
-            for s_count in range(1, min(int(m_ant[b]), n_cell) + 1):
-                sinr = (m_ant[b] - s_count + 1) * g_cell / s_count / denom
-                eff = spectral_efficiency(sinr, tech)
-                obj = (s_count / n_cell) * np.sum(eff)
-                if obj > best_obj:  # strict: ties keep the smallest S
-                    best_s, best_obj, best_eff = s_count, obj, eff
-            streams_per_state[s_idx][ap] = best_s
-            out[s_idx, users[sel]] = (best_s / n_cell) * best_eff
-    return out, streams_per_state
-
-
-def mu_rate_state(gains: GainMatrix, plan: ChannelPlan, assoc: AssociationMap,
-                  aps: tuple[ApNode, ...], state: np.ndarray,
-                  tech: TechConfig = TechConfig()) -> tuple[np.ndarray, dict[int, int]]:
-    """Per-user MU-MIMO rates and chosen stream counts for one state."""
-    state = np.asarray(state)
-    n_users = gains.ap_to_ut.shape[1]
-    rates = np.zeros(n_users)
-    streams: dict[int, int] = {}
-    for ch in sorted({c for c in plan.ap_channel.values()}):
-        members = sorted(plan.aps_on(ch))
-        r, st = mu_channel_state_rates(
-            gains, assoc, aps, members, state[None, members], tech, n_users)
-        rates += r[0]
-        streams.update(st[0])
-    return rates, streams
+    out, streams = _contended_rates(gains, assoc, aps, members, states, tech,
+                                    n_users_total, multi_user=True)
+    return out, streams * states
 
 
 def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
@@ -213,7 +185,9 @@ def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
                  ) -> tuple[np.ndarray, int]:
     """Pooled-array rates for one cluster's users, optimizing the group size.
 
-    rate_k(S) = (S/K) * eff((M - (S-1)/B) * sum_i g_ik * (P_sum/S) / (1+I_k)).
+    The cluster is one zf_rates group of B APs with their summed antennas N,
+    summed link gains and summed power, capped at min(K, N) streams:
+    rate_k(S) = (S/K) * eff((N - S + 1)/B * sum_i g_ik * P_sum / S / (1+I_k)).
     I_k is zero when clusters occupy distinct channels; in the small-cluster
     co-channel mode it is the summed received power from all other-cluster
     APs sharing the channel (all transmitting, no inter-cluster deferral).
@@ -223,21 +197,15 @@ def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
     if k_total == 0:
         return np.zeros(0), 0
     members = list(cluster.ap_ids)
-    b_aps = len(members)
     n_antennas = sum(aps[a].antennas for a in members)
     g_sum = gains.ap_to_ut[np.ix_(members, user_ids)].sum(axis=0)
     interf = (np.zeros(k_total) if co_channel_interference is None
               else np.asarray(co_channel_interference, dtype=float))
-    best_s, best_obj, best_rates = 0, -1.0, np.zeros(k_total)
-    for s_count in range(1, min(k_total, n_antennas) + 1):
-        # (n_antennas - (S-1)) / B generalizes M - (S-1)/B to mixed arrays.
-        factor = (n_antennas - (s_count - 1)) / b_aps
-        sinr = factor * g_sum * (cluster.p_sum / s_count) / (1.0 + interf)
-        rates = (s_count / k_total) * np.asarray(spectral_efficiency(sinr, tech))
-        obj = float(np.sum(rates))
-        if obj > best_obj:  # strict: ties keep the smallest S
-            best_s, best_obj, best_rates = s_count, obj, rates
-    return best_rates, best_s
+    rates, streams = zf_rates(
+        g_sum * cluster.p_sum, 1.0 + interf,
+        np.zeros(k_total, dtype=int), [n_antennas], [len(members)],
+        [min(k_total, n_antennas)], tech)
+    return rates, int(streams[0])
 
 
 def average_over_ctmc(state_rates: np.ndarray, ctmc: CtmcModel) -> np.ndarray:

@@ -13,12 +13,13 @@ from wlanmodel.csma import CtmcMode, enumerate_states, stationary_distribution
 from wlanmodel.metrics import DEFAULT_MCS_TABLE, mcs_quantize, ofdm_efficiency
 from wlanmodel.oracle import _zf_precoders
 from wlanmodel.propagation import GainMatrix
-from wlanmodel.radio_plan import AssociationMap, ChannelPlan, Cluster, channel_preset
+from wlanmodel.radio_plan import AssociationMap, Cluster
 from wlanmodel.rates import (
+    TechConfig,
+    _zf_sinr,
     dist_mu_rate,
-    mu_rate_state,
-    mu_sinr,
-    su_rate_state,
+    mu_channel_state_rates,
+    su_channel_state_rates,
 )
 from wlanmodel.scenario import ApNode
 
@@ -68,7 +69,7 @@ def test_criterion_2_independent_set_oracle():
 
 def test_criterion_3_reduction_identities():
     rng = np.random.default_rng(3)
-    plan = ChannelPlan(channel_preset("1x80"), {0: 0}, 0)
+    on = np.array([[1]], dtype=np.uint8)
     for _ in range(100):
         n_users = int(rng.integers(1, 7))
         m = int(rng.integers(1, 10))
@@ -81,22 +82,26 @@ def test_criterion_3_reduction_identities():
         # concentrated at S=1 vs single-user beamforming (formula level)
         interf = float(rng.uniform(0, 10))
         su_sinr = g[0] * m * aps[0].power_linear / (1.0 + interf)
-        assert abs(mu_sinr(g[0], m, aps[0].power_linear, 1, interf) - su_sinr) <= 1e-12 * su_sinr
+        mu_sinr = _zf_sinr(m, 1, g[0] * aps[0].power_linear, 1, 1.0 + interf)
+        assert abs(mu_sinr - su_sinr) <= 1e-12 * su_sinr
 
         # concentrated at S=1 vs single-user beamforming (rate level):
         # a one-user cell forces S = 1
         solo = AssociationMap(sets={0: (0,)}, permutation_seed=0)
-        mu_r, streams = mu_rate_state(gains, plan, solo, aps, np.array([1]))
-        su_r = su_rate_state(gains, plan, solo, aps, np.array([1]))
-        assert streams[0] == 1
-        assert abs(mu_r[0] - su_r[0]) <= 1e-12
+        mu_r, streams = mu_channel_state_rates(gains, solo, aps, [0], on,
+                                               TechConfig(), n_users)
+        su_r = su_channel_state_rates(gains, solo, aps, [0], on,
+                                      TechConfig(), n_users)
+        assert streams[0, 0] == 1
+        assert abs(mu_r[0, 0] - su_r[0, 0]) <= 1e-12
 
         # pooled array with B=1, I=0 vs concentrated with I=0
-        mu_all, streams_all = mu_rate_state(gains, plan, assoc, aps, np.array([1]))
+        mu_all, streams_all = mu_channel_state_rates(gains, assoc, aps, [0], on,
+                                                     TechConfig(), n_users)
         cluster = Cluster(ap_ids=(0,), channel_id=0, p_sum=aps[0].power_linear)
         dist_r, s_star = dist_mu_rate(cluster, gains, aps, list(range(n_users)))
-        assert s_star == streams_all[0]
-        assert np.max(np.abs(dist_r - mu_all[:n_users])) <= 1e-12
+        assert s_star == streams_all[0, 0]
+        assert np.max(np.abs(dist_r - mu_all[0])) <= 1e-12
     _report(3, "reduction identities exact on 100 random draws")
 
 
@@ -192,7 +197,8 @@ def test_criterion_8_interference_monotonicity():
         p = float(10 ** rng.uniform(6, 10))
         base = float(rng.uniform(0, 100))
         extra = float(10 ** rng.uniform(-3, 3))  # one more active interferer
-        assert mu_sinr(g, m, p, s, base + extra) < mu_sinr(g, m, p, s, base)
+        assert _zf_sinr(m, 1, g * p, s, 1.0 + base + extra) < \
+            _zf_sinr(m, 1, g * p, s, 1.0 + base)
     _report(8, "added interferers never raise any SINR (1000 instances)")
 
 

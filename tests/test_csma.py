@@ -8,7 +8,6 @@ from wlanmodel.csma import (
     CtmcMode,
     StateSpaceOverflow,
     airtime_shares,
-    auto_mode,
     build_contention_graph,
     channel_ctmcs,
     enumerate_states,
@@ -161,9 +160,25 @@ def test_enumeration_overflow_raises():
     graph = make_graph(24, [])
     with pytest.raises(StateSpaceOverflow):
         enumerate_states(graph, CtmcMode.ALL_INDEPENDENT_SETS, cap=10_000)
-    assert auto_mode(graph, cap=10_000) == CtmcMode.MAXIMAL_ONLY
+    assert channel_ctmcs(graph, 100.0, cap=10_000)[0].model.mode == \
+        CtmcMode.MAXIMAL_ONLY
     small = make_graph(10, [])
-    assert auto_mode(small, cap=10_000) == CtmcMode.ALL_INDEPENDENT_SETS
+    assert channel_ctmcs(small, 100.0, cap=10_000)[0].model.mode == \
+        CtmcMode.ALL_INDEPENDENT_SETS
+
+
+def test_overflowing_channel_falls_back_alone():
+    # Channel 0: five isolated APs, 32 independent sets, over the cap of 10.
+    # Channel 1: two adjacent APs, 3 independent sets, stays exact.
+    channel_of = {i: 0 for i in range(5)} | {5: 1, 6: 1}
+    graph = make_graph(7, [(5, 6)], channel_of=channel_of)
+    mac = channel_ctmcs(graph, 100.0, None, cap=10)
+    assert mac[0].model.mode == CtmcMode.MAXIMAL_ONLY
+    assert mac[0].model.n_states == 1
+    assert mac[1].model.mode == CtmcMode.ALL_INDEPENDENT_SETS
+    assert mac[1].model.n_states == 3
+    with pytest.raises(StateSpaceOverflow):
+        channel_ctmcs(graph, 100.0, CtmcMode.ALL_INDEPENDENT_SETS, cap=10)
 
 
 def test_enumeration_equals_brute_force_random_graphs():

@@ -11,7 +11,6 @@ from wlanmodel.oracle import (
     mc_dist_rate,
     mc_mu_rate,
     mc_su_rate,
-    zfbf_effective_gains,
 )
 from wlanmodel.propagation import GainMatrix, PathlossParams, gain_matrix
 from wlanmodel.radio_plan import (
@@ -26,9 +25,9 @@ from wlanmodel.radio_plan import (
 from wlanmodel.rates import (
     TechConfig,
     dist_mu_rate,
-    mu_rate_state,
+    mu_channel_state_rates,
     peak_rate_matrix,
-    su_rate_state,
+    su_channel_state_rates,
 )
 from wlanmodel.scenario import ApNode, Scenario, UtNode, build_conference_hall
 
@@ -42,7 +41,7 @@ def _rayleigh(rng, shape):
 def test_zfbf_single_column_is_squared_norm():
     rng = np.random.default_rng(0)
     h = _rayleigh(rng, (6, 1))
-    xi = zfbf_effective_gains(h)
+    _, xi = _zf_precoders(h)
     assert xi[0] == pytest.approx(float(np.sum(np.abs(h) ** 2)))
 
 
@@ -50,7 +49,7 @@ def test_zfbf_orthogonal_columns():
     h = np.zeros((4, 2), dtype=complex)
     h[0, 0] = 2.0
     h[1, 1] = 3.0 * 1j
-    xi = zfbf_effective_gains(h)
+    _, xi = _zf_precoders(h)
     assert xi == pytest.approx([4.0, 9.0])
 
 
@@ -64,11 +63,11 @@ def test_zfbf_mean_matches_array_surplus():
 
 
 def test_zfbf_rejects_wide_or_singular():
-    with pytest.raises(ValueError):
-        zfbf_effective_gains(np.ones((2, 3), dtype=complex))
+    with pytest.raises(np.linalg.LinAlgError):
+        _zf_precoders(np.ones((2, 3), dtype=complex))  # more streams than antennas
     h = np.ones((4, 2), dtype=complex)  # duplicate columns: rank 1
     with pytest.raises(np.linalg.LinAlgError):
-        zfbf_effective_gains(h)
+        _zf_precoders(h)
 
 
 def test_zf_precoder_nulls_intra_cell_interference():
@@ -96,6 +95,12 @@ def _single_ap_setup(m_antennas, g, power_db=90.0, n_users=1):
     return scenario, gains, plan, assoc, mac
 
 
+def _det_single_ap(kernel, gains, assoc, scenario):
+    """Deterministic rates of the single AP's always-on state."""
+    return kernel(gains, assoc, scenario.aps, [0], np.array([[1]]),
+                  TechConfig(), scenario.n_users)
+
+
 def test_mc_su_matches_quadrature_at_single_antenna():
     # M=1, no interferers: E[log2(1 + gP |h|^2)] with |h|^2 ~ Exp(1).
     g, p_db = 1e-7, 90.0
@@ -121,7 +126,7 @@ def test_mc_su_isolated_large_array_close_to_deterministic():
     scenario, gains, plan, assoc, mac = _single_ap_setup(10, 1e-7)
     cfg = OracleConfig(n_realizations=20_000, seed=4)
     rep = mc_su_rate(scenario, gains, plan, assoc, mac, cfg)
-    det = su_rate_state(gains, plan, assoc, scenario.aps, np.array([1]))[0]
+    det = _det_single_ap(su_channel_state_rates, gains, assoc, scenario)[0, 0]
     det_avg = det * 100.0 / 101.0
     assert abs(rep.mean_rate[0] - det_avg) / det_avg < 0.03
 
@@ -152,8 +157,9 @@ def test_mc_mu_two_streams_close_to_deterministic():
     scenario, gains, plan, assoc, mac = _single_ap_setup(10, 1e-7, n_users=2)
     cfg = OracleConfig(n_realizations=20_000, seed=6)
     rep = mc_mu_rate(scenario, gains, plan, assoc, mac, cfg)
-    det, streams = mu_rate_state(gains, plan, assoc, scenario.aps, np.array([1]))
-    assert streams[0] == 2
+    det, streams = _det_single_ap(mu_channel_state_rates, gains, assoc, scenario)
+    assert streams[0, 0] == 2
+    det = det[0]
     det_avg = det * 100.0 / 101.0
     rel = np.abs(rep.mean_rate - det_avg) / det_avg
     assert np.all(rel < 0.05)
@@ -221,8 +227,8 @@ def test_deterministic_error_shrinks_with_antennas():
                                                                  n_users=4)
             cfg = OracleConfig(n_realizations=4000, seed=seed)
             rep = mc_su_rate(scenario, gains, plan, assoc, mac, cfg)
-            det = su_rate_state(gains, plan, assoc, scenario.aps,
-                                np.array([1])) * 100.0 / 101.0
+            det = _det_single_ap(su_channel_state_rates, gains, assoc,
+                                 scenario)[0] * 100.0 / 101.0
             rel_sum += float(np.mean(np.abs(rep.mean_rate - det) / det))
         errors[m] = rel_sum / 3
     assert errors[10] < errors[2]
@@ -234,7 +240,7 @@ def test_mc_pipeline_on_generated_hall():
     gains = gain_matrix(scenario, NO_SHADOW, seed=1)
     chans = channel_preset("2x40")
     plan = assign_channels(gains, scenario.aps, chans, seed=2)
-    peak = peak_rate_matrix(gains, scenario.aps)
+    peak, _ = peak_rate_matrix(gains, scenario.aps)
     assoc = associate_users(peak, seed=2)
     graph = build_contention_graph(gains, plan, scenario.aps, cca_db=10.0)
     mac = channel_ctmcs(graph, rho=100.0)
@@ -244,7 +250,7 @@ def test_mc_pipeline_on_generated_hall():
     assert np.all(np.isfinite(rep.std_error))
     # coarse agreement with the deterministic chain average
     det = np.zeros(scenario.n_users)
-    from wlanmodel.rates import average_over_ctmc, su_channel_state_rates
+    from wlanmodel.rates import average_over_ctmc
     for ch_id, ctmc in mac.items():
         sr = su_channel_state_rates(gains, assoc, scenario.aps,
                                     list(ctmc.members), ctmc.model.states,

@@ -140,6 +140,34 @@ def test_sweep_records_failures_and_continues():
     assert "channel" in res.errors["3x30"]
 
 
+def test_sweep_results_do_not_depend_on_thread_count(monkeypatch):
+    cfg = desk_config(technology="distributed_mu_mimo", sweep_axis="n_clusters",
+                      sweep_values=[1, 2, 3, 99])
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv(pipeline.THREADS_ENV, threads)
+        runs[threads] = pipeline.sweep(cfg)
+    assert set(runs["1"].errors) == {99}  # more clusters than APs
+    assert runs["1"].errors == runs["2"].errors
+    assert runs["1"].summaries == runs["2"].summaries
+    monkeypatch.setenv(pipeline.THREADS_ENV, "0")
+    with pytest.raises(ValueError, match=pipeline.THREADS_ENV):
+        pipeline.sweep(cfg)
+
+
+def test_maximal_only_channels_are_noted(tmp_path):
+    # Four mutually sensing APs: 5 independent sets, 4 of them maximal.
+    cfg = desk_config(channelization="1x80", state_cap=4)
+    res = pipeline.evaluate(cfg)
+    assert res.mac[0].model.mode.value == "maximal_only"
+    note = (f"channel 0: more than 4 independent sets; chain uses its "
+            f"{res.mac[0].model.n_states} maximal independent sets only")
+    assert res.notes == [note]
+    paths = pipeline.write_report(res, tmp_path)
+    assert json.loads(paths["summary"].read_text())["notes"] == [note]
+    assert pipeline.evaluate(desk_config(channelization="1x80")).notes == []
+
+
 def test_stage_labels_in_errors():
     cfg = desk_config(pathloss={"a_db": -40.0, "shadowing_sigma_db": 0.0})
     with pytest.raises(RuntimeError) as err:

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wlanmodel.oracle import _rayleigh
 from wlanmodel.propagation import (
     PathlossParams,
     ShadowMap,
-    fading_stream,
+    _sector_mask,
     gain_matrix,
     pathloss_db,
-    sample_fading,
-    sector_gain,
 )
 from wlanmodel.scenario import (
     ApNode,
@@ -28,6 +27,18 @@ NO_SHADOW = PathlossParams(shadowing_sigma_db=0.0)
 def _flat_scenario(aps, users, walls=(), size=40.0):
     return Scenario(width_m=size, height_m=size, walls=tuple(walls),
                     aps=tuple(aps), users=tuple(users))
+
+
+def sector_gain(ap, target):
+    """Scalar reference for the sector mask: 1.0 if the bearing to target
+    lies inside the AP sector (edges inclusive)."""
+    if ap.sector is None:
+        return 1.0
+    dx = target[0] - ap.position[0]
+    dy = target[1] - ap.position[1]
+    bearing = math.degrees(math.atan2(dy, dx))
+    diff = (bearing - ap.sector.orientation_deg + 180.0) % 360.0 - 180.0
+    return 1.0 if abs(diff) <= ap.sector.width_deg / 2.0 else 0.0
 
 
 def test_pathloss_at_reference_distance():
@@ -134,6 +145,27 @@ def test_sector_gain_rules():
     assert sector_gain(ap, (10.0, 20.0)) == 0.0   # 90 degrees off
     omni = ApNode(1, (10.0, 10.0))
     assert sector_gain(omni, (0.0, 0.0)) == 1.0
+    targets = np.array([(20.0, 10.0), (0.0, 10.0), (15.0, 15.0), (15.0, 5.0),
+                        (10.0, 20.0), (0.0, 0.0)])
+    mask = _sector_mask(_flat_scenario([ap, omni], [UtNode(0, (1.0, 1.0))]), targets)
+    assert mask.tolist() == [[1.0, 0.0, 1.0, 1.0, 0.0, 0.0], [1.0] * 6]
+
+
+def test_sector_mask_matches_scalar_reference():
+    # Integer grid around each AP: bearings of 0, +-45, +-90, 135 and 180
+    # degrees fall exactly on the sector edges of these widths.
+    aps = [ApNode(0, (10.0, 10.0), sector=Sector(0.0, 90.0)),
+           ApNode(1, (20.0, 20.0), sector=Sector(90.0, 180.0)),
+           ApNode(2, (5.0, 30.0), sector=Sector(-135.0, 90.0)),
+           ApNode(3, (30.0, 5.0), sector=Sector(180.0, 360.0)),
+           ApNode(4, (15.0, 15.0), sector=Sector(45.0, 60.0)),
+           ApNode(5, (25.0, 25.0))]
+    xs = np.arange(0.0, 41.0, 1.0)
+    targets = np.array([(x, y) for x in xs for y in xs])
+    mask = _sector_mask(_flat_scenario(aps, [UtNode(0, (1.0, 1.0))]), targets)
+    expected = [[sector_gain(ap, tuple(t)) for t in targets] for ap in aps]
+    assert mask.tolist() == expected
+    assert 0.0 < mask[:5].mean() < 1.0 and np.all(mask[5] == 1.0)
 
 
 def test_sectorized_gain_matrix_zeroes_back_lobe():
@@ -148,19 +180,18 @@ def test_sectorized_gain_matrix_zeroes_back_lobe():
 
 
 def test_sample_fading_moments():
-    rng = fading_stream(123, 0)
-    draws = np.array([sample_fading(1, rng)[0] for _ in range(100_000)])
+    draws = _rayleigh(np.random.default_rng([123, 0]), (100_000,))
     assert abs(draws.mean()) < 0.02
-    rng = fading_stream(123, 1)
-    norms = [np.sum(np.abs(sample_fading(4, rng)) ** 2) for _ in range(20_000)]
+    h = _rayleigh(np.random.default_rng([123, 1]), (20_000, 4))
+    norms = np.sum(np.abs(h) ** 2, axis=1)
     assert np.mean(norms) == pytest.approx(4.0, rel=0.02)
 
 
 def test_sample_fading_deterministic():
-    a = sample_fading(6, fading_stream(42, 7))
-    b = sample_fading(6, fading_stream(42, 7))
+    a = _rayleigh(np.random.default_rng([42, 7]), (6,))
+    b = _rayleigh(np.random.default_rng([42, 7]), (6,))
     assert np.array_equal(a, b)
-    c = sample_fading(6, fading_stream(42, 8))
+    c = _rayleigh(np.random.default_rng([42, 8]), (6,))
     assert not np.array_equal(a, c)
 
 

@@ -2,21 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlanmodel.csma import CtmcMode, stationary_distribution
 from wlanmodel.propagation import GainMatrix
-from wlanmodel.radio_plan import AssociationMap, ChannelPlan, Cluster, channel_preset
+from wlanmodel.radio_plan import AssociationMap, Cluster
 from wlanmodel.rates import (
     RateMode,
     TechConfig,
+    _zf_sinr,
     average_over_ctmc,
     dist_mu_rate,
-    mu_rate_state,
-    mu_sinr,
-    peak_rate_isolated,
-    su_rate_state,
+    mu_channel_state_rates,
+    peak_rate_matrix,
+    spectral_efficiency,
+    su_channel_state_rates,
     throughput_cdf,
     throughput_report,
+    zf_rates,
 )
 from wlanmodel.scenario import ApNode
 
@@ -37,39 +41,55 @@ def _aps(n, antennas=4, power_db=90.0):
                  for i in range(n))
 
 
-def _plan(n, channel=0):
-    return ChannelPlan(channel_preset("1x80"), {i: channel for i in range(n)}, 0)
+def _su(gains, assoc, aps, state, tech=GAUSS):
+    """SU rates of one activation vector, every AP on one channel."""
+    return su_channel_state_rates(gains, assoc, aps, list(range(len(aps))),
+                                  np.array([state]), tech,
+                                  gains.ap_to_ut.shape[1])[0]
+
+
+def _mu(gains, assoc, aps, state, tech=GAUSS):
+    """MU rates and per-AP stream counts of one activation vector."""
+    rates, streams = mu_channel_state_rates(
+        gains, assoc, aps, list(range(len(aps))), np.array([state]), tech,
+        gains.ap_to_ut.shape[1])
+    return rates[0], streams[0]
+
+
+def _peak(gains, aps):
+    return peak_rate_matrix(gains, aps)[0][0, 0]
 
 
 def test_peak_rate_unit_snr():
     gains = _gains([[0.25]])
     aps = (ApNode(0, (0.0, 0.0), antennas=4, power_db=0.0),)  # g*M*P = 1
-    assert peak_rate_isolated(gains, aps, 0, 0) == pytest.approx(1.0)
+    assert _peak(gains, aps) == pytest.approx(1.0)
 
 
 def test_peak_rate_direct_value():
     gains = _gains([[1e-7]])
     aps = _aps(1, antennas=4, power_db=90.0)  # g*M*P = 400
-    assert peak_rate_isolated(gains, aps, 0, 0) == pytest.approx(math.log2(401))
+    assert _peak(gains, aps) == pytest.approx(math.log2(401))
+    assert peak_rate_matrix(gains, aps)[1][0, 0] == pytest.approx(400.0)
 
 
 def test_peak_rate_vanishing_gain():
     gains = _gains([[1e-300]])
     aps = _aps(1)
-    assert peak_rate_isolated(gains, aps, 0, 0) == pytest.approx(0.0, abs=1e-12)
+    assert _peak(gains, aps) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_su_rate_inactive_ap_zero():
     gains = _gains([[1e-7, 1e-7]])
     assoc = AssociationMap(sets={0: (0, 1)}, permutation_seed=0)
-    rates = su_rate_state(gains, _plan(1), assoc, _aps(1), np.array([0]))
+    rates = _su(gains, assoc, _aps(1), [0])
     assert np.all(rates == 0.0)
 
 
 def test_su_rate_isolated_cell_of_two():
     gains = _gains([[1e-7, 1e-7]])
     assoc = AssociationMap(sets={0: (0, 1)}, permutation_seed=0)
-    rates = su_rate_state(gains, _plan(1), assoc, _aps(1), np.array([1]))
+    rates = _su(gains, assoc, _aps(1), [1])
     assert rates == pytest.approx([math.log2(401) / 2, math.log2(401) / 2])
 
 
@@ -84,7 +104,7 @@ def test_su_rate_matched_interferer():
     aps = _aps(2, antennas=4, power_db=90.0)
     # user 0 of AP0 sees AP1's g=4e-2: swap roles so interference hits user 0
     gains.ap_to_ut[1, 0] = g_interf
-    rates = su_rate_state(gains, _plan(2), assoc, aps, np.array([1, 1]))
+    rates = _su(gains, assoc, aps, [1, 1])
     assert rates[0] == pytest.approx(1.0, rel=1e-6)
 
 
@@ -96,21 +116,28 @@ def test_mu_sinr_reduces_to_su_at_single_stream():
         p = float(10 ** rng.uniform(6, 10))
         interf = float(rng.uniform(0, 1e3))
         su = g * m * p / (1.0 + interf)
-        assert mu_sinr(g, m, p, 1, interf) == pytest.approx(su, rel=1e-12)
+        assert _zf_sinr(m, 1, g * p, 1, 1.0 + interf) == pytest.approx(su, rel=1e-12)
 
 
 def test_mu_sinr_direct_value_and_limits():
-    assert mu_sinr(1e-7, 4, 1e9, 2, 0.0) == pytest.approx(150.0)
-    assert mu_sinr(1e-7, 4, 1e9, 2, 1e12) == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        mu_sinr(1e-7, 4, 1e9, 5, 0.0)
-    with pytest.raises(ValueError):
-        mu_sinr(1e-7, 4, 1e9, 0, 0.0)
+    assert _zf_sinr(4, 1, 1e-7 * 1e9, 2, 1.0) == pytest.approx(150.0)
+    assert _zf_sinr(4, 1, 1e-7 * 1e9, 2, 1.0 + 1e12) == pytest.approx(0.0, abs=1e-9)
+    # Pooling B arrays of M antennas: (B*M - S + 1)/B per stream.
+    assert _zf_sinr(8, 2, 1.0, 3, 1.0) == pytest.approx(1.0)
+
+
+def test_zf_rates_respects_stream_caps():
+    # Strong links favor full multiplexing, so the cap binds in each group.
+    gp = np.full(6, 1e6)
+    rates, streams = zf_rates(gp, np.ones(6), np.array([0, 0, 0, 1, 1, 1]),
+                              np.array([8, 8]), np.array([1, 1]),
+                              np.array([2, 0]), GAUSS)
+    assert streams.tolist() == [2, 0]
+    assert np.all(rates[:3] > 0) and np.all(rates[3:] == 0)
 
 
 def _mu_oracle(g_cell, m, p, denom, n_cell, tech):
     """Independent brute-force stream search for one AP."""
-    from wlanmodel.rates import spectral_efficiency
     best = None
     for s in range(1, min(m, n_cell) + 1):
         sinr = (m - s + 1) * np.asarray(g_cell) * p / s / denom
@@ -125,7 +152,7 @@ def test_mu_rate_state_matches_brute_force():
     gains = _gains([[1e-7, 1e-7, 1e-7, 1e-7]])
     assoc = AssociationMap(sets={0: (0, 1, 2, 3)}, permutation_seed=0)
     aps = _aps(1, antennas=4)
-    rates, streams = mu_rate_state(gains, _plan(1), assoc, aps, np.array([1]))
+    rates, streams = _mu(gains, assoc, aps, [1])
     s_star, _, expected = _mu_oracle([1e-7] * 4, 4, 1e9, 1.0, 4, GAUSS)
     assert streams[0] == s_star == 4  # high SNR favors full multiplexing
     assert rates == pytest.approx(expected)
@@ -141,8 +168,7 @@ def test_mu_rate_state_random_instances_match_oracle():
         assoc = AssociationMap(sets={0: tuple(range(n_users))}, permutation_seed=0)
         aps = _aps(1, antennas=m)
         tech = QUANT if rng.random() < 0.5 else GAUSS
-        rates, streams = mu_rate_state(gains, _plan(1), assoc, aps,
-                                       np.array([1]), tech)
+        rates, streams = _mu(gains, assoc, aps, [1], tech)
         s_star, _, expected = _mu_oracle(g_cell, m, 1e9, 1.0, n_users, tech)
         assert streams[0] == s_star
         assert rates == pytest.approx(expected)
@@ -153,7 +179,7 @@ def test_mu_heavy_interference_reverts_to_single_stream():
     gains.ap_to_ut[1, :2] = 1e-2  # crushing interference onto AP 0's users
     assoc = AssociationMap(sets={0: (0, 1), 1: (2,)}, permutation_seed=0)
     aps = _aps(2, antennas=4)
-    rates, streams = mu_rate_state(gains, _plan(2), assoc, aps, np.array([1, 1]))
+    rates, streams = _mu(gains, assoc, aps, [1, 1])
     assert streams[0] == 1
 
 
@@ -161,14 +187,13 @@ def test_mu_single_user_cell_equals_su():
     gains = _gains([[3e-7]])
     assoc = AssociationMap(sets={0: (0,)}, permutation_seed=0)
     aps = _aps(1, antennas=4)
-    mu, streams = mu_rate_state(gains, _plan(1), assoc, aps, np.array([1]))
-    su = su_rate_state(gains, _plan(1), assoc, aps, np.array([1]))
+    mu, streams = _mu(gains, assoc, aps, [1])
+    su = _su(gains, assoc, aps, [1])
     assert streams[0] == 1
     assert mu == pytest.approx(su, abs=1e-12)
 
 
 def _dist_oracle(g_sum, n_ant, b, p_sum, k, interf, tech):
-    from wlanmodel.rates import spectral_efficiency
     table = {}
     best = None
     for s in range(1, min(k, n_ant) + 1):
@@ -216,7 +241,7 @@ def test_dist_equals_concentrated_at_single_ap():
         aps = _aps(1, antennas=m, power_db=p_db)
         gains = _gains(g[None, :])
         assoc = AssociationMap(sets={0: tuple(range(n_users))}, permutation_seed=0)
-        mu, streams = mu_rate_state(gains, _plan(1), assoc, aps, np.array([1]))
+        mu, streams = _mu(gains, assoc, aps, [1])
         cluster = Cluster(ap_ids=(0,), channel_id=0, p_sum=aps[0].power_linear)
         dist, s_star = dist_mu_rate(cluster, gains, aps, list(range(n_users)))
         assert s_star == streams[0]
@@ -297,7 +322,6 @@ def test_throughput_report_quantized_uses_ofdm_factor():
 def test_quantized_below_first_mcs_is_zero_throughput():
     # SINR of 1 dB quantizes to zero efficiency.
     sinr = 10 ** (1.0 / 10)
-    from wlanmodel.rates import spectral_efficiency
     assert spectral_efficiency(sinr, QUANT) == 0.0
 
 
@@ -329,4 +353,78 @@ def test_adding_interferer_never_increases_sinr():
         p = float(10 ** rng.uniform(6, 10))
         base_i = float(rng.uniform(0, 100))
         extra = float(rng.uniform(1e-6, 100))
-        assert mu_sinr(g, m, p, s, base_i + extra) < mu_sinr(g, m, p, s, base_i)
+        assert _zf_sinr(m, 1, g * p, s, 1.0 + base_i + extra) < \
+            _zf_sinr(m, 1, g * p, s, 1.0 + base_i)
+
+
+_TECH = st.sampled_from([GAUSS, QUANT])
+_GAIN = st.floats(1e-9, 1e-4)
+
+
+@st.composite
+def _groups(draw):
+    """Per-user gP, 1 + I and group index, plus per-group antenna counts."""
+    n_groups = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=n_groups, max_size=n_groups))
+    n_users = sum(sizes)
+    gp = np.array(draw(st.lists(st.floats(1e-2, 1e5), min_size=n_users,
+                                max_size=n_users)))
+    one_plus_i = 1.0 + np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=n_users,
+                                              max_size=n_users)))
+    group = np.repeat(np.arange(n_groups), sizes)
+    n_ant = np.array(draw(st.lists(st.integers(1, 12), min_size=n_groups,
+                                   max_size=n_groups)))
+    return gp, one_plus_i, group, n_ant, np.array(sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_groups(), _TECH)
+def test_zf_rates_single_stream_is_su_formula(case, tech):
+    gp, one_plus_i, group, n_ant, sizes = case
+    rates, streams = zf_rates(gp, one_plus_i, group, n_ant, np.ones_like(n_ant),
+                              np.ones_like(n_ant), tech)
+    expected = spectral_efficiency(n_ant[group] * gp / one_plus_i, tech) / sizes[group]
+    assert np.all(streams == 1)
+    assert np.allclose(rates, expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_GAIN, min_size=1, max_size=6), st.integers(1, 9),
+       st.floats(60.0, 100.0), _TECH)
+def test_pooled_single_ap_equals_concentrated(g, m, power_db, tech):
+    g = np.array(g)
+    aps = _aps(1, antennas=m, power_db=power_db)
+    gains = _gains(g[None, :])
+    assoc = AssociationMap(sets={0: tuple(range(g.size))}, permutation_seed=0)
+    mu, streams = _mu(gains, assoc, aps, [1], tech)
+    cluster = Cluster(ap_ids=(0,), channel_id=0, p_sum=aps[0].power_linear)
+    dist, s_star = dist_mu_rate(cluster, gains, aps, list(range(g.size)), tech)
+    assert s_star == streams[0]
+    assert np.max(np.abs(dist - mu)) <= 1e-12 * max(1.0, np.max(mu))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_groups(), _TECH, st.data())
+def test_group_rate_never_rises_with_interference(case, tech, data):
+    gp, one_plus_i, group, n_ant, sizes = case
+    cap = np.minimum(n_ant, sizes)
+    pool = np.ones_like(n_ant)
+    k = data.draw(st.integers(0, gp.size - 1))
+    louder = one_plus_i.copy()
+    louder[k] += data.draw(st.floats(1e-3, 1e4))
+    before, _ = zf_rates(gp, one_plus_i, group, n_ant, pool, cap, tech)
+    after, _ = zf_rates(gp, louder, group, n_ant, pool, cap, tech)
+    for j in range(n_ant.size):
+        sel = group == j
+        assert after[sel].sum() <= before[sel].sum() * (1.0 + 1e-12)
+
+
+def test_small_array_group_leaves_other_groups_search_intact():
+    # Group 1 has one antenna, so S = 3 would drive its SINR negative; the
+    # four-antenna group 0 must still reach its best S = 4.
+    gp = np.full(5, 1e6)
+    rates, streams = zf_rates(gp, np.ones(5), np.array([0, 0, 0, 0, 1]),
+                              np.array([4, 1]), np.array([1, 1]),
+                              np.array([4, 1]), GAUSS)
+    assert streams.tolist() == [4, 1]
+    assert np.all(np.isfinite(rates))

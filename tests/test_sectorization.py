@@ -5,7 +5,7 @@ from wlanmodel import pipeline
 from wlanmodel.csma import build_contention_graph
 from wlanmodel.propagation import PathlossParams, gain_matrix
 from wlanmodel.radio_plan import ChannelPlan, channel_preset
-from wlanmodel.rates import su_rate_state
+from wlanmodel.rates import TechConfig, su_channel_state_rates
 from wlanmodel.radio_plan import AssociationMap
 from wlanmodel.scenario import ApNode, Scenario, Sector, UtNode
 
@@ -41,10 +41,10 @@ def test_zeroed_direction_interference_vanishes_downstream():
     # Both APs in-sector toward their own user, out-of-sector to the other's.
     assert gains.ap_to_ut[0, 0] > 0 and gains.ap_to_ut[1, 1] > 0
     assert gains.ap_to_ut[0, 1] == 0.0 and gains.ap_to_ut[1, 0] == 0.0
-    plan = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0}, 0)
     assoc = AssociationMap(sets={0: (0,), 1: (1,)}, permutation_seed=0)
-    both_on = su_rate_state(gains, plan, assoc, scen.aps, np.array([1, 1]))
-    alone = su_rate_state(gains, plan, assoc, scen.aps, np.array([1, 0]))
+    both_on, alone = su_channel_state_rates(
+        gains, assoc, scen.aps, [0, 1], np.array([[1, 1], [1, 0]]),
+        TechConfig(), scen.n_users)
     assert both_on[0] == pytest.approx(alone[0])  # no cross interference
 
 
