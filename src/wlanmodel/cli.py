@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import pipeline
 from .scenario import GENERATORS
@@ -77,9 +78,7 @@ def _build_config(args) -> pipeline.RunConfig:
             seeds[name] = val
     overrides["seeds"] = pipeline.Seeds(**seeds)
     if args.realizations is not None:
-        od = dict(cfg.to_dict()["oracle"])
-        od["n_realizations"] = args.realizations
-        overrides["oracle"] = pipeline.OracleSettings(**od)
+        overrides["oracle"] = replace(cfg.oracle, n_realizations=args.realizations)
     if getattr(args, "sweep_axis", None):
         overrides["sweep_axis"] = args.sweep_axis
         overrides["sweep_values"] = _parse_values(args.sweep_values)
@@ -180,7 +179,9 @@ def main(argv=None) -> int:
         mean_mc = float(result.mc_rates.mean())
         print(f"deterministic mean {mean_det:.4f} bit/s/Hz, "
               f"oracle mean {mean_mc:.4f} bit/s/Hz "
-              f"({abs(mean_mc-mean_det)/mean_det*100 if mean_det else 0:.2f}% apart)")
+              f"({abs(mean_mc-mean_det)/mean_det*100 if mean_det else 0:.2f}% apart); "
+              f"per user mean |z| {float(abs(result.z).mean()):.2f}, "
+              f"max |z| {float(abs(result.z).max()):.2f}")
         print(f"wrote {paths['comparison']}")
         return 0
 

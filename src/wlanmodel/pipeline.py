@@ -38,14 +38,6 @@ class Seeds:
     oracle: int = 4
 
 
-@dataclass(frozen=True)
-class OracleSettings:
-    n_realizations: int = 2000
-    subcarriers: int = 1
-    state_enum_threshold: int = 10_000
-    chunk: int = 2048
-
-
 @dataclass
 class RunConfig:
     scenario: dict = field(default_factory=lambda: {
@@ -66,7 +58,7 @@ class RunConfig:
     outage_threshold_bps: float = 0.0
     state_cap: int = csma.DEFAULT_STATE_CAP
     seeds: Seeds = field(default_factory=Seeds)
-    oracle: OracleSettings = field(default_factory=OracleSettings)
+    oracle: oracle.OracleConfig = field(default_factory=oracle.OracleConfig)
     sweep_axis: str | None = None
     sweep_values: list = field(default_factory=list)
 
@@ -90,7 +82,7 @@ class RunConfig:
         if "seeds" in data and isinstance(data["seeds"], dict):
             data["seeds"] = Seeds(**data["seeds"])
         if "oracle" in data and isinstance(data["oracle"], dict):
-            data["oracle"] = OracleSettings(**data["oracle"])
+            data["oracle"] = oracle.OracleConfig(**data["oracle"])
         if data.get("cca_db") in ("disabled", "none", None):
             data["cca_db"] = None
         return cls(**data)
@@ -246,16 +238,6 @@ def _evaluate_contended(config, scenario, gains, tech, channels, echo):
         notes=notes)
 
 
-def _cluster_interference(gains, aps, plan, ci, users):
-    """Received power at each user from all co-channel foreign-cluster APs,
-    all transmitting concurrently (no inter-cluster deferral)."""
-    foreign = [a for j in plan.co_channel(ci) for a in plan.clusters[j].ap_ids]
-    if not foreign:
-        return None
-    p = np.array([aps[a].power_linear for a in foreign])
-    return (p[:, None] * gains.ap_to_ut[np.ix_(foreign, users)]).sum(axis=0)
-
-
 def _evaluate_distributed(config, scenario, gains, tech, channels, echo):
     aps = scenario.aps
     n_users = scenario.n_users
@@ -277,7 +259,7 @@ def _evaluate_distributed(config, scenario, gains, tech, channels, echo):
             users = sorted(u for u, c in plan.user_cluster.items() if c == ci)
             if not users:
                 continue
-            interf = _cluster_interference(gains, aps, plan, ci, users)
+            interf = rates.cluster_interference(gains, aps, plan, ci, users)
             r, s_star = rates.dist_mu_rate(cluster, gains, aps, users, tech, interf)
             avg[users] = r
             serving[users] = ci
@@ -467,7 +449,8 @@ class ValidationResult:
     oracle_report: oracle.OracleReport
     det_rates: np.ndarray
     mc_rates: np.ndarray
-    rel_error: np.ndarray
+    abs_error: np.ndarray   # |mc - det|
+    z: np.ndarray           # (mc - det) / std_error, 0 where both are 0
 
 
 def mc_validate(config: RunConfig) -> ValidationResult:
@@ -476,40 +459,38 @@ def mc_validate(config: RunConfig) -> ValidationResult:
     The comparison is in Gaussian rates (the oracle's native domain); the
     requested rate mode is restored in the echo for traceability.
     """
-    gaussian_cfg = replace(config, rate_mode="gaussian")
-    det = evaluate(gaussian_cfg)
-    ocfg = oracle.OracleConfig(seed=config.seeds.oracle, **asdict(config.oracle))
+    det = evaluate(replace(config, rate_mode="gaussian"))
+    ocfg, seed = config.oracle, config.seeds.oracle
     tech = det.tech.technology
     if tech == rates.Technology.SU_BEAMFORMING:
         orep = oracle.mc_su_rate(det.scenario, det.gains, det.plan, det.assoc,
-                                 det.mac, ocfg)
+                                 det.mac, ocfg, seed)
     elif tech == rates.Technology.CONCENTRATED_MU_MIMO:
         orep = oracle.mc_mu_rate(det.scenario, det.gains, det.plan, det.assoc,
-                                 det.mac, ocfg)
+                                 det.mac, ocfg, seed)
     else:
-        orep = oracle.mc_dist_rate(det.scenario, det.gains, det.cluster_plan, ocfg)
+        orep = oracle.mc_dist_rate(det.scenario, det.gains, det.cluster_plan, ocfg, seed)
     det_rates = det.report.spectral_efficiency
-    mc_rates = orep.mean_rate
+    diff = orep.mean_rate - det_rates
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(det_rates > 0,
-                       np.abs(mc_rates - det_rates) / det_rates, 0.0)
+        z = np.where((diff == 0) & (orep.std_error == 0), 0.0, diff / orep.std_error)
     return ValidationResult(deterministic=det, oracle_report=orep,
-                            det_rates=det_rates, mc_rates=mc_rates,
-                            rel_error=rel)
+                            det_rates=det_rates, mc_rates=orep.mean_rate,
+                            abs_error=np.abs(diff), z=z)
 
 
 def write_validation(result: ValidationResult, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     echo = result.deterministic.report.config
-    n = result.det_rates.size
     paths = {"comparison": out / "comparison.csv"}
     _write_csv(paths["comparison"], echo,
                ["ut_id", "deterministic_bps_hz", "monte_carlo_bps_hz",
-                "rel_error", "mc_std_error"],
-               [(k, float(result.det_rates[k]), float(result.mc_rates[k]),
-                 float(result.rel_error[k]),
-                 float(result.oracle_report.std_error[k])) for k in range(n)])
+                "mc_std_error", "abs_error", "z"],
+               zip(range(result.det_rates.size), result.det_rates.tolist(),
+                   result.mc_rates.tolist(),
+                   result.oracle_report.std_error.tolist(),
+                   result.abs_error.tolist(), result.z.tolist()))
     for name, arr in (("deterministic", result.det_rates),
                       ("monte_carlo", result.mc_rates)):
         v, f = rates.throughput_cdf(arr)
@@ -517,16 +498,17 @@ def write_validation(result: ValidationResult, out_dir: str | Path) -> dict[str,
         _write_csv(paths[f"cdf_{name}"], echo, ["rate_bps_hz", "fraction"],
                    zip(v.tolist(), f.tolist()))
     paths["summary"] = out / "validation_summary.json"
-    mean_det = float(np.mean(result.det_rates))
-    mean_mc = float(np.mean(result.mc_rates))
+    abs_z = np.abs(result.z)
     with open(paths["summary"], "w") as fh:
         json.dump({
             "config": echo,
-            "mean_deterministic_bps_hz": mean_det,
-            "mean_monte_carlo_bps_hz": mean_mc,
-            "mean_rel_error": (abs(mean_mc - mean_det) / mean_det
-                               if mean_det > 0 else 0.0),
-            "max_user_rel_error": float(np.max(result.rel_error)),
+            "mean_deterministic_bps_hz": float(np.mean(result.det_rates)),
+            "mean_monte_carlo_bps_hz": float(np.mean(result.mc_rates)),
+            "mean_abs_error": float(np.mean(result.abs_error)),
+            "max_abs_error": float(np.max(result.abs_error)),
+            "mean_abs_z": float(np.mean(abs_z)),
+            "max_abs_z": float(np.max(abs_z)),
+            "share_abs_z_above_3": float(np.mean(abs_z > 3.0)),
             "n_realizations": result.oracle_report.n_realizations,
             "resample_events": result.oracle_report.resample_events,
         }, fh, indent=2, sort_keys=True, default=str)

@@ -17,7 +17,7 @@ import numpy as np
 from .csma import CtmcModel
 from .metrics import DEFAULT_MCS_TABLE, McsTable, mcs_quantize
 from .propagation import GainMatrix
-from .radio_plan import AssociationMap, Cluster
+from .radio_plan import AssociationMap, Cluster, ClusterPlan
 from .scenario import ApNode
 
 
@@ -206,6 +206,17 @@ def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
         np.zeros(k_total, dtype=int), [n_antennas], [len(members)],
         [min(k_total, n_antennas)], tech)
     return rates, int(streams[0])
+
+
+def cluster_interference(gains: GainMatrix, aps: tuple[ApNode, ...],
+                         plan: ClusterPlan, ci: int, user_ids: list[int]) -> np.ndarray:
+    """Received power at each user from all co-channel foreign-cluster APs,
+    all transmitting concurrently (no inter-cluster deferral)."""
+    foreign = [a for j in plan.co_channel(ci) for a in plan.clusters[j].ap_ids]
+    p = np.array([aps[a].power_linear for a in foreign])
+    recv = gains.ap_to_ut[np.ix_(np.array(foreign, dtype=int),
+                                 np.array(user_ids, dtype=int))]
+    return (p[:, None] * recv).sum(axis=0)
 
 
 def average_over_ctmc(state_rates: np.ndarray, ctmc: CtmcModel) -> np.ndarray:

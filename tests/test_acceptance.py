@@ -11,7 +11,7 @@ import numpy as np
 from wlanmodel import pipeline
 from wlanmodel.csma import CtmcMode, enumerate_states, stationary_distribution
 from wlanmodel.metrics import DEFAULT_MCS_TABLE, mcs_quantize, ofdm_efficiency
-from wlanmodel.oracle import _zf_precoders
+from wlanmodel.oracle import OracleConfig, _zf_precoders
 from wlanmodel.propagation import GainMatrix
 from wlanmodel.radio_plan import AssociationMap, Cluster
 from wlanmodel.rates import (
@@ -127,7 +127,7 @@ def test_criterion_5_oracle_convergence():
             scenario={"generator": "conference_hall", "n_aps": 4,
                       "n_users": 20},
             antennas=antennas,
-            oracle=pipeline.OracleSettings(n_realizations=10_000),
+            oracle=OracleConfig(n_realizations=10_000),
         )
         val = pipeline.mc_validate(cfg)
         mean_det = float(val.det_rates.mean())

@@ -6,7 +6,8 @@ import pytest
 
 from wlanmodel import cli, pipeline
 from wlanmodel.metrics import DEFAULT_MCS_TABLE
-from wlanmodel.pipeline import OracleSettings, RunConfig, Seeds
+from wlanmodel.oracle import OracleConfig
+from wlanmodel.pipeline import RunConfig, Seeds
 from wlanmodel.scenario import Scenario
 
 
@@ -30,6 +31,8 @@ def test_config_roundtrip_and_validation():
     with pytest.raises(ValueError):
         RunConfig(overhead_discount=1.5)
     assert RunConfig.from_dict({"cca_db": "disabled"}).cca_db is None
+    assert RunConfig.from_dict({"oracle": {"n_realizations": 300}}).oracle == \
+        OracleConfig(n_realizations=300)
 
 
 def test_single_link_hand_calculation():
@@ -176,7 +179,7 @@ def test_stage_labels_in_errors():
 
 
 def test_mc_validate_outputs(tmp_path):
-    cfg = desk_config(oracle=OracleSettings(n_realizations=400))
+    cfg = desk_config(oracle=OracleConfig(n_realizations=400))
     res = pipeline.mc_validate(cfg)
     assert res.det_rates.shape == res.mc_rates.shape
     paths = pipeline.write_validation(res, tmp_path)
@@ -184,13 +187,37 @@ def test_mc_validate_outputs(tmp_path):
     assert lines[0].startswith("# config=")
     assert lines[1].split(",")[0] == "ut_id"
     assert len(lines) == 2 + res.det_rates.size
+    assert lines[1].split(",") == ["ut_id", "deterministic_bps_hz",
+                                   "monte_carlo_bps_hz", "mc_std_error",
+                                   "abs_error", "z"]
+    diff = res.mc_rates - res.det_rates
+    se = res.oracle_report.std_error
+    assert np.allclose(res.abs_error, np.abs(diff))
+    assert np.allclose(res.z[se > 0], diff[se > 0] / se[se > 0])
+    assert np.all(res.z[(diff == 0) & (se == 0)] == 0)
+    last = lines[-1].split(",")
+    k = int(last[0])
+    assert float(last[4]) == pytest.approx(res.abs_error[k], rel=1e-9, abs=1e-12)
+    assert float(last[5]) == pytest.approx(res.z[k], rel=1e-9, abs=1e-12)
     summary = json.loads(paths["summary"].read_text())
     assert summary["n_realizations"] == 400
+    abs_z = np.abs(res.z)
+    assert summary["mean_abs_z"] == pytest.approx(abs_z.mean())
+    assert summary["max_abs_z"] == pytest.approx(abs_z.max())
+    assert summary["share_abs_z_above_3"] == pytest.approx(np.mean(abs_z > 3))
+    assert summary["mean_abs_error"] == pytest.approx(res.abs_error.mean())
+    assert summary["max_abs_error"] == pytest.approx(res.abs_error.max())
+    assert summary["mean_monte_carlo_bps_hz"] == pytest.approx(res.mc_rates.mean())
     # quantized request is run in the Gaussian comparison domain
     q = desk_config(rate_mode="quantized",
-                    oracle=OracleSettings(n_realizations=50))
+                    oracle=OracleConfig(n_realizations=50))
     vres = pipeline.mc_validate(q)
     assert vres.deterministic.tech.rate_mode.value == "gaussian"
+    # users at zero rate in both model and oracle score z = 0, not NaN
+    silent = pipeline.mc_validate(desk_config(
+        power_db=-math.inf, oracle=OracleConfig(n_realizations=50)))
+    assert np.all(silent.oracle_report.std_error == 0)
+    assert np.array_equal(silent.z, np.zeros(silent.z.size))
 
 
 def test_scenario_file_roundtrip_through_pipeline(tmp_path):
