@@ -6,7 +6,6 @@ from .csma import (
     CtmcMode,
     CtmcModel,
     StateSpaceOverflow,
-    airtime_shares,
     build_contention_graph,
     channel_ctmcs,
     enumerate_states,
@@ -20,7 +19,6 @@ from .propagation import (
     PathlossParams,
     ShadowMap,
     gain_matrix,
-    pathloss_db,
 )
 from .radio_plan import (
     AssociationMap,
@@ -56,7 +54,6 @@ from .scenario import (
     build_open_floor,
     build_stadium,
     build_walled_office,
-    wall_crossings,
 )
 
 __version__ = "0.1.0"

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
 
 from . import pipeline
 from .scenario import GENERATORS
@@ -14,92 +12,39 @@ from .scenario import GENERATORS
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON run config; flags override its fields")
     p.add_argument("--scenario-file", help="evaluate a saved scenario JSON")
-    p.add_argument("--generator", choices=sorted(GENERATORS),
-                   help="scenario generator name")
-    p.add_argument("--n-aps", type=int)
-    p.add_argument("--n-users", type=int)
-    p.add_argument("--n-rooms", type=int, help="walled_office only")
-    p.add_argument("--technology", choices=["su_beamforming",
-                                            "concentrated_mu_mimo",
-                                            "distributed_mu_mimo"])
-    p.add_argument("--channelization", choices=["4x20", "2x40", "1x80"])
-    p.add_argument("--cca-db",
-                   help="clear-channel threshold in dB, or 'disabled'")
-    p.add_argument("--power-db", type=float)
-    p.add_argument("--antennas", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--rate-mode", choices=["gaussian", "quantized"])
-    p.add_argument("--n-clusters", type=int)
-    p.add_argument("--overhead-discount", type=float)
-    p.add_argument("--sector-width-deg", type=float,
-                   help="sectorize every AP to this beamwidth")
-    p.add_argument("--sector-orientation-deg", type=float)
-    p.add_argument("--outage-threshold-bps", type=float)
-    p.add_argument("--seed-topology", type=int)
-    p.add_argument("--seed-plan", type=int)
-    p.add_argument("--seed-shadowing", type=int)
-    p.add_argument("--seed-oracle", type=int)
-    p.add_argument("--realizations", type=int, help="oracle realization count")
+    for setting in pipeline.SETTINGS:
+        if setting.flag:
+            choices = setting.kind if isinstance(setting.kind, tuple) else None
+            p.add_argument("--" + setting.name.replace("_", "-"), choices=choices,
+                           help=setting.help, default=argparse.SUPPRESS)
     p.add_argument("--dump-artifacts", action="store_true",
                    help="also write gains/plan/association/chain CSVs")
     p.add_argument("--out-dir", default="out", help="output directory")
 
 
-def _build_config(args) -> pipeline.RunConfig:
-    data = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    cfg = pipeline.RunConfig.from_dict(data) if data else pipeline.RunConfig()
-
-    scenario = dict(cfg.scenario)
-    if args.scenario_file:
-        scenario = {"file": args.scenario_file}
-    if args.generator:
-        scenario = {"generator": args.generator}
-    for key, val in (("n_aps", args.n_aps), ("n_users", args.n_users),
-                     ("n_rooms", args.n_rooms)):
-        if val is not None:
-            scenario[key] = val
-
-    overrides = {"scenario": scenario}
-    for key in ("technology", "channelization", "power_db", "antennas", "rho",
-                "rate_mode", "n_clusters", "overhead_discount", "sector_width_deg",
-                "sector_orientation_deg", "outage_threshold_bps"):
-        if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    if args.cca_db is not None:
-        overrides["cca_db"] = (None if args.cca_db == "disabled"
-                               else float(args.cca_db))
-    seeds = dict(cfg.to_dict()["seeds"])
-    for name in ("topology", "plan", "shadowing", "oracle"):
-        val = getattr(args, f"seed_{name}")
-        if val is not None:
-            seeds[name] = val
-    overrides["seeds"] = pipeline.Seeds(**seeds)
-    if args.realizations is not None:
-        overrides["oracle"] = replace(cfg.oracle, n_realizations=args.realizations)
-    if getattr(args, "sweep_axis", None):
-        overrides["sweep_axis"] = args.sweep_axis
-        overrides["sweep_values"] = _parse_values(args.sweep_values)
-
-    merged = cfg.to_dict()
-    merged.update(overrides)
-    return pipeline.RunConfig.from_dict(merged)
-
-
-def _parse_values(raw: str) -> list:
-    out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
+def _literal(text: str):
+    """A flag or sweep-value string as the JSON value it spells."""
+    for kind in (int, float):
         try:
-            out.append(int(tok))
+            return kind(text)
         except ValueError:
-            try:
-                out.append(float(tok))
-            except ValueError:
-                out.append(tok)
-    return out
+            pass
+    return text
+
+
+def _build_config(args) -> pipeline.RunConfig:
+    tree = (pipeline.RunConfig.from_file(args.config) if args.config
+            else pipeline.RunConfig()).to_dict()
+    if args.scenario_file:
+        tree["scenario"] = {"file": args.scenario_file}
+    for name, text in vars(args).items():
+        if name in pipeline.SETTING:
+            parent, key = pipeline.SETTING[name].slot(tree)
+            parent[key] = _literal(text)
+    if getattr(args, "sweep_axis", None):
+        tree["sweep_axis"] = args.sweep_axis
+        tree["sweep_values"] = [_literal(v.strip()) for v in args.sweep_values.split(",")]
+    return pipeline.RunConfig.from_dict(tree)
 
 
 def main(argv=None) -> int:
@@ -147,7 +92,10 @@ def main(argv=None) -> int:
               f"{scenario.n_users} users, {len(scenario.walls)} walls")
         return 0
 
-    config = _build_config(args)
+    try:
+        config = _build_config(args)
+    except (TypeError, ValueError) as exc:  # unknown keys, refused values
+        parser.error(str(exc))
 
     if args.command == "evaluate":
         result = pipeline.evaluate(config)

@@ -258,11 +258,6 @@ def stationary_distribution(states: np.ndarray, rho: float,
     return CtmcModel(states=states.astype(np.uint8), pi=pi, rho=rho, mode=mode)
 
 
-def airtime_shares(model: CtmcModel) -> np.ndarray:
-    """Per-AP transmit-time fraction: sum of pi over states where it is on."""
-    return model.pi @ model.states
-
-
 @dataclass
 class ChannelCtmc:
     """Per-channel chain: member ap ids plus the model over those columns."""

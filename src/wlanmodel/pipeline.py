@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,12 +26,6 @@ from .scenario import GENERATORS, Scenario, Sector
 
 THREADS_ENV = "WLANMODEL_THREADS"
 
-SWEEP_AXES = ("n_aps", "n_users", "cca_db", "power_db", "channelization",
-              "n_clusters", "rho", "antennas")
-#: Sweep axes that set one RunConfig field, with the field's type.
-_FIELD_AXES = {"power_db": float, "channelization": str, "n_clusters": int,
-               "rho": float, "antennas": int}
-
 
 @dataclass(frozen=True)
 class Seeds:
@@ -36,6 +33,67 @@ class Seeds:
     plan: int = 2
     shadowing: int = 3
     oracle: int = 4
+
+
+class Setting(NamedTuple):
+    """One run setting. Its name is also its CLI flag and sweep-axis name."""
+
+    name: str
+    kind: type | tuple      # int, float, or the strings it may take
+    at: str = ""            # place in RunConfig.to_dict(), if not `name`
+    nulls: tuple = ()       # values that stand for None
+    sweep: bool = False
+    generator: bool = False  # read only by scenario generators
+    flag: bool = True
+    help: str | None = None
+
+    def slot(self, tree: dict) -> tuple[dict, str]:
+        """The dict of a to_dict() tree that holds this setting, and its key."""
+        head, _, key = (self.at or self.name).rpartition(".")
+        return (tree[head] if head else tree), key
+
+    def parse(self, value):
+        """The one parser for constructor arguments, JSON values, CLI flag
+        literals and sweep points: a string is never a number, a number is
+        never truncated, and NaN is refused."""
+        if value in self.nulls:
+            return None
+        if isinstance(self.kind, tuple):
+            if value in self.kind:
+                return value
+        elif isinstance(value, numbers.Integral if self.kind is int else numbers.Real) \
+                and not isinstance(value, bool) and not math.isnan(value):
+            return self.kind(value)
+        raise ValueError(f"{self.at or self.name} cannot be {value!r}")
+
+
+SETTINGS = (
+    Setting("generator", tuple(sorted(GENERATORS)), "scenario.generator",
+            help="scenario generator name"),
+    Setting("n_aps", int, "scenario.n_aps", sweep=True, generator=True),
+    Setting("n_users", int, "scenario.n_users", sweep=True, generator=True),
+    Setting("n_rooms", int, "scenario.n_rooms", generator=True, help="walled_office only"),
+    Setting("technology", tuple(t.value for t in rates.Technology)),
+    Setting("channelization", tuple(radio_plan.CHANNELIZATIONS), sweep=True),
+    Setting("cca_db", float, nulls=(None, "disabled"), sweep=True,
+            help="clear-channel threshold in dB, or 'disabled'"),
+    Setting("power_db", float, sweep=True, generator=True),
+    Setting("antennas", int, sweep=True, generator=True),
+    Setting("rho", float, sweep=True),
+    Setting("rate_mode", tuple(m.value for m in rates.RateMode)),
+    Setting("n_clusters", int, sweep=True),
+    Setting("overhead_discount", float),
+    Setting("sector_width_deg", float, nulls=(None,),
+            help="sectorize every AP to this beamwidth"),
+    Setting("sector_orientation_deg", float),
+    Setting("outage_threshold_bps", float),
+    Setting("state_cap", int, flag=False),
+    *(Setting(f"seed_{f.name}", int, f"seeds.{f.name}") for f in fields(Seeds)),
+    Setting("realizations", int, "oracle.n_realizations", help="oracle realization count"),
+    Setting("subcarriers", int, "oracle.subcarriers", flag=False),
+)
+SETTING = {s.name: s for s in SETTINGS}
+SWEEP_AXES = tuple(s.name for s in SETTINGS if s.sweep)
 
 
 @dataclass
@@ -63,28 +121,39 @@ class RunConfig:
     sweep_values: list = field(default_factory=list)
 
     def __post_init__(self):
+        # Every setting goes through its parser, however the config was made;
+        # seeds and oracle may arrive as dicts (the to_dict() layout).
+        tree = asdict(self)
+        for setting in SETTINGS:
+            parent, key = setting.slot(tree)
+            if key in parent:
+                parent[key] = setting.parse(parent[key])
+        tree["seeds"] = Seeds(**tree["seeds"])
+        tree["oracle"] = oracle.OracleConfig(**tree["oracle"])
+        vars(self).update(tree)
         if self.sweep_axis is not None and self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.sweep_axis!r} "
                              f"(choose from {SWEEP_AXES})")
         if (self.sweep_axis is None) != (not self.sweep_values):
             raise ValueError("sweep_axis and sweep_values must come together")
-        rates.Technology(self.technology)
-        rates.RateMode(self.rate_mode)
         if not 0.0 < self.overhead_discount <= 1.0:
             raise ValueError("overhead_discount must be in (0, 1]")
+        if "file" in self.scenario:  # a saved scenario fixes every node
+            default = {f.name: f.default for f in fields(self)}
+            ignored = [k for k in self.scenario if k != "file"] + [
+                s.name for s in SETTINGS if s.generator and (
+                    s.name == self.sweep_axis or
+                    s.name in default and getattr(self, s.name) != default[s.name])]
+            if ignored:
+                raise ValueError(f"{', '.join(ignored)} cannot change scenario "
+                                 f"file {self.scenario['file']!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        if "seeds" in data and isinstance(data["seeds"], dict):
-            data["seeds"] = Seeds(**data["seeds"])
-        if "oracle" in data and isinstance(data["oracle"], dict):
-            data["oracle"] = oracle.OracleConfig(**data["oracle"])
-        if data.get("cca_db") in ("disabled", "none", None):
-            data["cca_db"] = None
+        """Config from the to_dict() layout; a missing key keeps its default."""
         return cls(**data)
 
     @classmethod
@@ -102,9 +171,6 @@ def build_scenario(config: RunConfig) -> tuple[Scenario, dict]:
         extras = {k: raw.get(k) for k in ("pathloss", "mcs_table") if k in raw}
         return _apply_sector(Scenario.from_dict(raw), config), extras
     name = spec.pop("generator")
-    if name not in GENERATORS:
-        raise ValueError(f"unknown generator {name!r} "
-                         f"(choose from {sorted(GENERATORS)})")
     spec.setdefault("seed", config.seeds.topology)
     spec.setdefault("antennas", config.antennas)
     spec.setdefault("power_db", config.power_db)
@@ -363,15 +429,10 @@ def dump_artifacts(result: EvaluationResult, out_dir: str | Path) -> None:
 
 def resolve_sweep_point(config: RunConfig, value) -> RunConfig:
     """Resolved single-run config for one sweep point (no sweep fields)."""
-    axis = config.sweep_axis
-    point = replace(config, sweep_axis=None, sweep_values=[])
-    if axis in ("n_aps", "n_users"):
-        return replace(point, scenario={**config.scenario, axis: int(value)})
-    if axis == "cca_db":
-        return replace(point, cca_db=None if value in ("disabled", None) else float(value))
-    if axis not in _FIELD_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    return replace(point, **{axis: _FIELD_AXES[axis](value)})
+    tree = {**config.to_dict(), "sweep_axis": None, "sweep_values": []}
+    parent, key = SETTING[config.sweep_axis].slot(tree)
+    parent[key] = value
+    return RunConfig.from_dict(tree)
 
 
 @dataclass

@@ -8,13 +8,12 @@ above the noise floor and gains are linear attenuations <= 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .scenario import Point, Scenario, ScenarioClass, wall_crossings
+from .scenario import Scenario, ScenarioClass
 
 #: Default profiles. The indoor profile is a log-distance fit typical of
 #: open indoor WLAN deployments; the outdoor profile is steeper with more
@@ -103,24 +102,8 @@ class ShadowMap:
         self.sigma_db = float(sigma_db)
         self.seed = int(seed)
 
-    def sample(self, p1: Point, p2: Point) -> float:
-        coords = _normalize_pairs(np.array([p1], dtype=float),
-                                  np.array([p2], dtype=float))
-        return float(_pair_normal(self.seed, coords, self.sigma_db)[0])
-
     def sample_many(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return _pair_normal(self.seed, _normalize_pairs(p, q), self.sigma_db)
-
-
-def pathloss_db(params: PathlossParams, scenario: Scenario, p1: Point, p2: Point,
-                shadow_map: ShadowMap | None = None) -> float:
-    """Link pathloss in dB: intercept + slope*log10(d), walls, frozen shadow."""
-    d = max(math.dist(p1, p2), params.reference_distance_m)
-    pl = params.a_db + params.b_db_per_decade * math.log10(d)
-    pl += wall_crossings(scenario, p1, p2)
-    if shadow_map is not None:
-        pl += shadow_map.sample(p1, p2)
-    return pl
 
 
 @dataclass

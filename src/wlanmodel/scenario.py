@@ -394,28 +394,3 @@ GENERATORS = {
     "walled_office": build_walled_office,
     "stadium": build_stadium,
 }
-
-
-def _orient(a: Point, b: Point, c: Point) -> float:
-    """Signed area of triangle abc (exact for grid-snapped coordinates)."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _segments_properly_cross(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    # Strict crossing only: endpoint touches and collinear overlaps are not
-    # crossings, which encodes both tie rules at once.
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and \
-           ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0
-
-
-def wall_crossings(scenario: Scenario, p1: Point, p2: Point) -> float:
-    """Total wall attenuation in dB along the open segment (p1, p2)."""
-    total = 0.0
-    for wall in scenario.walls:
-        if _segments_properly_cross(p1, p2, wall.p1, wall.p2):
-            total += wall.attenuation_db
-    return total

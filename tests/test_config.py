@@ -1,0 +1,199 @@
+"""Run settings: JSON configs, CLI flags and sweep points parse alike."""
+
+import argparse
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from wlanmodel import cli, pipeline
+from wlanmodel.pipeline import SETTINGS, RunConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+HALL = {"generator": "conference_hall", "n_aps": 4, "n_users": 12}
+
+
+def test_missing_keys_keep_their_defaults():
+    assert RunConfig.from_dict({}) == RunConfig()
+    assert RunConfig.from_dict({"technology": "su_beamforming"}).cca_db == 10.0
+    assert RunConfig.from_dict({"cca_db": None}).cca_db is None
+    assert RunConfig.from_dict({"seeds": {"plan": 7}}).seeds == \
+        pipeline.Seeds(plan=7)
+
+
+def test_cli_config_file_without_cca_keeps_carrier_sensing(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"technology": "su_beamforming"}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["evaluate", "--config", str(cfg_path),
+                     "--out-dir", str(out_dir)]) == 0
+    echo = json.loads((out_dir / "summary.json").read_text())["config"]
+    assert echo["cca_db"] == 10.0
+
+
+@pytest.mark.parametrize("data, name", [
+    ({"antennas": 4.7}, "antennas"),
+    ({"power_db": "90"}, "power_db"),
+    ({"cca_db": "none"}, "cca_db"),
+    ({"power_db": float("nan")}, "power_db"),
+    ({"scenario": {**HALL, "n_aps": 4.5}}, "n_aps"),
+    ({"seeds": {"plan": 2.5}}, "seeds.plan"),
+    ({"oracle": {"n_realizations": 10.5}}, "oracle.n_realizations"),
+])
+def test_bad_values_are_refused_by_name(data, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        RunConfig.from_dict(data)
+
+
+def test_constructor_arguments_are_parsed_too():
+    with pytest.raises(ValueError, match="antennas"):
+        RunConfig(antennas=4.7)
+    cfg = RunConfig(power_db=80, cca_db="disabled", seeds={"plan": 7})
+    assert (cfg.power_db, cfg.cca_db, cfg.seeds) == (80.0, None, pipeline.Seeds(plan=7))
+    assert isinstance(cfg.power_db, float)
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--antennas", "4.7"), ("--n-aps", "4.5"), ("--cca-db", "none"),
+    ("--power-db", "loud"), ("--technology", "laser"),
+])
+def test_bad_flag_values_are_usage_errors(flag, text, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["evaluate", flag, text, "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+def test_cli_config_file_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"technolgy": "su_beamforming"}))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["evaluate", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "technolgy" in capsys.readouterr().err
+
+
+def test_bad_sweep_point_is_that_points_error():
+    cfg = RunConfig(scenario=HALL, sweep_axis="n_aps", sweep_values=[4, 4.5])
+    res = pipeline.sweep(cfg)
+    assert 4 in res.summaries
+    assert set(res.errors) == {4.5}
+    assert "n_aps" in res.errors[4.5]
+    with pytest.raises(ValueError, match="n_aps"):
+        pipeline.resolve_sweep_point(cfg, 4.5)
+
+
+def test_generator_inputs_on_a_scenario_file_are_refused(tmp_path):
+    path = tmp_path / "scen.json"
+    pipeline.evaluate(RunConfig(scenario=HALL)).scenario.save(path)
+    on_file = {"file": str(path)}
+    for axis, values in (("antennas", [2, 8]), ("power_db", [70.0, 90.0]),
+                         ("n_aps", [4, 8]), ("n_users", [10, 20])):
+        with pytest.raises(ValueError, match=axis):
+            RunConfig(scenario=on_file, sweep_axis=axis, sweep_values=values)
+    with pytest.raises(ValueError, match="n_aps"):
+        RunConfig(scenario={**on_file, "n_aps": 4})
+    with pytest.raises(ValueError, match="antennas"):
+        RunConfig(scenario=on_file, antennas=8)
+    for flags in (["--n-aps", "4"], ["--generator", "stadium"]):
+        with pytest.raises(SystemExit):
+            cli.main(["evaluate", "--scenario-file", str(path), *flags,
+                      "--out-dir", str(tmp_path / "out")])
+    # the file alone, with default antennas and power beside it, is accepted
+    assert RunConfig(scenario=on_file).scenario == on_file
+
+
+def test_readme_run_configuration_shows_the_defaults():
+    section = README.read_text().split("## Run configuration", 1)[1]
+    block = section.split("```jsonc", 1)[1].split("```", 1)[0]
+    assert json.loads(re.sub(r"//[^\n]*", "", block)) == RunConfig().to_dict()
+
+
+# The flags `evaluate`, `sweep` and `mc-validate` share, in `--help` order.
+RUN_FLAGS = [
+    "--config", "--scenario-file", "--generator", "--n-aps", "--n-users",
+    "--n-rooms", "--technology", "--channelization", "--cca-db", "--power-db",
+    "--antennas", "--rho", "--rate-mode", "--n-clusters", "--overhead-discount",
+    "--sector-width-deg", "--sector-orientation-deg", "--outage-threshold-bps",
+    "--seed-topology", "--seed-plan", "--seed-shadowing", "--seed-oracle",
+    "--realizations", "--dump-artifacts", "--out-dir",
+]
+
+
+def test_run_flags_are_unchanged(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["evaluate", "--help"])
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert listed == RUN_FLAGS
+
+
+def _value(setting):
+    """Values a setting accepts, as JSON carries them."""
+    if isinstance(setting.kind, tuple):
+        base = st.sampled_from(setting.kind)
+    elif setting.name == "overhead_discount":
+        base = st.floats(0.0, 1.0, exclude_min=True)
+    elif setting.kind is int:
+        base = st.integers(1, 2**40)
+    else:
+        base = st.one_of(st.integers(-2**40, 2**40),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    return st.one_of(base, st.sampled_from(setting.nulls)) if setting.nulls else base
+
+
+def _with(tree, setting, value):
+    parent, key = setting.slot(tree)
+    parent[key] = value
+    return tree
+
+
+def _cli_config(**flags):
+    return cli._build_config(argparse.Namespace(
+        config=None, scenario_file=None, **flags))
+
+
+def _spelled(value):
+    """A value as a flag or sweep-value string spells it."""
+    return "disabled" if value is None else str(value)
+
+
+@given(st.fixed_dictionaries({}, optional={s.name: _value(s) for s in SETTINGS}))
+def test_configs_survive_a_json_round_trip(values):
+    tree = RunConfig().to_dict()
+    for name, value in values.items():
+        _with(tree, pipeline.SETTING[name], value)
+    cfg = RunConfig.from_dict(tree)
+    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+@given(st.sampled_from([s for s in SETTINGS if s.flag]).flatmap(
+    lambda s: st.tuples(st.just(s), _value(s))))
+def test_a_value_parses_alike_as_json_flag_and_sweep_point(drawn):
+    setting, value = drawn
+    assume(value is not None or "disabled" in setting.nulls)
+    as_json = RunConfig.from_dict(json.loads(json.dumps(
+        _with(RunConfig().to_dict(), setting, value))))
+    assert _cli_config(**{setting.name: _spelled(value)}) == as_json
+    if setting.sweep:
+        swept = RunConfig(sweep_axis=setting.name, sweep_values=[value])
+        assert pipeline.resolve_sweep_point(swept, value) == as_json
+        swept = _cli_config(sweep_axis=setting.name, sweep_values=_spelled(value))
+        assert pipeline.resolve_sweep_point(swept, swept.sweep_values[0]) == as_json
+
+
+@given(st.sampled_from([s for s in SETTINGS if s.kind is int]),
+       st.floats(allow_nan=False, allow_infinity=False).filter(
+           lambda x: not x.is_integer()))
+def test_fractional_integers_are_refused_everywhere(setting, value):
+    with pytest.raises(ValueError, match=re.escape(setting.at or setting.name)):
+        RunConfig.from_dict(_with(RunConfig().to_dict(), setting, value))
+    if setting.flag:
+        with pytest.raises(ValueError, match=re.escape(setting.at or setting.name)):
+            _cli_config(**{setting.name: repr(value)})
+    if setting.sweep:
+        swept = RunConfig(sweep_axis=setting.name, sweep_values=[value])
+        with pytest.raises(ValueError, match=setting.name):
+            pipeline.resolve_sweep_point(swept, value)

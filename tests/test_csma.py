@@ -7,7 +7,6 @@ from wlanmodel.csma import (
     ContentionGraph,
     CtmcMode,
     StateSpaceOverflow,
-    airtime_shares,
     build_contention_graph,
     channel_ctmcs,
     enumerate_states,
@@ -16,6 +15,11 @@ from wlanmodel.csma import (
 from wlanmodel.propagation import GainMatrix
 from wlanmodel.radio_plan import ChannelPlan, channel_preset
 from wlanmodel.scenario import ApNode
+
+
+def airtime_shares(model):
+    """Per-AP transmit-time fraction: sum of pi over states where it is on."""
+    return model.pi @ model.states
 
 
 def make_graph(n, edges, channel_of=None, cca_db=10.0):

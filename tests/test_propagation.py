@@ -7,9 +7,10 @@ from wlanmodel.oracle import _rayleigh
 from wlanmodel.propagation import (
     PathlossParams,
     ShadowMap,
+    _normalize_pairs,
+    _pair_normal,
     _sector_mask,
     gain_matrix,
-    pathloss_db,
 )
 from wlanmodel.scenario import (
     ApNode,
@@ -19,7 +20,10 @@ from wlanmodel.scenario import (
     UtNode,
     WallSegment,
     build_conference_hall,
+    build_walled_office,
 )
+
+from .test_scenario import wall_crossings
 
 NO_SHADOW = PathlossParams(shadowing_sigma_db=0.0)
 
@@ -27,6 +31,23 @@ NO_SHADOW = PathlossParams(shadowing_sigma_db=0.0)
 def _flat_scenario(aps, users, walls=(), size=40.0):
     return Scenario(width_m=size, height_m=size, walls=tuple(walls),
                     aps=tuple(aps), users=tuple(users))
+
+
+def shadow_sample(shadows, p1, p2):
+    """Scalar reference for ShadowMap.sample_many: the draw for one pair."""
+    coords = _normalize_pairs(np.array([p1], dtype=float), np.array([p2], dtype=float))
+    return float(_pair_normal(shadows.seed, coords, shadows.sigma_db)[0])
+
+
+def pathloss_db(params, scenario, p1, p2, shadow_map=None):
+    """Scalar reference for the gain matrix: intercept + slope*log10(d),
+    walls, frozen shadow."""
+    d = max(math.dist(p1, p2), params.reference_distance_m)
+    pl = params.a_db + params.b_db_per_decade * math.log10(d)
+    pl += wall_crossings(scenario, p1, p2)
+    if shadow_map is not None:
+        pl += shadow_sample(shadow_map, p1, p2)
+    return pl
 
 
 def sector_gain(ap, target):
@@ -104,6 +125,26 @@ def test_gain_matrix_hand_computed_two_by_two():
     assert g.ap_to_ut[0, 1] == pytest.approx(expected(math.hypot(20, 5)))
     assert g.ap_to_ut[1, 0] == pytest.approx(expected(math.hypot(20, 10)))
     assert g.ap_to_ap[0, 1] == pytest.approx(expected(20.0))
+
+
+def test_gain_matrix_matches_scalar_reference_per_pair():
+    # Distance, walls and frozen shadowing, pair by pair; the unused
+    # ap_to_ap diagonal is skipped.
+    s = build_walled_office(4, 6, 30, seed=3)
+    params = PathlossParams()
+    assert params.shadowing_sigma_db > 0
+    g = gain_matrix(s, params, seed=11)
+    shadows = ShadowMap(params.shadowing_sigma_db, seed=11)
+    assert any(wall_crossings(s, ap.position, ut.position) > 0
+               for ap in s.aps for ut in s.users)
+    for i, ap in enumerate(s.aps):
+        for k, ut in enumerate(s.users):
+            pl = pathloss_db(params, s, ap.position, ut.position, shadows)
+            assert g.ap_to_ut[i, k] == pytest.approx(10 ** (-pl / 10), rel=1e-12)
+        for j, other in enumerate(s.aps):
+            if j != i:
+                pl = pathloss_db(params, s, ap.position, other.position, shadows)
+                assert g.ap_to_ap[i, j] == pytest.approx(10 ** (-pl / 10), rel=1e-12)
 
 
 def test_gain_monotone_in_distance():

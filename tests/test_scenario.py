@@ -13,8 +13,33 @@ from wlanmodel.scenario import (
     build_open_floor,
     build_stadium,
     build_walled_office,
-    wall_crossings,
 )
+
+
+def _orient(a, b, c):
+    """Signed area of triangle abc (exact for grid-snapped coordinates)."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _segments_properly_cross(p1, p2, q1, q2):
+    # Strict crossing only: endpoint touches and collinear overlaps are not
+    # crossings, which encodes both tie rules at once.
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    return ((d1 > 0) != (d2 > 0)) and d1 != 0 and d2 != 0 and \
+           ((d3 > 0) != (d4 > 0)) and d3 != 0 and d4 != 0
+
+
+def wall_crossings(scenario, p1, p2):
+    """Scalar reference for the gain matrix's wall term: total wall
+    attenuation in dB along the open segment (p1, p2)."""
+    total = 0.0
+    for wall in scenario.walls:
+        if _segments_properly_cross(p1, p2, wall.p1, wall.p2):
+            total += wall.attenuation_db
+    return total
 
 
 def test_conference_hall_paper_scale():
