@@ -37,7 +37,7 @@ from .rates import (
     RateReport,
     TechConfig,
     Technology,
-    average_over_ctmc,
+    chain_average_rates,
     dist_mu_rate,
     peak_rate_matrix,
     throughput_report,

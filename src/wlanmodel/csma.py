@@ -94,24 +94,29 @@ def _neighbor_masks(members: list[int], adjacency: dict[int, frozenset[int]]) ->
     return masks
 
 
-def _all_independent_masks(nbr: list[int], cap: int) -> list[int]:
-    """Every independent set of the graph as bitmasks (DFS, one per leaf)."""
+def _all_independent_states(nbr: list[int], cap: int) -> np.ndarray:
+    """Every independent set of the graph as a 0/1 [n_sets, n] matrix, in
+    ascending bitmask order (bit v is member v).
+
+    Members join one at a time: the sets found so far stay, and each of them
+    with no earlier neighbour of the new member on is appended with its bit
+    set. Appended rows are the old rows plus 2^v, so the order holds, and the
+    row count only grows, so an overflow shows as soon as it happens.
+    """
     n = len(nbr)
-    out: list[int] = []
-    stack = [(0, 0)]
-    while stack:
-        v, mask = stack.pop()
-        if v == n:
-            out.append(mask)
-            if len(out) > cap:
-                raise StateSpaceOverflow(
-                    f"more than {cap} independent sets in one channel; "
-                    "use MAXIMAL_ONLY mode")
-            continue
-        stack.append((v + 1, mask))
-        if nbr[v] & mask == 0:
-            stack.append((v + 1, mask | (1 << v)))
-    return sorted(out)
+    states = np.zeros((1, n), dtype=np.uint8)
+    for v in range(n):
+        if len(states) > cap:
+            break
+        earlier = [u for u in range(v) if nbr[v] >> u & 1]
+        new = states[~states[:, earlier].any(axis=1)]
+        new[:, v] = 1
+        states = np.concatenate([states, new])
+    if len(states) > cap:
+        raise StateSpaceOverflow(
+            f"more than {cap} independent sets in one channel; "
+            "use MAXIMAL_ONLY mode")
+    return states
 
 
 def _maximal_independent_masks(nbr: list[int], cap: int) -> list[int]:
@@ -170,19 +175,18 @@ def _channel_state_arrays(graph: ContentionGraph, mode: CtmcMode | None, cap: in
         nbr = _neighbor_masks(members, graph.adjacency)
         ch_mode = mode
         if mode == CtmcMode.NO_CSMA:
-            masks = [(1 << len(members)) - 1]
-        elif mode == CtmcMode.MAXIMAL_ONLY:
-            masks = _maximal_independent_masks(nbr, cap)
-        elif mode == CtmcMode.ALL_INDEPENDENT_SETS:
-            masks = _all_independent_masks(nbr, cap)
-        else:
+            states = np.ones((1, len(members)), dtype=np.uint8)
+        elif mode != CtmcMode.MAXIMAL_ONLY:
             try:
                 ch_mode = CtmcMode.ALL_INDEPENDENT_SETS
-                masks = _all_independent_masks(nbr, cap)
+                states = _all_independent_states(nbr, cap)
             except StateSpaceOverflow:
+                if mode is not None:
+                    raise
                 ch_mode = CtmcMode.MAXIMAL_ONLY
-                masks = _maximal_independent_masks(nbr, cap)
-        result[ch] = (members, _masks_to_matrix(masks, len(members)), ch_mode)
+        if ch_mode == CtmcMode.MAXIMAL_ONLY:
+            states = _masks_to_matrix(_maximal_independent_masks(nbr, cap), len(members))
+        result[ch] = (members, states, ch_mode)
     return result
 
 

@@ -46,6 +46,7 @@ class Setting(NamedTuple):
     generator: bool = False  # read only by scenario generators
     flag: bool = True
     help: str | None = None
+    minimum: int | None = None  # smallest value allowed, if any
 
     def slot(self, tree: dict) -> tuple[dict, str]:
         """The dict of a to_dict() tree that holds this setting, and its key."""
@@ -55,14 +56,15 @@ class Setting(NamedTuple):
     def parse(self, value):
         """The one parser for constructor arguments, JSON values, CLI flag
         literals and sweep points: a string is never a number, a number is
-        never truncated, and NaN is refused."""
+        never truncated, and NaN and values below the minimum are refused."""
         if value in self.nulls:
             return None
         if isinstance(self.kind, tuple):
             if value in self.kind:
                 return value
         elif isinstance(value, numbers.Integral if self.kind is int else numbers.Real) \
-                and not isinstance(value, bool) and not math.isnan(value):
+                and not isinstance(value, bool) and not math.isnan(value) \
+                and (self.minimum is None or value >= self.minimum):
             return self.kind(value)
         raise ValueError(f"{self.at or self.name} cannot be {value!r}")
 
@@ -88,7 +90,7 @@ SETTINGS = (
     Setting("sector_orientation_deg", float),
     Setting("outage_threshold_bps", float),
     Setting("state_cap", int, flag=False),
-    *(Setting(f"seed_{f.name}", int, f"seeds.{f.name}") for f in fields(Seeds)),
+    *(Setting(f"seed_{f.name}", int, f"seeds.{f.name}", minimum=0) for f in fields(Seeds)),
     Setting("realizations", int, "oracle.n_realizations", help="oracle realization count"),
     Setting("subcarriers", int, "oracle.subcarriers", flag=False),
 )
@@ -218,6 +220,8 @@ class EvaluationResult:
     graph: csma.ContentionGraph | None = None
     mac: dict[int, csma.ChannelCtmc] | None = None
     cluster_plan: radio_plan.ClusterPlan | None = None
+    # Concentrated MU: channel -> {S: (state, active user-bearing AP) pairs
+    # that chose S}; distributed: cluster -> S.
     stream_choice: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
@@ -277,15 +281,11 @@ def _evaluate_contended(config, scenario, gains, tech, channels, echo):
         avg = np.zeros(n_users)
         for ch_id in sorted(mac):
             ctmc = mac[ch_id]
-            members = list(ctmc.members)
-            if tech.technology == rates.Technology.SU_BEAMFORMING:
-                state_rates = rates.su_channel_state_rates(
-                    gains, assoc, aps, members, ctmc.model.states, tech, n_users)
-            else:
-                state_rates, streams = rates.mu_channel_state_rates(
-                    gains, assoc, aps, members, ctmc.model.states, tech, n_users)
+            ch_avg, streams = rates.chain_average_rates(
+                gains, assoc, aps, list(ctmc.members), ctmc.model, tech, n_users)
+            avg += ch_avg
+            if tech.technology != rates.Technology.SU_BEAMFORMING:
                 stream_choice[ch_id] = streams
-            avg += rates.average_over_ctmc(state_rates, ctmc.model)
     with _stage("report"):
         serving_map = assoc.serving_ap
         serving = np.array([serving_map[k] for k in range(n_users)])

@@ -9,6 +9,7 @@ and reported in bit/s/Hz (log base 2).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -19,6 +20,13 @@ from .metrics import DEFAULT_MCS_TABLE, McsTable, mcs_quantize
 from .propagation import GainMatrix
 from .radio_plan import AssociationMap, Cluster, ClusterPlan
 from .scenario import ApNode
+
+
+#: Bytes one [states x own users] float64 array of the chain average may
+#: take: it walks a channel's states in row blocks of this size. Larger
+#: blocks leave cache and gain nothing; much smaller ones pay the per-block
+#: overhead at thousands of users per channel.
+BLOCK_BYTES = 4 << 20
 
 
 class Technology(str, Enum):
@@ -111,42 +119,57 @@ def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
     return eff, best_s
 
 
-def _contended_rates(gains: GainMatrix, assoc: AssociationMap,
+def _own_user_kernel(gains: GainMatrix, assoc: AssociationMap,
                      aps: tuple[ApNode, ...], members: list[int],
-                     states: np.ndarray, tech: TechConfig, n_users_total: int,
-                     multi_user: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Rates of every state of one channel, with each member AP one group.
+                     tech: TechConfig, multi_user: bool):
+    """One channel's users, cell by cell, and a function giving their rates
+    [n, users] and each member AP's chosen streams [n, members] for any
+    block of n states.
 
-    An active AP's users see every other active member AP as interference;
-    an inactive AP's users get zero rate and its stream count is 0. An AP
+    Each member AP is one group. An active AP's users see every other active
+    member AP as interference; an inactive AP's users get zero rate. An AP
     with no associated users neither earns rate nor radiates interference,
-    even if the chain marks it on.
+    even if the chain marks it on. Stream counts mean something only where
+    the AP is on and has users: multiply them by the states.
     """
-    out = np.zeros((states.shape[0], n_users_total))
     cells = [assoc.sets.get(ap, ()) for ap in members]
     users = [ut for cell in cells for ut in cell]
-    if not users:
-        return out, np.zeros(states.shape, dtype=int)
     n_cell = np.array([len(cell) for cell in cells])
     own = np.repeat(np.arange(len(members)), n_cell)
     m_ant = np.array([aps[a].antennas for a in members])
     recv = gains.ap_to_ut[np.ix_(members, users)] * \
         np.array([aps[a].power_linear for a in members])[:, None]
     own_recv = recv[own, np.arange(len(users))]
-    tx_mask = (n_cell > 0).astype(float)
-    active = states[:, own]
-    # 1 + I, built in place so that one [states x users] array holds it: the
-    # received power of all active members, less the user's own AP.
-    one_plus_i = (states.astype(float) * tx_mask) @ recv
-    np.subtract(one_plus_i, own_recv, out=one_plus_i, where=active.astype(bool))
-    one_plus_i += 1.0
+    tx_recv = recv * (n_cell > 0)[:, None]
     cap = np.minimum(m_ant, n_cell) if multi_user else np.minimum(n_cell, 1)
-    rates, streams = zf_rates(own_recv, one_plus_i, own, m_ant,
-                              np.ones_like(m_ant), cap, tech)
-    del one_plus_i
-    rates *= active
+
+    def block_rates(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        active = states.astype(bool)[:, own]
+        # 1 + I, built in place so that one [states x users] array holds it:
+        # the received power of all active members, less the user's own AP.
+        one_plus_i = states.astype(float) @ tx_recv
+        np.subtract(one_plus_i, own_recv, out=one_plus_i, where=active)
+        one_plus_i += 1.0
+        rates, streams = zf_rates(own_recv, one_plus_i, own, m_ant,
+                                  np.ones_like(m_ant), cap, tech)
+        del one_plus_i
+        rates *= active
+        return rates, streams
+
+    return users, block_rates
+
+
+def _full_width_rates(gains: GainMatrix, assoc: AssociationMap,
+                      aps: tuple[ApNode, ...], members: list[int],
+                      states: np.ndarray, tech: TechConfig, n_users_total: int,
+                      multi_user: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every state's rates [n_states, n_users_total] and streams, 0 for
+    inactive or user-less APs."""
+    users, block_rates = _own_user_kernel(gains, assoc, aps, members, tech, multi_user)
+    rates, streams = block_rates(states)
+    out = np.zeros((states.shape[0], n_users_total))
     out[:, users] = rates
-    return out, streams
+    return out, streams * states
 
 
 def su_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
@@ -159,8 +182,8 @@ def su_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
     interferers g*P)): zf_rates with one stream. Returns
     [n_states, n_users_total]; users outside the channel stay zero.
     """
-    return _contended_rates(gains, assoc, aps, members, states, tech,
-                            n_users_total, multi_user=False)[0]
+    return _full_width_rates(gains, assoc, aps, members, states, tech,
+                             n_users_total, multi_user=False)[0]
 
 
 def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
@@ -174,9 +197,40 @@ def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
     [n_states, n_users_total] and the chosen streams [n_states, n_members],
     0 for inactive or user-less APs.
     """
-    out, streams = _contended_rates(gains, assoc, aps, members, states, tech,
-                                    n_users_total, multi_user=True)
-    return out, streams * states
+    return _full_width_rates(gains, assoc, aps, members, states, tech,
+                             n_users_total, multi_user=True)
+
+
+def chain_average_rates(gains: GainMatrix, assoc: AssociationMap,
+                        aps: tuple[ApNode, ...], members: list[int],
+                        ctmc: CtmcModel, tech: TechConfig,
+                        n_users_total: int) -> tuple[np.ndarray, dict[int, int]]:
+    """One channel's chain-averaged rates, R = sum_m pi_m * R^m, streamed.
+
+    The chain's states are walked in row blocks whose [rows x own users]
+    arrays fit BLOCK_BYTES; each block's rates are computed for the
+    channel's own users only, as su_/mu_channel_state_rates would for the
+    technology, and its share of the average is added in. Returns the
+    averaged rates [n_users_total] (zero outside the channel) and, for
+    concentrated MU-MIMO, how many (state, active user-bearing AP) pairs
+    chose each stream count S ({} for SU beamforming, always one stream).
+    """
+    multi_user = tech.technology != Technology.SU_BEAMFORMING
+    users, block_rates = _own_user_kernel(gains, assoc, aps, members, tech, multi_user)
+    avg = np.zeros(n_users_total)
+    if not users:
+        return avg, {}
+    counts: Counter = Counter()
+    rows = max(1, BLOCK_BYTES // (8 * max(len(users), len(members))))
+    for start in range(0, ctmc.n_states, rows):
+        block = slice(start, start + rows)
+        states = ctmc.states[block]
+        rates, streams = block_rates(states)
+        avg[users] += average_over_ctmc(rates, ctmc, block)
+        if multi_user:
+            chosen = np.bincount((streams * states).ravel())
+            counts.update({s: int(n) for s, n in enumerate(chosen) if s and n})
+    return avg, dict(sorted(counts.items()))
 
 
 def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
@@ -219,14 +273,17 @@ def cluster_interference(gains: GainMatrix, aps: tuple[ApNode, ...],
     return (p[:, None] * recv).sum(axis=0)
 
 
-def average_over_ctmc(state_rates: np.ndarray, ctmc: CtmcModel) -> np.ndarray:
-    """Chain-average the per-state rates: R = sum_m pi_m * R^m."""
+def average_over_ctmc(state_rates: np.ndarray, ctmc: CtmcModel,
+                      rows: slice = slice(None)) -> np.ndarray:
+    """The chain states `rows`' share of the average, sum_m pi_m * R^m over
+    them: the whole chain average when `rows` covers every state."""
     state_rates = np.asarray(state_rates)
-    if state_rates.shape[0] != ctmc.n_states:
+    pi = ctmc.pi[rows]
+    if state_rates.shape[0] != pi.size:
         raise ValueError(
             f"state mismatch: {state_rates.shape[0]} rate rows vs "
-            f"{ctmc.n_states} chain states")
-    return ctmc.pi @ state_rates
+            f"{pi.size} chain states")
+    return pi @ state_rates
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,13 @@ def test_cli_config_file_without_cca_keeps_carrier_sensing(tmp_path):
 def test_bad_values_are_refused_by_name(data, name):
     with pytest.raises(ValueError, match=re.escape(name)):
         RunConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("seed", [f.name for f in fields(pipeline.Seeds)])
+def test_negative_seeds_are_refused_when_the_config_is_built(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seeds.{seed} cannot be -1")):
+        RunConfig(seeds={seed: -1})
+    assert RunConfig(seeds={seed: 0}).seeds == pipeline.Seeds(**{seed: 0})
 
 
 def test_constructor_arguments_are_parsed_too():

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlanmodel.csma import (
     ContentionGraph,
     CtmcMode,
     StateSpaceOverflow,
+    _all_independent_states,
+    _masks_to_matrix,
     build_contention_graph,
     channel_ctmcs,
     enumerate_states,
@@ -200,6 +204,51 @@ def test_enumeration_equals_brute_force_random_graphs():
                    if not any(s < t for t in brute)}
         mstates = enumerate_states(graph, CtmcMode.MAXIMAL_ONLY)
         assert states_to_sets(mstates) == maximal
+
+
+def all_independent_masks(nbr, cap):
+    """Every independent set as bitmasks (DFS, one per leaf): the reference
+    for the vectorized enumeration."""
+    n = len(nbr)
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        v, mask = stack.pop()
+        if v == n:
+            out.append(mask)
+            if len(out) > cap:
+                raise StateSpaceOverflow(f"more than {cap} independent sets")
+            continue
+        stack.append((v + 1, mask))
+        if nbr[v] & mask == 0:
+            stack.append((v + 1, mask | (1 << v)))
+    return sorted(out)
+
+
+@st.composite
+def _neighbor_masks(draw):
+    n = draw(st.integers(0, 14))
+    p = draw(st.floats(0.0, 1.0))
+    nbr = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.floats(0.0, 1.0)) < p:
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+    return nbr
+
+
+@settings(max_examples=200, deadline=None)
+@given(_neighbor_masks(), st.integers(0, 3000))
+def test_vectorized_enumeration_matches_dfs(nbr, cap):
+    try:
+        want = _masks_to_matrix(all_independent_masks(nbr, cap), len(nbr))
+    except StateSpaceOverflow:
+        with pytest.raises(StateSpaceOverflow, match=f"more than {cap} "):
+            _all_independent_states(nbr, cap)
+        return
+    got = _all_independent_states(nbr, cap)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_stationary_prism_closed_form():

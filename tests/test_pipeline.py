@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from wlanmodel import cli, pipeline
+from wlanmodel import cli, pipeline, radio_plan, rates
 from wlanmodel.metrics import DEFAULT_MCS_TABLE
 from wlanmodel.oracle import OracleConfig
 from wlanmodel.pipeline import RunConfig, Seeds
@@ -308,3 +310,41 @@ def test_cca_sweep_axis_includes_disabled():
     assert res.point_results["disabled"].mac[0].model.mode.value == "no_csma"
     means = [res.summaries[v]["mean"] for v in cfg.sweep_values]
     assert all(m > 0 for m in means)
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 18])
+def test_contended_rates_stage_streams_own_user_blocks(monkeypatch, budget):
+    # 15 APs, none sensing another: channel 0 holds 14 of them (2^14 chain
+    # states) and 20 users, channel 1 one AP and the other 580 users. A
+    # [states x all users] array of channel 0 alone would be 78.6 MB.
+    n_aps, n_users, n_loud = 15, 600, 14
+    if budget is not None:
+        monkeypatch.setattr(rates, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(radio_plan, "assign_channels", lambda gains, aps, channels, seed:
+                        radio_plan.ChannelPlan(channels, {a: int(a >= n_loud)
+                                                          for a in range(n_aps)}, seed))
+    sets = {a: tuple(range(a, 20, n_loud)) for a in range(n_loud)}
+    sets[n_loud] = tuple(range(20, n_users))
+    monkeypatch.setattr(radio_plan, "associate_users", lambda peak, seed, fallback_metric:
+                        radio_plan.AssociationMap(sets, seed))
+    real_stage, peaks = pipeline._stage, {}
+
+    @contextmanager
+    def measured_stage(label):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with real_stage(label):
+            yield
+        peaks[label] = tracemalloc.get_traced_memory()[1] - start
+
+    monkeypatch.setattr(pipeline, "_stage", measured_stage)
+    tracemalloc.start()
+    try:
+        result = pipeline.evaluate(desk_config(
+            scenario={"generator": "conference_hall", "n_aps": n_aps, "n_users": n_users},
+            cca_db=300.0))
+    finally:
+        tracemalloc.stop()
+    states = result.mac[0].model.states
+    assert states.shape == (2 ** n_loud, n_loud)
+    assert peaks["rates"] < 8 * rates.BLOCK_BYTES + states.nbytes

@@ -1,4 +1,6 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +10,14 @@ from hypothesis import strategies as st
 from wlanmodel.csma import CtmcMode, stationary_distribution
 from wlanmodel.propagation import GainMatrix
 from wlanmodel.radio_plan import AssociationMap, Cluster
+from wlanmodel import rates as rates_module
 from wlanmodel.rates import (
     RateMode,
     TechConfig,
+    Technology,
     _zf_sinr,
     average_over_ctmc,
+    chain_average_rates,
     dist_mu_rate,
     mu_channel_state_rates,
     peak_rate_matrix,
@@ -428,3 +433,69 @@ def test_small_array_group_leaves_other_groups_search_intact():
                               np.array([4, 1]), GAUSS)
     assert streams.tolist() == [4, 1]
     assert np.all(np.isfinite(rates))
+
+
+@st.composite
+def _contended_channel(draw):
+    """A channel of 1-5 member APs, the first user-less, among APs on other
+    channels that hold users too; its chain runs over random 0/1 states."""
+    n_members = draw(st.integers(1, 5))
+    n_aps = n_members + draw(st.integers(1, 3))
+    n_users = draw(st.integers(1, 12))
+    serving = draw(st.lists(st.integers(1, n_aps - 1), min_size=n_users,
+                            max_size=n_users))
+    sets = {a: tuple(k for k in range(n_users) if serving[k] == a) for a in range(n_aps)}
+    gains = _gains(np.array(draw(st.lists(_GAIN, min_size=n_aps * n_users,
+                                          max_size=n_aps * n_users))
+                            ).reshape(n_aps, n_users))
+    aps = tuple(ApNode(i, (float(i), 0.0), antennas=draw(st.integers(1, 4)),
+                       power_db=90.0) for i in range(n_aps))
+    every = np.array(list(itertools.product((0, 1), repeat=n_members)), dtype=np.uint8)
+    rows = draw(st.lists(st.integers(0, len(every) - 1), min_size=1, unique=True))
+    model = stationary_distribution(every[sorted(rows)], rho=draw(st.floats(0.1, 100.0)))
+    assoc = AssociationMap(sets=sets, permutation_seed=0)
+    return gains, assoc, aps, list(range(n_members)), model, n_users
+
+
+_CONTENDED_TECH = st.sampled_from([
+    TechConfig(technology=t, rate_mode=m)
+    for t in (Technology.SU_BEAMFORMING, Technology.CONCENTRATED_MU_MIMO)
+    for m in (RateMode.GAUSSIAN, RateMode.QUANTIZED)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_contended_channel(), _CONTENDED_TECH, st.integers(2, 7))
+def test_streamed_chain_average_equals_dense_average(channel, tech, odd):
+    gains, assoc, aps, members, model, n_users = channel
+    args = (gains, assoc, aps, members, model.states, tech, n_users)
+    if tech.technology == Technology.SU_BEAMFORMING:
+        dense, counts = su_channel_state_rates(*args), {}
+    else:
+        dense, streams = mu_channel_state_rates(*args)
+        counts = {s: n for s, n in enumerate(np.bincount(streams.ravel())) if s and n}
+    want = model.pi @ dense
+    width = max(sum(len(assoc.sets[a]) for a in members), len(members))
+    for budget in (rates_module.BLOCK_BYTES, 1, 8 * width * (2 * odd - 1)):
+        with mock.patch.object(rates_module, "BLOCK_BYTES", budget):
+            avg, chosen = chain_average_rates(gains, assoc, aps, members, model,
+                                              tech, n_users)
+        np.testing.assert_allclose(avg, want, rtol=1e-12, atol=1e-12)
+        assert chosen == counts
+
+
+def test_stream_counts_of_a_two_ap_chain():
+    # No mutual interference and gP = 1000 for every user, M = 4. AP 0 has
+    # one user, so it serves S = 1; AP 1 has two: S = 1 scores
+    # log2(1 + 4000) = 11.97 and S = 2 scores 2 log2(1 + 3 * 1000 / 2) = 21.1.
+    # Each AP is on in two of the four equally likely states.
+    aps = _aps(2, antennas=4, power_db=90.0)
+    gains = _gains([[1e-6, 0.0, 0.0], [0.0, 1e-6, 1e-6]])
+    assoc = AssociationMap(sets={0: (0,), 1: (1, 2)}, permutation_seed=0)
+    model = stationary_distribution(
+        np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8), rho=1.0)
+    tech = TechConfig(technology=Technology.CONCENTRATED_MU_MIMO)
+    avg, counts = chain_average_rates(gains, assoc, aps, [0, 1], model, tech, 3)
+    assert counts == {1: 2, 2: 2}
+    assert avg == pytest.approx(
+        [0.5 * math.log2(4001), 0.5 * math.log2(1501), 0.5 * math.log2(1501)],
+        rel=1e-12)
