@@ -6,17 +6,20 @@ import argparse
 import sys
 
 from . import pipeline
-from .scenario import GENERATORS
+
+
+def _add_setting_flags(p: argparse.ArgumentParser, settings, required=()):
+    for setting in settings:
+        choices = setting.kind if isinstance(setting.kind, tuple) else None
+        p.add_argument("--" + setting.name.replace("_", "-"), choices=choices,
+                       help=setting.help, required=setting.name in required,
+                       default=argparse.SUPPRESS)
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON run config; flags override its fields")
     p.add_argument("--scenario-file", help="evaluate a saved scenario JSON")
-    for setting in pipeline.SETTINGS:
-        if setting.flag:
-            choices = setting.kind if isinstance(setting.kind, tuple) else None
-            p.add_argument("--" + setting.name.replace("_", "-"), choices=choices,
-                           help=setting.help, default=argparse.SUPPRESS)
+    _add_setting_flags(p, [s for s in pipeline.SETTINGS if s.flag])
     p.add_argument("--dump-artifacts", action="store_true",
                    help="also write gains/plan/association/chain CSVs")
     p.add_argument("--out-dir", default="out", help="output directory")
@@ -33,9 +36,10 @@ def _literal(text: str):
 
 
 def _build_config(args) -> pipeline.RunConfig:
-    tree = (pipeline.RunConfig.from_file(args.config) if args.config
+    config_file = getattr(args, "config", None)
+    tree = (pipeline.RunConfig.from_file(config_file) if config_file
             else pipeline.RunConfig()).to_dict()
-    if args.scenario_file:
+    if getattr(args, "scenario_file", None):
         tree["scenario"] = {"file": args.scenario_file}
     for name, text in vars(args).items():
         if name in pipeline.SETTING:
@@ -54,13 +58,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a scenario JSON file")
-    gen.add_argument("--generator", choices=sorted(GENERATORS), required=True)
-    gen.add_argument("--n-aps", type=int, required=True)
-    gen.add_argument("--n-users", type=int, required=True)
-    gen.add_argument("--n-rooms", type=int)
-    gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--antennas", type=int, default=4)
-    gen.add_argument("--power-db", type=float, default=90.0)
+    # The scenario keys the default config spells out are the ones every
+    # generator needs.
+    _add_setting_flags(gen, [s for s in pipeline.SETTINGS if s.generator],
+                       required=pipeline.RunConfig().scenario)
+    gen.add_argument("--seed", dest="seed_topology", metavar="SEED",
+                     default=argparse.SUPPRESS,
+                     help=f"topology seed (default {pipeline.Seeds().topology})")
     gen.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", help="single evaluation")
@@ -79,23 +83,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    try:
+        config = _build_config(args)
+        if args.command == "generate":
+            scenario, _ = pipeline.build_scenario(config)
+    except (TypeError, ValueError) as exc:  # unknown keys, refused values
+        parser.error(str(exc))
+
     if args.command == "generate":
-        kwargs = dict(n_aps=args.n_aps, n_users=args.n_users, seed=args.seed,
-                      antennas=args.antennas, power_db=args.power_db)
-        if args.generator == "walled_office":
-            if args.n_rooms is None:
-                parser.error("walled_office needs --n-rooms")
-            kwargs = {"n_rooms": args.n_rooms, **kwargs}
-        scenario = GENERATORS[args.generator](**kwargs)
         scenario.save(args.out)
         print(f"wrote {args.out}: {scenario.n_aps} APs, "
               f"{scenario.n_users} users, {len(scenario.walls)} walls")
         return 0
-
-    try:
-        config = _build_config(args)
-    except (TypeError, ValueError) as exc:  # unknown keys, refused values
-        parser.error(str(exc))
 
     if args.command == "evaluate":
         result = pipeline.evaluate(config)

@@ -20,12 +20,10 @@ import numpy as np
 from .csma import ChannelCtmc
 from .propagation import GainMatrix
 from .radio_plan import AssociationMap, ChannelPlan, ClusterPlan
-from .rates import (TechConfig, cluster_interference, dist_mu_rate,
-                    mu_channel_state_rates)
+from . import rates
+from .rates import TechConfig, cluster_interference, dist_mu_rate
 from .scenario import ApNode, Scenario
 
-#: Realizations drawn per batch.
-CHUNK = 2048
 #: Chains with more states than this are sampled from pi, not enumerated.
 STATE_ENUM_THRESHOLD = 10_000
 
@@ -121,6 +119,16 @@ def _draw(rng: np.random.Generator, power: np.ndarray, nsub: int) -> np.ndarray:
     return h
 
 
+def _realization_bytes(groups: list[_Group], nsub: int) -> int:
+    """Bytes one realization of a job holds: a complex [nsub, N_j, cols_i]
+    draw for every pair of groups (i, j), own (j = i) or co-channel, plus
+    each ZF group's Gram matrix and its inverse, [nsub, S, S] each."""
+    cols = sum(len(g.users) if g.streams == 1 else g.streams for g in groups)
+    antennas = sum(len(g.rows) for g in groups)
+    grams = sum(2 * g.streams**2 for g in groups if g.streams > 1)
+    return 16 * nsub * (cols * antennas + grams)
+
+
 def _simulate(jobs, gains: GainMatrix, n_users: int,
               config: OracleConfig) -> OracleReport:
     """Fading-average the per-user rates of weighted jobs.
@@ -129,15 +137,17 @@ def _simulate(jobs, gains: GainMatrix, n_users: int,
     ones active together on one channel. A one-stream group evaluates every
     user as if served, at weight 1/|U|. A multi-stream group evaluates its
     uniformly drawn served S-subset at weight 1, so that the service
-    frequency S/|U| realizes the equal-air-time share.
+    frequency S/|U| realizes the equal-air-time share. Each job draws its
+    realizations in chunks whose arrays fit rates.BLOCK_BYTES (at least
+    one realization per chunk).
     """
     nsub = config.subcarriers
     mean, var, spread = np.zeros(n_users), np.zeros(n_users), np.zeros(n_users)
     resamples = 0
     for weight, draws, sampled, rng, groups in jobs:
         sums = [np.zeros((2, len(g.users))) for g in groups]
-        for start in range(0, draws, CHUNK):
-            r = min(CHUNK, draws - start)
+        for chunk in rates.row_blocks(draws, _realization_bytes(groups, nsub)):
+            r = chunk.stop - chunk.start
             picks, signals, beams = [], [], []
             for g in groups:
                 k = len(g.users)
@@ -197,15 +207,19 @@ def _contended_jobs(scenario: Scenario, assoc: AssociationMap,
                     mac: dict[int, ChannelCtmc], config: OracleConfig,
                     seed: int, streams_of):
     """One job per (channel, chain state), each active AP with users one
-    group of S = streams_of(members, state) streams."""
+    group of S streams, S read from streams_of(members, states): the
+    [states, members] stream counts of the channel's job states."""
     aps = scenario.aps
     for ch_id in sorted(mac):
         members = list(mac[ch_id].members)
         state_rng = np.random.default_rng([seed, ch_id, 1 << 20])
-        for idx, (state, weight, draws, sampled) in enumerate(
-                _state_jobs(mac[ch_id], config.n_realizations, state_rng)):
+        jobs = _state_jobs(mac[ch_id], config.n_realizations, state_rng)
+        if not jobs:
+            continue
+        streams = streams_of(members, np.array([job[0] for job in jobs]))
+        for idx, ((state, weight, draws, sampled), row) in enumerate(zip(jobs, streams)):
             groups = [_group(aps, [ap], assoc.sets[ap], s, aps[ap].power_linear)
-                      for ap, s in zip(members, streams_of(members, state)) if s > 0]
+                      for ap, s in zip(members, row) if s > 0]
             if groups:
                 yield (weight, draws, sampled,
                        np.random.default_rng([seed, ch_id, idx]), groups)
@@ -216,8 +230,8 @@ def mc_su_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
                config: OracleConfig, seed: int = 0) -> OracleReport:
     """Monte Carlo single-user beamforming rates: each active AP with users
     is a one-stream group, its beam conjugate to one of its users."""
-    def streams_of(members, state):
-        return [int(on and bool(assoc.sets.get(ap))) for ap, on in zip(members, state)]
+    def streams_of(members, states):
+        return states * np.array([bool(assoc.sets.get(ap)) for ap in members])
 
     jobs = _contended_jobs(scenario, assoc, mac, config, seed, streams_of)
     return _simulate(jobs, gains, scenario.n_users, config)
@@ -229,10 +243,13 @@ def mc_mu_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
     """Monte Carlo concentrated MU-MIMO rates: each active AP zero-forces to
     a uniformly random subset of its users, sized by the deterministic
     stream optimizer for that contention state."""
-    def streams_of(members, state):
-        return mu_channel_state_rates(gains, assoc, scenario.aps, members,
-                                      state[None, :], TechConfig(),
-                                      scenario.n_users)[1][0]
+    def streams_of(members, states):
+        # One kernel set-up per channel, walked over its job states in the
+        # row blocks of the chain average.
+        users, block_rates = rates._own_user_kernel(
+            gains, assoc, scenario.aps, members, TechConfig(), multi_user=True)
+        blocks = rates.row_blocks(len(states), 8 * max(len(users), len(members)))
+        return np.concatenate([block_rates(states[b])[1] for b in blocks]) * states
 
     jobs = _contended_jobs(scenario, assoc, mac, config, seed, streams_of)
     return _simulate(jobs, gains, scenario.n_users, config)

@@ -43,7 +43,7 @@ class Setting(NamedTuple):
     at: str = ""            # place in RunConfig.to_dict(), if not `name`
     nulls: tuple = ()       # values that stand for None
     sweep: bool = False
-    generator: bool = False  # read only by scenario generators
+    generator: bool = False  # read only to generate the scenario
     flag: bool = True
     help: str | None = None
     minimum: int | None = None  # smallest value allowed, if any
@@ -71,7 +71,7 @@ class Setting(NamedTuple):
 
 SETTINGS = (
     Setting("generator", tuple(sorted(GENERATORS)), "scenario.generator",
-            help="scenario generator name"),
+            generator=True, help="scenario generator name"),
     Setting("n_aps", int, "scenario.n_aps", sweep=True, generator=True),
     Setting("n_users", int, "scenario.n_users", sweep=True, generator=True),
     Setting("n_rooms", int, "scenario.n_rooms", generator=True, help="walled_office only"),
@@ -173,6 +173,8 @@ def build_scenario(config: RunConfig) -> tuple[Scenario, dict]:
         extras = {k: raw.get(k) for k in ("pathloss", "mcs_table") if k in raw}
         return _apply_sector(Scenario.from_dict(raw), config), extras
     name = spec.pop("generator")
+    if name == "walled_office" and "n_rooms" not in spec:
+        raise ValueError("walled_office needs n_rooms (--n-rooms)")
     spec.setdefault("seed", config.seeds.topology)
     spec.setdefault("antennas", config.antennas)
     spec.setdefault("power_db", config.power_db)

@@ -152,14 +152,24 @@ def _orient_points(p1: np.ndarray, p2: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, shadows: ShadowMap,
                       tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    d = np.hypot(tx[:, None, 0] - rx[None, :, 0], tx[:, None, 1] - rx[None, :, 1])
-    d = np.maximum(d, params.reference_distance_m)
-    pl = params.a_db + params.b_db_per_decade * np.log10(d)
-    pl += _wall_attenuation_matrix(scenario, tx, rx)
-    if params.shadowing_sigma_db > 0:
-        tx_rep = np.repeat(tx, rx.shape[0], axis=0)
-        rx_rep = np.tile(rx, (tx.shape[0], 1))
-        pl += shadows.sample_many(tx_rep, rx_rep).reshape(tx.shape[0], rx.shape[0])
+    """Pathloss in dB for every (tx, rx) pair, [n_tx, n_rx].
+
+    Transmitters are walked in row blocks whose [pairs, 4] shadow keys fit
+    rates.BLOCK_BYTES (one row at least). Each pair's shadow is keyed by
+    its two positions alone, so the blocks leave every entry unchanged.
+    """
+    from .rates import row_blocks  # rates imports this module
+
+    pl = np.empty((tx.shape[0], rx.shape[0]))
+    for block in row_blocks(tx.shape[0], 32 * rx.shape[0]):
+        t, out = tx[block], pl[block]
+        d = np.hypot(t[:, None, 0] - rx[None, :, 0], t[:, None, 1] - rx[None, :, 1])
+        d = np.maximum(d, params.reference_distance_m)
+        out[:] = params.a_db + params.b_db_per_decade * np.log10(d)
+        out += _wall_attenuation_matrix(scenario, t, rx)
+        if params.shadowing_sigma_db > 0:
+            out += shadows.sample_many(np.repeat(t, rx.shape[0], axis=0),
+                                       np.tile(rx, (t.shape[0], 1))).reshape(out.shape)
     return pl
 
 
@@ -196,7 +206,9 @@ def gain_matrix(scenario: Scenario, params: PathlossParams, seed: int) -> GainMa
             "reference_distance_m against node spacing"
         )
 
-    ap_to_ut = 10.0 ** (-pl_ut / 10.0) * _sector_mask(scenario, ut_pos)
+    # 10 ** (-pl / 10) in place: no second [n_aps x n_users] array.
+    ap_to_ut = np.power(10.0, np.divide(pl_ut, -10.0, out=pl_ut), out=pl_ut)
+    ap_to_ut *= _sector_mask(scenario, ut_pos)
     ap_to_ap = 10.0 ** (-pl_ap / 10.0) * _sector_mask(scenario, ap_pos)
     np.fill_diagonal(ap_to_ap, 0.0)  # self-gain unused
     return GainMatrix(ap_to_ut=ap_to_ut, ap_to_ap=ap_to_ap, seed=seed)

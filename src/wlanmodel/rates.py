@@ -23,9 +23,11 @@ from .scenario import ApNode
 
 
 #: Bytes one [states x own users] float64 array of the chain average may
-#: take: it walks a channel's states in row blocks of this size. Larger
-#: blocks leave cache and gain nothing; much smaller ones pay the per-block
-#: overhead at thousands of users per channel.
+#: take: it walks a channel's states in row blocks of this size (see
+#: row_blocks; the oracle's realization chunks and the gain matrix's
+#: transmitter rows share it). Larger blocks leave cache and gain nothing;
+#: much smaller ones pay the per-block overhead at thousands of users per
+#: channel.
 BLOCK_BYTES = 4 << 20
 
 
@@ -201,6 +203,13 @@ def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
                              n_users_total, multi_user=True)
 
 
+def row_blocks(n_rows: int, row_bytes: int):
+    """Slices walking n_rows rows in blocks of at most BLOCK_BYTES, at
+    row_bytes bytes a row; one row at least."""
+    step = max(1, BLOCK_BYTES // max(row_bytes, 1))
+    return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
+
+
 def chain_average_rates(gains: GainMatrix, assoc: AssociationMap,
                         aps: tuple[ApNode, ...], members: list[int],
                         ctmc: CtmcModel, tech: TechConfig,
@@ -221,9 +230,7 @@ def chain_average_rates(gains: GainMatrix, assoc: AssociationMap,
     if not users:
         return avg, {}
     counts: Counter = Counter()
-    rows = max(1, BLOCK_BYTES // (8 * max(len(users), len(members))))
-    for start in range(0, ctmc.n_states, rows):
-        block = slice(start, start + rows)
+    for block in row_blocks(ctmc.n_states, 8 * max(len(users), len(members))):
         states = ctmc.states[block]
         rates, streams = block_rates(states)
         avg[users] += average_over_ctmc(rates, ctmc, block)

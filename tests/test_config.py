@@ -138,6 +138,32 @@ def test_run_flags_are_unchanged(capsys):
     assert listed == RUN_FLAGS
 
 
+def test_generate_flags_are_the_generator_settings(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["generate", "--help"])
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert listed == ["--" + s.name.replace("_", "-") for s in SETTINGS
+                      if s.generator] + ["--seed", "--out"]
+    path = tmp_path / "office.json"
+    assert cli.main(["generate", "--generator", "walled_office", "--n-rooms", "4",
+                     "--n-aps", "4", "--n-users", "8", "--seed", "7",
+                     "--antennas", "2", "--power-db", "80", "--out", str(path)]) == 0
+    expected, _ = pipeline.build_scenario(RunConfig(
+        scenario={"generator": "walled_office", "n_rooms": 4, "n_aps": 4, "n_users": 8},
+        antennas=2, power_db=80.0, seeds=pipeline.Seeds(topology=7)))
+    assert json.loads(path.read_text()) == expected.to_dict()
+    capsys.readouterr()
+    for flags, message in ((["--generator", "walled_office"], "needs n_rooms"),
+                           (["--generator", "open_floor", "--antennas", "2.5"],
+                            "antennas cannot be 2.5"),
+                           (["--generator", "open_floor", "--seed", "-1"],
+                            "seeds.topology cannot be -1")):
+        with pytest.raises(SystemExit):
+            cli.main(["generate", *flags, "--n-aps", "4", "--n-users", "8",
+                      "--out", str(path)])
+        assert message in capsys.readouterr().err
+
+
 def _value(setting):
     """Values a setting accepts, as JSON carries them."""
     if isinstance(setting.kind, tuple):

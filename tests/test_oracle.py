@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from wlanmodel import oracle, pipeline
+from wlanmodel import oracle, pipeline, rates
 from wlanmodel.csma import build_contention_graph, channel_ctmcs
 from wlanmodel.oracle import (
     OracleConfig,
@@ -329,3 +330,51 @@ def test_mc_validate_with_users_outside_every_sector(technology):
     silent = val.det_rates == 0
     assert silent.any()
     assert np.all(val.mc_rates[silent] == 0)
+
+
+def test_pooled_validation_stays_under_the_byte_budget():
+    # Four pooled clusters of 64 antennas on two channels (S about 25): each
+    # job draws its realizations in chunks sized by rates.BLOCK_BYTES, so the
+    # whole validation's traced peak stays within a few budgets.
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 16, "n_users": 100},
+        technology="distributed_mu_mimo", channelization="2x40",
+        n_clusters=4, antennas=16)
+    tracemalloc.start()
+    try:
+        val = pipeline.mc_validate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(val.deterministic.stream_choice.values()) > 16
+    assert peak < 4 * rates.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("technology", ["su_beamforming", "concentrated_mu_mimo",
+                                        "distributed_mu_mimo"])
+def test_chunk_budget_leaves_the_estimates_unchanged(monkeypatch, technology):
+    # Without carrier sensing every AP of the one channel transmits (one job
+    # of six co-channel groups; pooled: two co-channel clusters). Chunks of
+    # one realization, then of seven (600 = 85 * 7 + 5), must estimate the
+    # same per-user means, and a mean std error no larger than 1.25 times
+    # the default budget's (one user's std error is itself noisy).
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 30},
+        technology=technology, channelization="1x80", cca_db=None,
+        n_clusters=2, oracle=OracleConfig(n_realizations=600))
+    per_realization, chunks = [], []
+    count_bytes, draw = oracle._realization_bytes, oracle._draw
+    monkeypatch.setattr(oracle, "_realization_bytes", lambda groups, nsub: (
+        per_realization.append(count_bytes(groups, nsub)) or per_realization[-1]))
+    monkeypatch.setattr(oracle, "_draw", lambda rng, power, nsub: (
+        chunks.append(power.shape[1]) or draw(rng, power, nsub)))
+    default = pipeline.mc_validate(cfg).oracle_report
+    assert len(per_realization) == 1
+    for budget, sizes in ((1, {1}), (7 * per_realization[0], {7, 5})):
+        chunks.clear()
+        monkeypatch.setattr(rates, "BLOCK_BYTES", budget)
+        got = pipeline.mc_validate(cfg).oracle_report
+        assert set(chunks) == sizes
+        tol = 4 * np.hypot(default.std_error, got.std_error)
+        assert np.all(np.abs(got.mean_rate - default.mean_rate) <= tol)
+        assert got.std_error.mean() <= 1.25 * default.std_error.mean()

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wlanmodel import rates
 from wlanmodel.oracle import _rayleigh
 from wlanmodel.propagation import (
     PathlossParams,
@@ -20,6 +23,7 @@ from wlanmodel.scenario import (
     UtNode,
     WallSegment,
     build_conference_hall,
+    build_stadium,
     build_walled_office,
 )
 
@@ -145,6 +149,38 @@ def test_gain_matrix_matches_scalar_reference_per_pair():
             if j != i:
                 pl = pathloss_db(params, s, ap.position, other.position, shadows)
                 assert g.ap_to_ap[i, j] == pytest.approx(10 ** (-pl / 10), rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_gain_matrix_row_blocks_change_no_bit(monkeypatch, rows):
+    # Shadowed, walled and sectorized: a block of one (or three) AP rows
+    # gives exactly the gains of the default budget's single block.
+    office = build_walled_office(4, 8, 40, seed=3)
+    s = replace(office, aps=tuple(replace(ap, sector=Sector(30.0 * ap.id, 120.0))
+                                  for ap in office.aps))
+    params = PathlossParams()
+    assert params.shadowing_sigma_db > 0 and s.walls
+    whole = gain_matrix(s, params, seed=11)
+    assert np.any(whole.ap_to_ut == 0) and np.any(whole.ap_to_ut > 0)
+    monkeypatch.setattr(rates, "BLOCK_BYTES", 1 if rows == 1 else 32 * s.n_users * rows)
+    blocked = gain_matrix(s, params, seed=11)
+    assert np.array_equal(blocked.ap_to_ut, whole.ap_to_ut)
+    assert np.array_equal(blocked.ap_to_ap, whole.ap_to_ap)
+
+
+def test_gain_matrix_peak_memory_stays_near_its_output():
+    # 20 APs x 20 000 users: the pathloss is built in row blocks under
+    # rates.BLOCK_BYTES, so the shadow keys of all 400 000 pairs (over
+    # 200 bytes a pair) never live at once; the output is 3.2 MB.
+    s = build_stadium(20, 20_000, seed=1)
+    params = PathlossParams.for_scenario(s.scenario_class)
+    tracemalloc.start()
+    try:
+        g = gain_matrix(s, params, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.ap_to_ut.nbytes
 
 
 def test_gain_monotone_in_distance():
