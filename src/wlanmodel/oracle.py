@@ -17,11 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csma import ChannelCtmc
+from .csma import ChannelCtmc, CtmcModel
 from .propagation import GainMatrix
 from .radio_plan import AssociationMap, ChannelPlan, ClusterPlan
 from . import rates
-from .rates import TechConfig, cluster_interference, dist_mu_rate
+from .rates import ChannelGroups, TechConfig, Technology
 from .scenario import ApNode, Scenario
 
 #: Chains with more states than this are sampled from pi, not enumerated.
@@ -55,10 +55,10 @@ class _Group(NamedTuple):
     power: float        # pooled power P
 
 
-def _group(aps: tuple[ApNode, ...], ap_ids, users, streams: int,
-           power: float) -> _Group:
+def _group(aps: tuple[ApNode, ...], ap_ids, users, streams: int) -> _Group:
     rows = np.repeat(ap_ids, [aps[a].antennas for a in ap_ids])
-    return _Group(rows, np.asarray(users), int(streams), power)
+    return _Group(rows, np.asarray(users), int(streams),
+                  sum(aps[a].power_linear for a in ap_ids))
 
 
 def _rayleigh(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -67,14 +67,13 @@ def _rayleigh(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return h
 
 
-def _state_jobs(ctmc: ChannelCtmc, n_realizations: int,
+def _state_jobs(model: CtmcModel, n_realizations: int,
                 rng: np.random.Generator):
     """(state row, weight, draws, sampled) for fading-averaging one channel.
 
     Small chains are enumerated and weighted by pi; large ones are sampled
     from pi, each sampled occurrence contributing one realization.
     """
-    model = ctmc.model
     if model.n_states <= STATE_ENUM_THRESHOLD:
         return [
             (model.states[s], float(model.pi[s]), n_realizations, False)
@@ -203,23 +202,27 @@ def _simulate(jobs, gains: GainMatrix, n_users: int,
     return OracleReport(mean, np.sqrt(var), config.n_realizations, resamples)
 
 
-def _contended_jobs(scenario: Scenario, assoc: AssociationMap,
-                    mac: dict[int, ChannelCtmc], config: OracleConfig,
-                    seed: int, streams_of):
-    """One job per (channel, chain state), each active AP with users one
-    group of S streams, S read from streams_of(members, states): the
-    [states, members] stream counts of the channel's job states."""
+def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGroups],
+          technology: Technology, config: OracleConfig, seed: int):
+    """One job per (channel, chain state): each of the state's active groups
+    with users zero-forces the stream count the model's kernel chose for it
+    in that state."""
     aps = scenario.aps
-    for ch_id in sorted(mac):
-        members = list(mac[ch_id].members)
+    tech = TechConfig(technology=technology)
+    for ch_id, channel in channels.items():
         state_rng = np.random.default_rng([seed, ch_id, 1 << 20])
-        jobs = _state_jobs(mac[ch_id], config.n_realizations, state_rng)
+        jobs = _state_jobs(channel.chain, config.n_realizations, state_rng)
         if not jobs:
             continue
-        streams = streams_of(members, np.array([job[0] for job in jobs]))
-        for idx, ((state, weight, draws, sampled), row) in enumerate(zip(jobs, streams)):
-            groups = [_group(aps, [ap], assoc.sets[ap], s, aps[ap].power_linear)
-                      for ap, s in zip(members, row) if s > 0]
+        # One kernel set-up per channel, walked over its job states in the
+        # row blocks of the chain average.
+        states = np.array([job[0] for job in jobs])
+        users, block_rates = rates._own_user_kernel(gains, aps, channel, tech)
+        blocks = rates.row_blocks(len(states), 8 * max(len(users), len(channel.groups)))
+        streams = np.concatenate([block_rates(states[b])[1] for b in blocks]) * states
+        for idx, ((_, weight, draws, sampled), row) in enumerate(zip(jobs, streams)):
+            groups = [_group(aps, ap_ids, cell, s)
+                      for ap_ids, cell, s in zip(channel.groups, channel.cells, row) if s > 0]
             if groups:
                 yield (weight, draws, sampled,
                        np.random.default_rng([seed, ch_id, idx]), groups)
@@ -230,11 +233,9 @@ def mc_su_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
                config: OracleConfig, seed: int = 0) -> OracleReport:
     """Monte Carlo single-user beamforming rates: each active AP with users
     is a one-stream group, its beam conjugate to one of its users."""
-    def streams_of(members, states):
-        return states * np.array([bool(assoc.sets.get(ap)) for ap in members])
-
-    jobs = _contended_jobs(scenario, assoc, mac, config, seed, streams_of)
-    return _simulate(jobs, gains, scenario.n_users, config)
+    return _simulate(_jobs(scenario, gains, rates.ap_groups(assoc, mac),
+                           Technology.SU_BEAMFORMING, config, seed),
+                     gains, scenario.n_users, config)
 
 
 def mc_mu_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
@@ -243,37 +244,20 @@ def mc_mu_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
     """Monte Carlo concentrated MU-MIMO rates: each active AP zero-forces to
     a uniformly random subset of its users, sized by the deterministic
     stream optimizer for that contention state."""
-    def streams_of(members, states):
-        # One kernel set-up per channel, walked over its job states in the
-        # row blocks of the chain average.
-        users, block_rates = rates._own_user_kernel(
-            gains, assoc, scenario.aps, members, TechConfig(), multi_user=True)
-        blocks = rates.row_blocks(len(states), 8 * max(len(users), len(members)))
-        return np.concatenate([block_rates(states[b])[1] for b in blocks]) * states
-
-    jobs = _contended_jobs(scenario, assoc, mac, config, seed, streams_of)
-    return _simulate(jobs, gains, scenario.n_users, config)
+    return _simulate(_jobs(scenario, gains, rates.ap_groups(assoc, mac),
+                           Technology.CONCENTRATED_MU_MIMO, config, seed),
+                     gains, scenario.n_users, config)
 
 
 def mc_dist_rate(scenario: Scenario, gains: GainMatrix, plan: ClusterPlan,
                  config: OracleConfig, seed: int = 0) -> OracleReport:
     """Monte Carlo pooled-array (distributed MU-MIMO) rates.
 
-    Per realization each cluster zero-forces from its composite array to a
-    uniformly random user subset sized by the deterministic optimizer, and
-    clusters sharing a channel interfere through their ZF beams. One job
-    per channel holds all of its clusters.
+    Per realization each cluster with users zero-forces from its composite
+    array to a uniformly random user subset sized by the deterministic
+    optimizer, and clusters sharing a channel interfere through their ZF
+    beams. One job per channel holds all of its clusters.
     """
-    aps = scenario.aps
-    by_channel: dict[int, list[_Group]] = {}
-    for ci, cluster in enumerate(plan.clusters):
-        users = sorted(u for u, c in plan.user_cluster.items() if c == ci)
-        _, s_star = dist_mu_rate(cluster, gains, aps, users, TechConfig(),
-                                 cluster_interference(gains, aps, plan, ci, users))
-        if s_star > 0:
-            by_channel.setdefault(cluster.channel_id, []).append(
-                _group(aps, cluster.ap_ids, users, s_star, cluster.p_sum))
-    jobs = ((1.0, config.n_realizations, False,
-             np.random.default_rng([seed, 1 << 16, ch]), groups)
-            for ch, groups in sorted(by_channel.items()))
-    return _simulate(jobs, gains, scenario.n_users, config)
+    return _simulate(_jobs(scenario, gains, rates.cluster_groups(plan),
+                           Technology.DISTRIBUTED_MU_MIMO, config, seed),
+                     gains, scenario.n_users, config)

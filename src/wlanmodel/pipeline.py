@@ -222,8 +222,8 @@ class EvaluationResult:
     graph: csma.ContentionGraph | None = None
     mac: dict[int, csma.ChannelCtmc] | None = None
     cluster_plan: radio_plan.ClusterPlan | None = None
-    # Concentrated MU: channel -> {S: (state, active user-bearing AP) pairs
-    # that chose S}; distributed: cluster -> S.
+    # MU-MIMO: channel -> {S: (state, active group with users) pairs that
+    # chose S}; a pooled channel has one state, so S counts its clusters.
     stream_choice: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
@@ -254,93 +254,64 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         gains = gain_matrix(scenario, pl_params, config.seeds.shadowing)
     tech = _tech_config(config, extras)
     channels = radio_plan.channel_preset(config.channelization)
-
+    aps, n_users = scenario.aps, scenario.n_users
+    plan = assoc = graph = mac = cluster_plan = None
+    notes = []
     if tech.technology == rates.Technology.DISTRIBUTED_MU_MIMO:
-        return _evaluate_distributed(config, scenario, gains, tech, channels, echo)
-    return _evaluate_contended(config, scenario, gains, tech, channels, echo)
-
-
-def _evaluate_contended(config, scenario, gains, tech, channels, echo):
-    aps = scenario.aps
-    n_users = scenario.n_users
-    with _stage("channel-plan"):
-        plan = radio_plan.assign_channels(gains, aps, channels, config.seeds.plan)
-    with _stage("association"):
-        peak, snr = rates.peak_rate_matrix(gains, aps, tech)
-        assoc = radio_plan.associate_users(peak, config.seeds.plan,
-                                           fallback_metric=snr)
-    with _stage("contention"):
-        graph = csma.build_contention_graph(gains, plan, aps, config.cca_db)
-        # Disabled carrier sensing means nobody defers: single all-on state.
-        mode = csma.CtmcMode.NO_CSMA if config.cca_db is None else None
-        mac = csma.channel_ctmcs(graph, config.rho, mode, config.state_cap)
-    notes = [f"channel {ch}: more than {config.state_cap} independent sets; "
-             f"chain uses its {c.model.n_states} maximal independent sets only"
-             for ch, c in sorted(mac.items())
-             if c.model.mode == csma.CtmcMode.MAXIMAL_ONLY]
+        with _stage("clusters"):
+            cluster_plan = radio_plan.build_clusters(
+                aps, gains, config.n_clusters, channels, config.seeds.plan)
+            radio_plan.associate_users_to_clusters(gains, aps, cluster_plan,
+                                                   config.seeds.plan)
+            groups = rates.cluster_groups(cluster_plan)
+        if len(cluster_plan.clusters) > len(channels):
+            notes.append(
+                "co-channel clusters transmit concurrently; inter-cluster "
+                "interference uses summed received powers from foreign APs")
+    else:
+        with _stage("channel-plan"):
+            plan = radio_plan.assign_channels(gains, aps, channels, config.seeds.plan)
+        with _stage("association"):
+            peak, snr = rates.peak_rate_matrix(gains, aps, tech)
+            assoc = radio_plan.associate_users(peak, config.seeds.plan,
+                                               fallback_metric=snr)
+        with _stage("contention"):
+            graph = csma.build_contention_graph(gains, plan, aps, config.cca_db)
+            # Disabled carrier sensing means nobody defers: single all-on state.
+            mode = csma.CtmcMode.NO_CSMA if config.cca_db is None else None
+            mac = csma.channel_ctmcs(graph, config.rho, mode, config.state_cap)
+            groups = rates.ap_groups(assoc, mac)
+        notes += [f"channel {ch}: more than {config.state_cap} independent sets; "
+                  f"chain uses its {c.model.n_states} maximal independent sets only"
+                  for ch, c in sorted(mac.items())
+                  if c.model.mode == csma.CtmcMode.MAXIMAL_ONLY]
+        if assoc.zero_rate_users:
+            notes.append(f"{len(assoc.zero_rate_users)} zero-rate users "
+                         "attached by raw SNR")
     stream_choice: dict = {}
     with _stage("rates"):
         avg = np.zeros(n_users)
-        for ch_id in sorted(mac):
-            ctmc = mac[ch_id]
-            ch_avg, streams = rates.chain_average_rates(
-                gains, assoc, aps, list(ctmc.members), ctmc.model, tech, n_users)
+        for ch_id, channel in groups.items():
+            ch_avg, streams = rates.chain_average_rates(gains, aps, channel, tech, n_users)
             avg += ch_avg
             if tech.technology != rates.Technology.SU_BEAMFORMING:
                 stream_choice[ch_id] = streams
     with _stage("report"):
-        serving_map = assoc.serving_ap
-        serving = np.array([serving_map[k] for k in range(n_users)])
-        width = np.array([
-            plan.width_hz(plan.ap_channel[serving_map[k]]) for k in range(n_users)])
-        if assoc.zero_rate_users:
-            notes.append(f"{len(assoc.zero_rate_users)} zero-rate users "
-                         "attached by raw SNR")
+        serving = np.zeros(n_users, dtype=int)
+        width = np.zeros(n_users)
+        width_of = {c.id: c.width_hz for c in channels}
+        for ch_id, channel in groups.items():
+            for label, cell in zip(channel.ids, channel.cells):
+                serving[list(cell)] = label
+                width[list(cell)] = width_of[ch_id]
         report = rates.throughput_report(
             avg, serving, width, tech,
             overhead_discount=config.overhead_discount, config=echo,
             outage_threshold=config.outage_threshold_bps)
     return EvaluationResult(
         report=report, scenario=scenario, gains=gains, tech=tech, plan=plan,
-        assoc=assoc, graph=graph, mac=mac, stream_choice=stream_choice,
-        notes=notes)
-
-
-def _evaluate_distributed(config, scenario, gains, tech, channels, echo):
-    aps = scenario.aps
-    n_users = scenario.n_users
-    with _stage("clusters"):
-        plan = radio_plan.build_clusters(
-            aps, gains, config.n_clusters, channels, config.seeds.plan)
-        radio_plan.associate_users_to_clusters(gains, aps, plan, config.seeds.plan)
-    notes = []
-    if len(plan.clusters) > len(channels):
-        notes.append(
-            "co-channel clusters transmit concurrently; inter-cluster "
-            "interference uses summed received powers from foreign APs")
-    stream_choice: dict = {}
-    with _stage("rates"):
-        avg = np.zeros(n_users)
-        serving = np.zeros(n_users, dtype=int)
-        width = np.zeros(n_users)
-        for ci, cluster in enumerate(plan.clusters):
-            users = sorted(u for u, c in plan.user_cluster.items() if c == ci)
-            if not users:
-                continue
-            interf = rates.cluster_interference(gains, aps, plan, ci, users)
-            r, s_star = rates.dist_mu_rate(cluster, gains, aps, users, tech, interf)
-            avg[users] = r
-            serving[users] = ci
-            width[users] = dict((c.id, c.width_hz) for c in channels)[cluster.channel_id]
-            stream_choice[ci] = s_star
-    with _stage("report"):
-        report = rates.throughput_report(
-            avg, serving, width, tech,
-            overhead_discount=config.overhead_discount, config=echo,
-            outage_threshold=config.outage_threshold_bps)
-    return EvaluationResult(
-        report=report, scenario=scenario, gains=gains, tech=tech,
-        cluster_plan=plan, stream_choice=stream_choice, notes=notes)
+        assoc=assoc, graph=graph, mac=mac, cluster_plan=cluster_plan,
+        stream_choice=stream_choice, notes=notes)
 
 
 # ---------------------------------------------------------------------------

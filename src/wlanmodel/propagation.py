@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .scenario import Scenario, ScenarioClass
+from .scenario import ApNode, Scenario, ScenarioClass
 
 #: Default profiles. The indoor profile is a log-distance fit typical of
 #: open indoor WLAN deployments; the outdoor profile is steeper with more
@@ -151,15 +151,17 @@ def _orient_points(p1: np.ndarray, p2: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, shadows: ShadowMap,
-                      tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """Pathloss in dB for every (tx, rx) pair, [n_tx, n_rx].
+                      rx: np.ndarray) -> np.ndarray:
+    """Pathloss in dB from every AP to every receiver, [n_aps, n_rx]; +inf
+    where the receiver lies outside the AP's sector.
 
-    Transmitters are walked in row blocks whose [pairs, 4] shadow keys fit
+    APs are walked in row blocks whose [pairs, 4] shadow keys fit
     rates.BLOCK_BYTES (one row at least). Each pair's shadow is keyed by
     its two positions alone, so the blocks leave every entry unchanged.
     """
     from .rates import row_blocks  # rates imports this module
 
+    tx = scenario.ap_positions()
     pl = np.empty((tx.shape[0], rx.shape[0]))
     for block in row_blocks(tx.shape[0], 32 * rx.shape[0]):
         t, out = tx[block], pl[block]
@@ -170,20 +172,21 @@ def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, shadows: Shado
         if params.shadowing_sigma_db > 0:
             out += shadows.sample_many(np.repeat(t, rx.shape[0], axis=0),
                                        np.tile(rx, (t.shape[0], 1))).reshape(out.shape)
+        out[~_sector_mask(scenario.aps[block], rx)] = np.inf
     return pl
 
 
-def _sector_mask(scenario: Scenario, targets: np.ndarray) -> np.ndarray:
-    """1.0 where the bearing from an AP to a target lies inside the AP's
-    sector (edges inclusive), else 0.0; omni APs reach every target.
+def _sector_mask(aps: tuple[ApNode, ...], targets: np.ndarray) -> np.ndarray:
+    """True where the bearing from an AP to a target lies inside the AP's
+    sector (edges inclusive); omni APs reach every target.
     Returns [n_aps, n_targets]."""
-    mask = np.ones((scenario.n_aps, targets.shape[0]))
-    rows = [i for i, ap in enumerate(scenario.aps) if ap.sector is not None]
+    mask = np.ones((len(aps), targets.shape[0]), dtype=bool)
+    rows = [i for i, ap in enumerate(aps) if ap.sector is not None]
     if not rows:
         return mask
-    pos = scenario.ap_positions()[rows]
-    orientation = np.array([scenario.aps[i].sector.orientation_deg for i in rows])
-    half_width = np.array([scenario.aps[i].sector.width_deg / 2.0 for i in rows])
+    pos = np.array([aps[i].position for i in rows], dtype=float)
+    orientation = np.array([aps[i].sector.orientation_deg for i in rows])
+    half_width = np.array([aps[i].sector.width_deg / 2.0 for i in rows])
     bearing = np.degrees(np.arctan2(targets[None, :, 1] - pos[:, None, 1],
                                     targets[None, :, 0] - pos[:, None, 0]))
     diff = (bearing - orientation[:, None] + 180.0) % 360.0 - 180.0
@@ -194,11 +197,8 @@ def _sector_mask(scenario: Scenario, targets: np.ndarray) -> np.ndarray:
 def gain_matrix(scenario: Scenario, params: PathlossParams, seed: int) -> GainMatrix:
     """Compute all AP->UT and AP->AP linear gains for one shadowing draw."""
     shadows = ShadowMap(params.shadowing_sigma_db, seed)
-    ap_pos = scenario.ap_positions()
-    ut_pos = scenario.user_positions()
-
-    pl_ut = _pair_pathloss_db(scenario, params, shadows, ap_pos, ut_pos)
-    pl_ap = _pair_pathloss_db(scenario, params, shadows, ap_pos, ap_pos)
+    pl_ut = _pair_pathloss_db(scenario, params, shadows, scenario.user_positions())
+    pl_ap = _pair_pathloss_db(scenario, params, shadows, scenario.ap_positions())
     off_diag = ~np.eye(scenario.n_aps, dtype=bool)
     if np.any(pl_ut < 0) or np.any(pl_ap[off_diag] < 0):
         raise ValueError(
@@ -208,7 +208,6 @@ def gain_matrix(scenario: Scenario, params: PathlossParams, seed: int) -> GainMa
 
     # 10 ** (-pl / 10) in place: no second [n_aps x n_users] array.
     ap_to_ut = np.power(10.0, np.divide(pl_ut, -10.0, out=pl_ut), out=pl_ut)
-    ap_to_ut *= _sector_mask(scenario, ut_pos)
-    ap_to_ap = 10.0 ** (-pl_ap / 10.0) * _sector_mask(scenario, ap_pos)
+    ap_to_ap = 10.0 ** (-pl_ap / 10.0)
     np.fill_diagonal(ap_to_ap, 0.0)  # self-gain unused
     return GainMatrix(ap_to_ut=ap_to_ut, ap_to_ap=ap_to_ap, seed=seed)

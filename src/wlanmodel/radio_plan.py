@@ -47,12 +47,6 @@ class ChannelPlan:
     ap_channel: dict[int, int]
     permutation_seed: int
 
-    def width_hz(self, channel_id: int) -> float:
-        for ch in self.channels:
-            if ch.id == channel_id:
-                return ch.width_hz
-        raise KeyError(channel_id)
-
 
 def assign_channels(gains: GainMatrix, aps: tuple[ApNode, ...],
                     channels: tuple[Channel, ...], seed: int) -> ChannelPlan:
@@ -144,12 +138,6 @@ class ClusterPlan:
     clusters: tuple[Cluster, ...]
     channels: tuple[Channel, ...]
     user_cluster: dict[int, int] = field(default_factory=dict)
-
-    def co_channel(self, idx: int) -> list[int]:
-        """Indices of other clusters sharing this cluster's channel."""
-        ch = self.clusters[idx].channel_id
-        return [j for j, c in enumerate(self.clusters)
-                if j != idx and c.channel_id == ch]
 
 
 def _kmeans_init(positions: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,12 +10,13 @@ and reported in bit/s/Hz (log base 2).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .csma import CtmcModel
+from .csma import ChannelCtmc, CtmcMode, CtmcModel, stationary_distribution
 from .metrics import DEFAULT_MCS_TABLE, McsTable, mcs_quantize
 from .propagation import GainMatrix
 from .radio_plan import AssociationMap, Cluster, ClusterPlan
@@ -121,41 +122,81 @@ def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
     return eff, best_s
 
 
-def _own_user_kernel(gains: GainMatrix, assoc: AssociationMap,
-                     aps: tuple[ApNode, ...], members: list[int],
-                     tech: TechConfig, multi_user: bool):
-    """One channel's users, cell by cell, and a function giving their rates
-    [n, users] and each member AP's chosen streams [n, members] for any
-    block of n states.
+class ChannelGroups(NamedTuple):
+    """One channel's transmitters as zf_rates groups under its chain.
 
-    Each member AP is one group. An active AP's users see every other active
-    member AP as interference; an inactive AP's users get zero rate. An AP
-    with no associated users neither earns rate nor radiates interference,
-    even if the chain marks it on. Stream counts mean something only where
-    the AP is on and has users: multiply them by the states.
+    A group pools the antennas, link gains and power of its APs: a single
+    AP under contention, or a whole cluster for distributed MU-MIMO.
     """
-    cells = [assoc.sets.get(ap, ()) for ap in members]
-    users = [ut for cell in cells for ut in cell]
-    n_cell = np.array([len(cell) for cell in cells])
-    own = np.repeat(np.arange(len(members)), n_cell)
-    m_ant = np.array([aps[a].antennas for a in members])
-    recv = gains.ap_to_ut[np.ix_(members, users)] * \
-        np.array([aps[a].power_linear for a in members])[:, None]
-    own_recv = recv[own, np.arange(len(users))]
-    tx_recv = recv * (n_cell > 0)[:, None]
-    cap = np.minimum(m_ant, n_cell) if multi_user else np.minimum(n_cell, 1)
+
+    ids: tuple[int, ...]                  # report label: AP id or cluster index
+    groups: tuple[tuple[int, ...], ...]   # AP ids of each group
+    cells: tuple[tuple[int, ...], ...]    # users each group serves
+    chain: CtmcModel | None               # law over the groups' on/off states
+
+
+def _ap_channel(assoc: AssociationMap, members, chain: CtmcModel | None) -> ChannelGroups:
+    return ChannelGroups(tuple(members), tuple((a,) for a in members),
+                         tuple(assoc.sets.get(a, ()) for a in members), chain)
+
+
+def ap_groups(assoc: AssociationMap, mac: dict[int, ChannelCtmc]) -> dict[int, ChannelGroups]:
+    """Every AP its own group, under its channel's contention chain."""
+    return {ch: _ap_channel(assoc, c.members, c.model) for ch, c in sorted(mac.items())}
+
+
+def cluster_groups(plan: ClusterPlan) -> dict[int, ChannelGroups]:
+    """Every cluster one pooled group. Co-channel clusters do not defer to
+    each other, so each channel's chain has one state, every cluster on."""
+    by_channel: dict[int, list[int]] = {}
+    for ci, cluster in enumerate(plan.clusters):
+        by_channel.setdefault(cluster.channel_id, []).append(ci)
+    cells: dict[int, list[int]] = {}
+    for ut, ci in sorted(plan.user_cluster.items()):
+        cells.setdefault(ci, []).append(ut)
+    return {ch: ChannelGroups(
+                tuple(ids), tuple(plan.clusters[ci].ap_ids for ci in ids),
+                tuple(tuple(cells.get(ci, ())) for ci in ids),
+                stationary_distribution(np.ones((1, len(ids))), 1.0, CtmcMode.NO_CSMA))
+            for ch, ids in sorted(by_channel.items())}
+
+
+def _own_user_kernel(gains: GainMatrix, aps: tuple[ApNode, ...],
+                     channel: ChannelGroups, tech: TechConfig):
+    """One channel's users, group by group, and a function giving their
+    rates [n, users] and each group's chosen streams [n, groups] for any
+    block of n chain states.
+
+    A group sums its APs' antennas, link gains and power, and its users see
+    the power every other active group radiates as interference; an inactive
+    group's users get zero rate. A group without users neither earns rate
+    nor radiates, even if the chain marks it on. Stream counts mean
+    something only where the group is on and has users: multiply them by
+    the states.
+    """
+    users = [ut for cell in channel.cells for ut in cell]
+    n_cell = np.array([len(cell) for cell in channel.cells])
+    own = np.repeat(np.arange(n_cell.size), n_cell)
+    n_pool = np.array([len(g) for g in channel.groups])
+    tx = [a for g in channel.groups for a in g]
+    starts = np.cumsum(n_pool) - n_pool
+    n_ant = np.add.reduceat([aps[a].antennas for a in tx], starts)
+    power = np.array([aps[a].power_linear for a in tx])
+    link = gains.ap_to_ut[np.ix_(tx, users)]
+    col = np.arange(len(users))
+    gp = np.add.reduceat(link, starts)[own, col] * np.add.reduceat(power, starts)[own]
+    # Power each group radiates at each user, but none at its own users and
+    # none at all from a group without users.
+    foreign = np.add.reduceat(power[:, None] * link, starts) * (n_cell > 0)[:, None]
+    foreign[own, col] = 0.0
+    cap = (np.minimum(n_ant, n_cell)
+           if tech.technology != Technology.SU_BEAMFORMING else np.minimum(n_cell, 1))
 
     def block_rates(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        active = states.astype(bool)[:, own]
-        # 1 + I, built in place so that one [states x users] array holds it:
-        # the received power of all active members, less the user's own AP.
-        one_plus_i = states.astype(float) @ tx_recv
-        np.subtract(one_plus_i, own_recv, out=one_plus_i, where=active)
+        one_plus_i = states.astype(float) @ foreign
         one_plus_i += 1.0
-        rates, streams = zf_rates(own_recv, one_plus_i, own, m_ant,
-                                  np.ones_like(m_ant), cap, tech)
-        del one_plus_i
-        rates *= active
+        rates, streams = zf_rates(gp, one_plus_i, own, n_ant, n_pool, cap, tech)
+        rates *= states[:, own]
         return rates, streams
 
     return users, block_rates
@@ -163,11 +204,11 @@ def _own_user_kernel(gains: GainMatrix, assoc: AssociationMap,
 
 def _full_width_rates(gains: GainMatrix, assoc: AssociationMap,
                       aps: tuple[ApNode, ...], members: list[int],
-                      states: np.ndarray, tech: TechConfig, n_users_total: int,
-                      multi_user: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Every state's rates [n_states, n_users_total] and streams, 0 for
-    inactive or user-less APs."""
-    users, block_rates = _own_user_kernel(gains, assoc, aps, members, tech, multi_user)
+                      states: np.ndarray, tech: TechConfig, n_users_total: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Every state's rates [n_states, n_users_total] and streams, each
+    member AP its own group, 0 for inactive or user-less APs."""
+    users, block_rates = _own_user_kernel(gains, aps, _ap_channel(assoc, members, None), tech)
     rates, streams = block_rates(states)
     out = np.zeros((states.shape[0], n_users_total))
     out[:, users] = rates
@@ -184,8 +225,8 @@ def su_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
     interferers g*P)): zf_rates with one stream. Returns
     [n_states, n_users_total]; users outside the channel stay zero.
     """
-    return _full_width_rates(gains, assoc, aps, members, states, tech,
-                             n_users_total, multi_user=False)[0]
+    tech = replace(tech, technology=Technology.SU_BEAMFORMING)
+    return _full_width_rates(gains, assoc, aps, members, states, tech, n_users_total)[0]
 
 
 def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
@@ -199,8 +240,8 @@ def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
     [n_states, n_users_total] and the chosen streams [n_states, n_members],
     0 for inactive or user-less APs.
     """
-    return _full_width_rates(gains, assoc, aps, members, states, tech,
-                             n_users_total, multi_user=True)
+    tech = replace(tech, technology=Technology.CONCENTRATED_MU_MIMO)
+    return _full_width_rates(gains, assoc, aps, members, states, tech, n_users_total)
 
 
 def row_blocks(n_rows: int, row_bytes: int):
@@ -210,31 +251,29 @@ def row_blocks(n_rows: int, row_bytes: int):
     return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
-def chain_average_rates(gains: GainMatrix, assoc: AssociationMap,
-                        aps: tuple[ApNode, ...], members: list[int],
-                        ctmc: CtmcModel, tech: TechConfig,
+def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
+                        channel: ChannelGroups, tech: TechConfig,
                         n_users_total: int) -> tuple[np.ndarray, dict[int, int]]:
     """One channel's chain-averaged rates, R = sum_m pi_m * R^m, streamed.
 
     The chain's states are walked in row blocks whose [rows x own users]
     arrays fit BLOCK_BYTES; each block's rates are computed for the
-    channel's own users only, as su_/mu_channel_state_rates would for the
-    technology, and its share of the average is added in. Returns the
-    averaged rates [n_users_total] (zero outside the channel) and, for
-    concentrated MU-MIMO, how many (state, active user-bearing AP) pairs
-    chose each stream count S ({} for SU beamforming, always one stream).
+    channel's own users only and its share of the average is added in.
+    Returns the averaged rates [n_users_total] (zero outside the channel)
+    and, for MU-MIMO, how many (state, active group with users) pairs chose
+    each stream count S ({} for SU beamforming, always one stream).
     """
-    multi_user = tech.technology != Technology.SU_BEAMFORMING
-    users, block_rates = _own_user_kernel(gains, assoc, aps, members, tech, multi_user)
+    users, block_rates = _own_user_kernel(gains, aps, channel, tech)
     avg = np.zeros(n_users_total)
     if not users:
         return avg, {}
+    chain = channel.chain
     counts: Counter = Counter()
-    for block in row_blocks(ctmc.n_states, 8 * max(len(users), len(members))):
-        states = ctmc.states[block]
+    for block in row_blocks(chain.n_states, 8 * max(len(users), len(channel.groups))):
+        states = chain.states[block]
         rates, streams = block_rates(states)
-        avg[users] += average_over_ctmc(rates, ctmc, block)
-        if multi_user:
+        avg[users] += average_over_ctmc(rates, chain, block)
+        if tech.technology != Technology.SU_BEAMFORMING:
             chosen = np.bincount((streams * states).ravel())
             counts.update({s: int(n) for s, n in enumerate(chosen) if s and n})
     return avg, dict(sorted(counts.items()))
@@ -249,9 +288,8 @@ def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
     The cluster is one zf_rates group of B APs with their summed antennas N,
     summed link gains and summed power, capped at min(K, N) streams:
     rate_k(S) = (S/K) * eff((N - S + 1)/B * sum_i g_ik * P_sum / S / (1+I_k)).
-    I_k is zero when clusters occupy distinct channels; in the small-cluster
-    co-channel mode it is the summed received power from all other-cluster
-    APs sharing the channel (all transmitting, no inter-cluster deferral).
+    I_k is the received power from co-channel clusters (zero on a channel of
+    its own).
     Returns (rates aligned with user_ids, chosen S).
     """
     k_total = len(user_ids)
@@ -267,17 +305,6 @@ def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
         np.zeros(k_total, dtype=int), [n_antennas], [len(members)],
         [min(k_total, n_antennas)], tech)
     return rates, int(streams[0])
-
-
-def cluster_interference(gains: GainMatrix, aps: tuple[ApNode, ...],
-                         plan: ClusterPlan, ci: int, user_ids: list[int]) -> np.ndarray:
-    """Received power at each user from all co-channel foreign-cluster APs,
-    all transmitting concurrently (no inter-cluster deferral)."""
-    foreign = [a for j in plan.co_channel(ci) for a in plan.clusters[j].ap_ids]
-    p = np.array([aps[a].power_linear for a in foreign])
-    recv = gains.ap_to_ut[np.ix_(np.array(foreign, dtype=int),
-                                 np.array(user_ids, dtype=int))]
-    return (p[:, None] * recv).sum(axis=0)
 
 
 def average_over_ctmc(state_rates: np.ndarray, ctmc: CtmcModel,
@@ -316,7 +343,6 @@ def throughput_cdf(throughputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def throughput_report(avg_rates: np.ndarray, serving: np.ndarray,
                       bandwidth_hz: np.ndarray, tech: TechConfig,
-                      ofdm_factor: np.ndarray | None = None,
                       overhead_discount: float = 1.0,
                       config: dict | None = None,
                       outage_threshold: float = 0.0) -> RateReport:
@@ -333,9 +359,7 @@ def throughput_report(avg_rates: np.ndarray, serving: np.ndarray,
     if not 0.0 < overhead_discount <= 1.0:
         raise ValueError("overhead_discount must be in (0, 1]")
     if tech.rate_mode == RateMode.QUANTIZED:
-        if ofdm_factor is None:
-            ofdm_factor = np.array([
-                ofdm_efficiency(round(w / 1e6)) for w in bandwidth_hz])
+        ofdm_factor = np.array([ofdm_efficiency(round(w / 1e6)) for w in bandwidth_hz])
     else:
         ofdm_factor = np.ones_like(bandwidth_hz)
     throughput = bandwidth_hz * ofdm_factor * avg_rates * overhead_discount

@@ -86,6 +86,25 @@ def test_distributed_co_channel_clusters_noted_and_slower():
     assert crowded.report.summary["mean"] < clean.report.summary["mean"] * 1.5
 
 
+def test_userless_co_channel_cluster_interferes_with_nobody():
+    # Six one-AP clusters on one channel and two users: four clusters have
+    # no users, so they transmit nothing, and each user sees only the other
+    # served cluster's power.
+    res = pipeline.evaluate(desk_config(
+        scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 2},
+        technology="distributed_mu_mimo", channelization="1x80", n_clusters=6))
+    plan, gains, aps = res.cluster_plan, res.gains, res.scenario.aps
+    served = set(plan.user_cluster.values())
+    assert len(served) == 2
+    for ut, ci in plan.user_cluster.items():
+        foreign = [a for j in served - {ci} for a in plan.clusters[j].ap_ids]
+        interf = sum(aps[a].power_linear * gains.ap_to_ut[a, ut] for a in foreign)
+        want, _ = rates.dist_mu_rate(plan.clusters[ci], gains, aps, [ut], res.tech,
+                                     co_channel_interference=np.array([interf]))
+        assert res.report.spectral_efficiency[ut] == pytest.approx(want[0], rel=1e-12)
+        assert res.report.serving[ut] == ci
+
+
 def test_evaluate_outputs_embed_config(tmp_path):
     cfg = desk_config()
     res = pipeline.evaluate(cfg)

@@ -183,6 +183,22 @@ def test_gain_matrix_peak_memory_stays_near_its_output():
     assert peak < 8 * g.ap_to_ut.nbytes
 
 
+def test_sectorized_gain_matrix_peak_memory_stays_near_its_output():
+    # The sector mask is applied inside the pathloss row blocks, so no
+    # [n_aps x n_users] bearing, difference or mask array is built.
+    s = build_stadium(100, 20_000, seed=1)
+    s = replace(s, aps=tuple(replace(ap, sector=Sector(0.0, 90.0)) for ap in s.aps))
+    params = PathlossParams.for_scenario(s.scenario_class)
+    tracemalloc.start()
+    try:
+        g = gain_matrix(s, params, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.any(g.ap_to_ut == 0) and np.any(g.ap_to_ut > 0)
+    assert peak < 3 * g.ap_to_ut.nbytes
+
+
 def test_gain_monotone_in_distance():
     aps = [ApNode(0, (0.0, 0.0))]
     users = [UtNode(k, (float(2 * (k + 1)), 0.0)) for k in range(15)]
@@ -224,7 +240,7 @@ def test_sector_gain_rules():
     assert sector_gain(omni, (0.0, 0.0)) == 1.0
     targets = np.array([(20.0, 10.0), (0.0, 10.0), (15.0, 15.0), (15.0, 5.0),
                         (10.0, 20.0), (0.0, 0.0)])
-    mask = _sector_mask(_flat_scenario([ap, omni], [UtNode(0, (1.0, 1.0))]), targets)
+    mask = _sector_mask((ap, omni), targets)
     assert mask.tolist() == [[1.0, 0.0, 1.0, 1.0, 0.0, 0.0], [1.0] * 6]
 
 
@@ -239,7 +255,7 @@ def test_sector_mask_matches_scalar_reference():
            ApNode(5, (25.0, 25.0))]
     xs = np.arange(0.0, 41.0, 1.0)
     targets = np.array([(x, y) for x in xs for y in xs])
-    mask = _sector_mask(_flat_scenario(aps, [UtNode(0, (1.0, 1.0))]), targets)
+    mask = _sector_mask(tuple(aps), targets)
     expected = [[sector_gain(ap, tuple(t)) for t in targets] for ap in aps]
     assert mask.tolist() == expected
     assert 0.0 < mask[:5].mean() < 1.0 and np.all(mask[5] == 1.0)

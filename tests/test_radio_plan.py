@@ -9,6 +9,7 @@ from wlanmodel.radio_plan import (
     build_clusters,
     channel_preset,
 )
+from wlanmodel.rates import cluster_groups
 from wlanmodel.scenario import ApNode, Scenario, UtNode
 
 NO_SHADOW = PathlossParams(shadowing_sigma_db=0.0)
@@ -180,8 +181,7 @@ def test_cluster_channel_cycling_and_co_channel():
     plan = build_clusters(aps, gains, 3, channel_preset("2x40"))
     channels = [c.channel_id for c in plan.clusters]
     assert channels == [0, 1, 0]
-    assert plan.co_channel(0) == [2]
-    assert plan.co_channel(1) == []
+    assert [g.ids for g in cluster_groups(plan).values()] == [(0, 2), (1,)]
 
 
 def test_user_cluster_association():

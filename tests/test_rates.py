@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlanmodel.csma import CtmcMode, stationary_distribution
+from wlanmodel.csma import ChannelCtmc, CtmcMode, stationary_distribution
 from wlanmodel.propagation import GainMatrix
 from wlanmodel.radio_plan import AssociationMap, Cluster
 from wlanmodel import rates as rates_module
@@ -16,6 +16,7 @@ from wlanmodel.rates import (
     TechConfig,
     Technology,
     _zf_sinr,
+    ap_groups,
     average_over_ctmc,
     chain_average_rates,
     dist_mu_rate,
@@ -477,8 +478,9 @@ def test_streamed_chain_average_equals_dense_average(channel, tech, odd):
     width = max(sum(len(assoc.sets[a]) for a in members), len(members))
     for budget in (rates_module.BLOCK_BYTES, 1, 8 * width * (2 * odd - 1)):
         with mock.patch.object(rates_module, "BLOCK_BYTES", budget):
-            avg, chosen = chain_average_rates(gains, assoc, aps, members, model,
-                                              tech, n_users)
+            avg, chosen = chain_average_rates(
+                gains, aps, ap_groups(assoc, {0: ChannelCtmc(0, members, model)})[0],
+                tech, n_users)
         np.testing.assert_allclose(avg, want, rtol=1e-12, atol=1e-12)
         assert chosen == counts
 
@@ -494,7 +496,8 @@ def test_stream_counts_of_a_two_ap_chain():
     model = stationary_distribution(
         np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8), rho=1.0)
     tech = TechConfig(technology=Technology.CONCENTRATED_MU_MIMO)
-    avg, counts = chain_average_rates(gains, assoc, aps, [0, 1], model, tech, 3)
+    avg, counts = chain_average_rates(
+        gains, aps, ap_groups(assoc, {0: ChannelCtmc(0, (0, 1), model)})[0], tech, 3)
     assert counts == {1: 2, 2: 2}
     assert avg == pytest.approx(
         [0.5 * math.log2(4001), 0.5 * math.log2(1501), 0.5 * math.log2(1501)],
