@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 
 from . import pipeline
 
@@ -36,9 +38,11 @@ def _literal(text: str):
 
 
 def _build_config(args) -> pipeline.RunConfig:
-    config_file = getattr(args, "config", None)
-    tree = (pipeline.RunConfig.from_file(config_file) if config_file
-            else pipeline.RunConfig()).to_dict()
+    config = pipeline.RunConfig()
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
+            config = pipeline.RunConfig(**json.load(fh))
+    tree = asdict(config)
     if getattr(args, "scenario_file", None):
         tree["scenario"] = {"file": args.scenario_file}
     for name, text in vars(args).items():
@@ -48,7 +52,7 @@ def _build_config(args) -> pipeline.RunConfig:
     if getattr(args, "sweep_axis", None):
         tree["sweep_axis"] = args.sweep_axis
         tree["sweep_values"] = [_literal(v.strip()) for v in args.sweep_values.split(",")]
-    return pipeline.RunConfig.from_dict(tree)
+    return pipeline.RunConfig(**tree)
 
 
 def main(argv=None) -> int:

@@ -191,18 +191,11 @@ def _channel_state_arrays(graph: ContentionGraph, mode: CtmcMode | None, cap: in
 
 
 def _masks_to_matrix(masks: list[int], n_bits: int) -> np.ndarray:
-    if n_bits == 0:
-        return np.zeros((len(masks), 0), dtype=np.uint8)
-    if n_bits <= 63:
-        arr = np.asarray(masks, dtype=np.uint64)
-        bits = (arr[:, None] >> np.arange(n_bits, dtype=np.uint64)) & np.uint64(1)
-        return bits.astype(np.uint8)
-    out = np.zeros((len(masks), n_bits), dtype=np.uint8)
-    for s, mask in enumerate(masks):  # arbitrary-width fallback
-        for b in range(n_bits):
-            if mask >> b & 1:
-                out[s, b] = 1
-    return out
+    """[len(masks), n_bits] 0/1 matrix; bit b of mask s is entry [s, b]."""
+    width = (n_bits + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                        dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(raw, axis=1, count=n_bits, bitorder="little")
 
 
 def enumerate_states(graph: ContentionGraph, mode: CtmcMode,

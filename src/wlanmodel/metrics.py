@@ -42,33 +42,6 @@ class McsTable:
     def efficiencies(self) -> np.ndarray:
         return np.array([r.efficiency for r in self.rows])
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {
-                    "index": r.index,
-                    "modulation": r.modulation,
-                    "bits_per_symbol": r.bits_per_symbol,
-                    "code_rate": str(r.code_rate),
-                    "min_snr_db": r.min_snr_db,
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "McsTable":
-        return cls(rows=tuple(
-            McsRow(
-                index=r["index"],
-                modulation=r["modulation"],
-                bits_per_symbol=r["bits_per_symbol"],
-                code_rate=Fraction(r["code_rate"]),
-                min_snr_db=r["min_snr_db"],
-            )
-            for r in data["rows"]
-        ))
-
 
 #: The nine mandatory 802.11ac modulation/coding pairs. Vendor tables vary;
 #: this is the default and can be overridden from the scenario config.
@@ -89,13 +62,10 @@ def mcs_quantize(sinr_db, table: McsTable = DEFAULT_MCS_TABLE):
     """Spectral efficiency of the best MCS decodable at the given SINR (dB).
 
     Below the first threshold the link carries nothing (0 bit/s/Hz).
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; a scalar gives a numpy float.
     """
     idx = np.searchsorted(table.thresholds_db, sinr_db, side="right")
-    eff = np.concatenate([[0.0], table.efficiencies])[idx]
-    if np.isscalar(sinr_db):
-        return float(eff)
-    return eff
+    return np.concatenate([[0.0], table.efficiencies])[idx]
 
 
 #: Data subcarriers out of the FFT size per channel width (MHz), and the

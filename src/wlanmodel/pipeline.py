@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import csma, metrics, oracle, radio_plan, rates
+from . import csma, oracle, radio_plan, rates
 from .propagation import GainMatrix, PathlossParams, gain_matrix
-from .scenario import GENERATORS, Scenario, Sector
+from .scenario import GENERATORS, Scenario, Sector, from_tree
 
 THREADS_ENV = "WLANMODEL_THREADS"
 
@@ -40,7 +40,7 @@ class Setting(NamedTuple):
 
     name: str
     kind: type | tuple      # int, float, or the strings it may take
-    at: str = ""            # place in RunConfig.to_dict(), if not `name`
+    at: str = ""            # place in asdict(RunConfig), if not `name`
     nulls: tuple = ()       # values that stand for None
     sweep: bool = False
     generator: bool = False  # read only to generate the scenario
@@ -49,7 +49,7 @@ class Setting(NamedTuple):
     minimum: int | None = None  # smallest value allowed, if any
 
     def slot(self, tree: dict) -> tuple[dict, str]:
-        """The dict of a to_dict() tree that holds this setting, and its key."""
+        """The dict of an asdict(RunConfig) tree that holds this setting, and its key."""
         head, _, key = (self.at or self.name).rpartition(".")
         return (tree[head] if head else tree), key
 
@@ -124,7 +124,7 @@ class RunConfig:
 
     def __post_init__(self):
         # Every setting goes through its parser, however the config was made;
-        # seeds and oracle may arrive as dicts (the to_dict() layout).
+        # seeds and oracle may arrive as dicts (the asdict() layout).
         tree = asdict(self)
         for setting in SETTINGS:
             parent, key = setting.slot(tree)
@@ -150,19 +150,6 @@ class RunConfig:
                 raise ValueError(f"{', '.join(ignored)} cannot change scenario "
                                  f"file {self.scenario['file']!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """Config from the to_dict() layout; a missing key keeps its default."""
-        return cls(**data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def build_scenario(config: RunConfig) -> tuple[Scenario, dict]:
     """Materialize the scenario and any extras carried by a scenario file."""
@@ -170,8 +157,8 @@ def build_scenario(config: RunConfig) -> tuple[Scenario, dict]:
     if "file" in spec:
         with open(spec["file"]) as fh:
             raw = json.load(fh)
-        extras = {k: raw.get(k) for k in ("pathloss", "mcs_table") if k in raw}
-        return _apply_sector(Scenario.from_dict(raw), config), extras
+        extras = {k: raw.pop(k) for k in ("pathloss", "mcs_table") if k in raw}
+        return _apply_sector(from_tree(Scenario, raw), config), extras
     name = spec.pop("generator")
     if name == "walled_office" and "n_rooms" not in spec:
         raise ValueError("walled_office needs n_rooms (--n-rooms)")
@@ -191,24 +178,17 @@ def _apply_sector(scenario: Scenario, config: RunConfig) -> Scenario:
 
 
 def _tech_config(config: RunConfig, extras: dict) -> rates.TechConfig:
-    table = metrics.DEFAULT_MCS_TABLE
-    table_spec = config.mcs_table or extras.get("mcs_table")
-    if table_spec:
-        table = metrics.McsTable.from_dict(table_spec)
-    return rates.TechConfig(
-        technology=rates.Technology(config.technology),
-        rate_mode=rates.RateMode(config.rate_mode),
-        mcs_table=table,
-    )
+    tree = {"technology": config.technology, "rate_mode": config.rate_mode}
+    if table := config.mcs_table or extras.get("mcs_table"):
+        tree["mcs_table"] = table
+    return from_tree(rates.TechConfig, tree)
 
 
 def _pathloss_params(config: RunConfig, scenario: Scenario,
                      extras: dict) -> PathlossParams:
-    base = PathlossParams.for_scenario(scenario.scenario_class)
-    overrides = config.pathloss or extras.get("pathloss")
-    if overrides:
-        base = PathlossParams(**{**base.to_dict(), **overrides})
-    return base
+    base = asdict(PathlossParams.for_scenario(scenario.scenario_class))
+    overrides = config.pathloss or extras.get("pathloss") or {}
+    return from_tree(PathlossParams, {**base, **overrides})
 
 
 @dataclass
@@ -245,12 +225,12 @@ def _stage(label: str):
 
 def evaluate(config: RunConfig) -> EvaluationResult:
     """Full pipeline: scenario -> gains -> plan -> MAC -> rates -> report."""
-    echo = config.to_dict()
+    echo = asdict(config)
     with _stage("scenario"):
         scenario, extras = build_scenario(config)
     with _stage("pathloss"):
         pl_params = _pathloss_params(config, scenario, extras)
-        echo["resolved_pathloss"] = pl_params.to_dict()
+        echo["resolved_pathloss"] = asdict(pl_params)
         gains = gain_matrix(scenario, pl_params, config.seeds.shadowing)
     tech = _tech_config(config, extras)
     channels = radio_plan.channel_preset(config.channelization)
@@ -402,10 +382,10 @@ def dump_artifacts(result: EvaluationResult, out_dir: str | Path) -> None:
 
 def resolve_sweep_point(config: RunConfig, value) -> RunConfig:
     """Resolved single-run config for one sweep point (no sweep fields)."""
-    tree = {**config.to_dict(), "sweep_axis": None, "sweep_values": []}
+    tree = {**asdict(config), "sweep_axis": None, "sweep_values": []}
     parent, key = SETTING[config.sweep_axis].slot(tree)
     parent[key] = value
-    return RunConfig.from_dict(tree)
+    return RunConfig(**tree)
 
 
 @dataclass
@@ -453,7 +433,7 @@ def write_sweep(config: RunConfig, result: SweepResult,
                 out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    echo = config.to_dict()
+    echo = asdict(config)
     paths = {}
     for v in result.values:
         if v in result.point_results:

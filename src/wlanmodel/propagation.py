@@ -8,7 +8,7 @@ above the noise floor and gains are linear attenuations <= 1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -43,13 +43,6 @@ class PathlossParams:
         if scenario_class == ScenarioClass.STADIUM:
             return cls(profile="outdoor", **OUTDOOR_PROFILE)
         return cls(profile="indoor", **INDOOR_PROFILE)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PathlossParams":
-        return cls(**data)
 
 
 _U64 = np.uint64
@@ -155,15 +148,15 @@ def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, shadows: Shado
     """Pathloss in dB from every AP to every receiver, [n_aps, n_rx]; +inf
     where the receiver lies outside the AP's sector.
 
-    APs are walked in row blocks whose [pairs, 4] shadow keys fit
-    rates.BLOCK_BYTES (one row at least). Each pair's shadow is keyed by
+    APs are walked in row blocks whose temporaries (about 128 bytes a pair)
+    fit rates.BLOCK_BYTES (one row at least). Each pair's shadow is keyed by
     its two positions alone, so the blocks leave every entry unchanged.
     """
     from .rates import row_blocks  # rates imports this module
 
     tx = scenario.ap_positions()
     pl = np.empty((tx.shape[0], rx.shape[0]))
-    for block in row_blocks(tx.shape[0], 32 * rx.shape[0]):
+    for block in row_blocks(tx.shape[0], 128 * rx.shape[0]):
         t, out = tx[block], pl[block]
         d = np.hypot(t[:, None, 0] - rx[None, :, 0], t[:, None, 1] - rx[None, :, 1])
         d = np.maximum(d, params.reference_distance_m)

@@ -52,17 +52,13 @@ class TechConfig:
 
 def spectral_efficiency(sinr_linear, tech: TechConfig):
     """Map linear SINR to bit/s/Hz: Shannon in Gaussian mode, best decodable
-    modulation/coding pair in quantized mode."""
+    modulation/coding pair in quantized mode. A scalar gives a numpy float."""
     s = np.asarray(sinr_linear, dtype=float)
     if tech.rate_mode == RateMode.GAUSSIAN:
-        eff = np.log2(1.0 + s)
-    else:
-        with np.errstate(divide="ignore"):
-            sinr_db = np.where(s > 0, 10.0 * np.log10(np.maximum(s, 1e-300)), -np.inf)
-        eff = mcs_quantize(sinr_db, tech.mcs_table)
-    if np.isscalar(sinr_linear):
-        return float(eff)
-    return eff
+        return np.log2(1.0 + s)
+    with np.errstate(divide="ignore"):
+        sinr_db = np.where(s > 0, 10.0 * np.log10(np.maximum(s, 1e-300)), -np.inf)
+    return mcs_quantize(sinr_db, tech.mcs_table)
 
 
 def peak_rate_matrix(gains: GainMatrix, aps: tuple[ApNode, ...],
@@ -71,7 +67,7 @@ def peak_rate_matrix(gains: GainMatrix, aps: tuple[ApNode, ...],
     beamformed SNR g*M*P they come from; both [n_aps, n_users]."""
     snr = gains.ap_to_ut * np.array(
         [ap.antennas * ap.power_linear for ap in aps])[:, None]
-    return np.asarray(spectral_efficiency(snr, tech)), snr
+    return spectral_efficiency(snr, tech), snr
 
 
 def _zf_sinr(n_ant, n_pool, gp, streams, one_plus_i):

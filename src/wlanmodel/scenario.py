@@ -7,10 +7,14 @@ and the seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
+from fractions import Fraction
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -125,73 +129,62 @@ class Scenario:
     def user_positions(self) -> np.ndarray:
         return np.array([ut.position for ut in self.users], dtype=float)
 
-    # -- serialization (JSON tree; meters and dB) --------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "width_m": self.width_m,
-            "height_m": self.height_m,
-            "grid_step_m": self.grid_step_m,
-            "scenario_class": self.scenario_class.value,
-            "walls": [
-                {"p1": list(w.p1), "p2": list(w.p2), "attenuation_db": w.attenuation_db}
-                for w in self.walls
-            ],
-            "aps": [
-                {
-                    "id": ap.id,
-                    "position": list(ap.position),
-                    "antennas": ap.antennas,
-                    "power_db": ap.power_db,
-                    "sector": (
-                        {
-                            "orientation_deg": ap.sector.orientation_deg,
-                            "width_deg": ap.sector.width_deg,
-                        }
-                        if ap.sector
-                        else None
-                    ),
-                }
-                for ap in self.aps
-            ],
-            "users": [{"id": ut.id, "position": list(ut.position)} for ut in self.users],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        walls = tuple(
-            WallSegment(tuple(w["p1"]), tuple(w["p2"]), w["attenuation_db"])
-            for w in data.get("walls", [])
-        )
-        aps = tuple(
-            ApNode(
-                id=a["id"],
-                position=tuple(a["position"]),
-                antennas=a.get("antennas", DEFAULT_ANTENNAS),
-                power_db=a.get("power_db", DEFAULT_POWER_DB),
-                sector=Sector(**a["sector"]) if a.get("sector") else None,
-            )
-            for a in data["aps"]
-        )
-        users = tuple(UtNode(id=u["id"], position=tuple(u["position"])) for u in data["users"])
-        return cls(
-            width_m=data["width_m"],
-            height_m=data["height_m"],
-            grid_step_m=data.get("grid_step_m", DEFAULT_GRID_STEP_M),
-            walls=walls,
-            aps=aps,
-            users=users,
-            scenario_class=ScenarioClass(data.get("scenario_class", "custom")),
-        )
-
     def save(self, path: str):
+        """Write the scenario as JSON (meters and dB); `from_tree` reads it."""
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(asdict(self), fh, indent=2, default=str)
 
-    @classmethod
-    def load(cls, path: str) -> "Scenario":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+
+def from_tree(cls, tree):
+    """Build a record (a frozen dataclass) from its JSON tree, the layout
+    `dataclasses.asdict` writes. A missing key keeps its default; a key that
+    is not a field, or a value its field type cannot hold, is refused."""
+    return _converter(cls)(tree)
+
+
+@functools.cache
+def _converter(tp):
+    """The function that builds a `tp` from a JSON value, made once per type."""
+    args = get_args(tp)
+    if get_origin(tp) is UnionType:  # X | None
+        (inner,) = (_converter(a) for a in args if a is not type(None))
+        return lambda v: None if v is None else inner(v)
+    if get_origin(tp) is tuple:  # tuple[X, ...] or a fixed tuple like Point
+        items = [_converter(a) for a in args if a is not Ellipsis]
+        fixed = args[-1] is not Ellipsis
+
+        def sequence(v):
+            if not isinstance(v, (list, tuple)) or fixed and len(v) != len(items):
+                raise ValueError(f"expected {tp}, got {v!r}")
+            return tuple([c(x) for c, x in zip(items, v)] if fixed else map(items[0], v))
+        return sequence
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        field_of = {f.name: _converter(hints[f.name]) for f in fields(tp)}
+
+        def record(tree):
+            if not isinstance(tree, dict):
+                raise ValueError(f"expected a {tp.__name__} object, got {tree!r}")
+            if not tree.keys() <= field_of.keys():
+                unknown = ", ".join(sorted(tree.keys() - field_of.keys()))
+                raise ValueError(f"{tp.__name__} has no field {unknown}")
+            values = {}
+            for key, value in tree.items():
+                try:
+                    values[key] = field_of[key](value)
+                except ValueError as exc:
+                    raise ValueError(f"{tp.__name__}.{key}: {exc}") from None
+            return tp(**values)
+        return record
+    kinds = (int, float) if tp is float else tp
+
+    def leaf(v):
+        if isinstance(v, kinds) and not isinstance(v, bool):
+            return v
+        if issubclass(tp, (Enum, Fraction)) and isinstance(v, (str, int)):
+            return tp(v)  # its ValueError names the value
+        raise ValueError(f"expected {tp.__name__}, got {v!r}")
+    return leaf
 
 
 def snap(value: float, step: float) -> float:

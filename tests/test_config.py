@@ -3,7 +3,7 @@
 import argparse
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 
 from wlanmodel import cli, pipeline
 from wlanmodel.pipeline import SETTINGS, RunConfig
+from wlanmodel.scenario import Scenario, from_tree
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HALL = {"generator": "conference_hall", "n_aps": 4, "n_users": 12}
 
 
 def test_missing_keys_keep_their_defaults():
-    assert RunConfig.from_dict({}) == RunConfig()
-    assert RunConfig.from_dict({"technology": "su_beamforming"}).cca_db == 10.0
-    assert RunConfig.from_dict({"cca_db": None}).cca_db is None
-    assert RunConfig.from_dict({"seeds": {"plan": 7}}).seeds == \
+    assert RunConfig(**{}) == RunConfig()
+    assert RunConfig(**{"technology": "su_beamforming"}).cca_db == 10.0
+    assert RunConfig(**{"cca_db": None}).cca_db is None
+    assert RunConfig(**{"seeds": {"plan": 7}}).seeds == \
         pipeline.Seeds(plan=7)
 
 
@@ -46,7 +47,7 @@ def test_cli_config_file_without_cca_keeps_carrier_sensing(tmp_path):
 ])
 def test_bad_values_are_refused_by_name(data, name):
     with pytest.raises(ValueError, match=re.escape(name)):
-        RunConfig.from_dict(data)
+        RunConfig(**data)
 
 
 @pytest.mark.parametrize("seed", [f.name for f in fields(pipeline.Seeds)])
@@ -117,7 +118,7 @@ def test_generator_inputs_on_a_scenario_file_are_refused(tmp_path):
 def test_readme_run_configuration_shows_the_defaults():
     section = README.read_text().split("## Run configuration", 1)[1]
     block = section.split("```jsonc", 1)[1].split("```", 1)[0]
-    assert json.loads(re.sub(r"//[^\n]*", "", block)) == RunConfig().to_dict()
+    assert json.loads(re.sub(r"//[^\n]*", "", block)) == asdict(RunConfig())
 
 
 # The flags `evaluate`, `sweep` and `mc-validate` share, in `--help` order.
@@ -151,7 +152,7 @@ def test_generate_flags_are_the_generator_settings(tmp_path, capsys):
     expected, _ = pipeline.build_scenario(RunConfig(
         scenario={"generator": "walled_office", "n_rooms": 4, "n_aps": 4, "n_users": 8},
         antennas=2, power_db=80.0, seeds=pipeline.Seeds(topology=7)))
-    assert json.loads(path.read_text()) == expected.to_dict()
+    assert from_tree(Scenario, json.loads(path.read_text())) == expected
     capsys.readouterr()
     for flags, message in ((["--generator", "walled_office"], "needs n_rooms"),
                            (["--generator", "open_floor", "--antennas", "2.5"],
@@ -196,11 +197,11 @@ def _spelled(value):
 
 @given(st.fixed_dictionaries({}, optional={s.name: _value(s) for s in SETTINGS}))
 def test_configs_survive_a_json_round_trip(values):
-    tree = RunConfig().to_dict()
+    tree = asdict(RunConfig())
     for name, value in values.items():
         _with(tree, pipeline.SETTING[name], value)
-    cfg = RunConfig.from_dict(tree)
-    assert RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    cfg = RunConfig(**tree)
+    assert RunConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 @given(st.sampled_from([s for s in SETTINGS if s.flag]).flatmap(
@@ -208,8 +209,8 @@ def test_configs_survive_a_json_round_trip(values):
 def test_a_value_parses_alike_as_json_flag_and_sweep_point(drawn):
     setting, value = drawn
     assume(value is not None or "disabled" in setting.nulls)
-    as_json = RunConfig.from_dict(json.loads(json.dumps(
-        _with(RunConfig().to_dict(), setting, value))))
+    as_json = RunConfig(**json.loads(json.dumps(
+        _with(asdict(RunConfig()), setting, value))))
     assert _cli_config(**{setting.name: _spelled(value)}) == as_json
     if setting.sweep:
         swept = RunConfig(sweep_axis=setting.name, sweep_values=[value])
@@ -223,7 +224,7 @@ def test_a_value_parses_alike_as_json_flag_and_sweep_point(drawn):
            lambda x: not x.is_integer()))
 def test_fractional_integers_are_refused_everywhere(setting, value):
     with pytest.raises(ValueError, match=re.escape(setting.at or setting.name)):
-        RunConfig.from_dict(_with(RunConfig().to_dict(), setting, value))
+        RunConfig(**_with(asdict(RunConfig()), setting, value))
     if setting.flag:
         with pytest.raises(ValueError, match=re.escape(setting.at or setting.name)):
             _cli_config(**{setting.name: repr(value)})

@@ -147,6 +147,15 @@ def test_enumerate_maximal_only_prism():
     assert np.all(states.sum(axis=1) == 2)
 
 
+def test_enumerate_maximal_only_wider_than_a_machine_word():
+    # 70 APs that all hear each other: the maximal sets are the singletons,
+    # and each mask is wider than 64 bits.
+    graph = make_graph(70, itertools.combinations(range(70), 2))
+    states = enumerate_states(graph, CtmcMode.MAXIMAL_ONLY)
+    assert states.dtype == np.uint8
+    assert np.array_equal(states, np.eye(70))
+
+
 def test_enumerate_no_csma_single_state():
     graph = make_graph(4, [(0, 1)])
     states = enumerate_states(graph, CtmcMode.NO_CSMA)

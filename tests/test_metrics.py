@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from wlanmodel.metrics import (
     ofdm_efficiency,
     summarize,
 )
+from wlanmodel.scenario import from_tree
 
 # index -> (threshold dB, bit/s/Hz)
 EXPECTED_ROWS = [
@@ -82,8 +84,8 @@ def test_table_validation():
 
 
 def test_table_roundtrip_and_override():
-    assert McsTable.from_dict(DEFAULT_MCS_TABLE.to_dict()) == DEFAULT_MCS_TABLE
-    custom = McsTable.from_dict({"rows": [
+    assert from_tree(McsTable, asdict(DEFAULT_MCS_TABLE)) == DEFAULT_MCS_TABLE
+    custom = from_tree(McsTable, {"rows": [
         {"index": 0, "modulation": "QPSK", "bits_per_symbol": 2,
          "code_rate": "1/2", "min_snr_db": 4.0},
         {"index": 1, "modulation": "64-QAM", "bits_per_symbol": 6,

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from wlanmodel import cli, pipeline, radio_plan, rates
 from wlanmodel.metrics import DEFAULT_MCS_TABLE
 from wlanmodel.oracle import OracleConfig
 from wlanmodel.pipeline import RunConfig, Seeds
-from wlanmodel.scenario import Scenario
+from wlanmodel.scenario import Scenario, from_tree
 
 
 def desk_config(**overrides):
@@ -22,7 +24,7 @@ def desk_config(**overrides):
 def test_config_roundtrip_and_validation():
     cfg = desk_config(technology="concentrated_mu_mimo", rate_mode="quantized",
                       cca_db=None, sweep_axis="n_aps", sweep_values=[10, 20])
-    again = RunConfig.from_dict(cfg.to_dict())
+    again = RunConfig(**asdict(cfg))
     assert again == cfg
     with pytest.raises(ValueError):
         RunConfig(sweep_axis="bogus", sweep_values=[1])
@@ -32,8 +34,8 @@ def test_config_roundtrip_and_validation():
         RunConfig(technology="laser")
     with pytest.raises(ValueError):
         RunConfig(overhead_discount=1.5)
-    assert RunConfig.from_dict({"cca_db": "disabled"}).cca_db is None
-    assert RunConfig.from_dict({"oracle": {"n_realizations": 300}}).oracle == \
+    assert RunConfig(**{"cca_db": "disabled"}).cca_db is None
+    assert RunConfig(**{"oracle": {"n_realizations": 300}}).oracle == \
         OracleConfig(n_realizations=300)
 
 
@@ -252,7 +254,7 @@ def test_scenario_file_roundtrip_through_pipeline(tmp_path):
 
 def test_scenario_file_carries_pathloss_and_mcs(tmp_path):
     base = pipeline.evaluate(desk_config())
-    raw = base.scenario.to_dict()
+    raw = asdict(base.scenario)
     raw["pathloss"] = {"a_db": 50.0, "b_db_per_decade": 20.0,
                        "shadowing_sigma_db": 0.0}
     path = tmp_path / "scen.json"
@@ -261,13 +263,34 @@ def test_scenario_file_carries_pathloss_and_mcs(tmp_path):
     assert res.report.config["resolved_pathloss"]["a_db"] == 50.0
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("antenas", 8, "Scenario.aps: ApNode has no field antenas"),
+    ("antennas", 4.5, "Scenario.aps: ApNode.antennas: expected int, got 4.5"),
+])
+def test_scenario_file_refuses_what_its_records_cannot_hold(tmp_path, key, value,
+                                                          message):
+    raw = asdict(pipeline.build_scenario(desk_config())[0])
+    raw["aps"][0][key] = value
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pipeline.build_scenario(desk_config(scenario={"file": str(path)}))
+
+
+def test_pathloss_overrides_are_refused_by_field():
+    for pathloss, message in (({"a_db": "40"}, "PathlossParams.a_db: expected float"),
+                              ({"a_dB": 40.0}, "PathlossParams has no field a_dB")):
+        with pytest.raises(RuntimeError, match=re.escape(f"[pathloss] {message}")):
+            pipeline.evaluate(desk_config(pathloss=pathloss))
+
+
 def test_cli_generate_evaluate_sweep(tmp_path, capsys):
     scen_path = tmp_path / "hall.json"
     rc = cli.main(["generate", "--generator", "conference_hall",
                    "--n-aps", "4", "--n-users", "8", "--seed", "5",
                    "--out", str(scen_path)])
     assert rc == 0
-    assert Scenario.load(scen_path).n_aps == 4
+    assert from_tree(Scenario, json.loads(scen_path.read_text())).n_aps == 4
 
     out_dir = tmp_path / "run"
     rc = cli.main(["evaluate", "--scenario-file", str(scen_path),
@@ -301,7 +324,7 @@ def test_cli_sweep_failure_exit_code(tmp_path):
 
 def test_cli_config_file_with_overrides(tmp_path):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(desk_config(rate_mode="quantized").to_dict()))
+    cfg_path.write_text(json.dumps(asdict(desk_config(rate_mode="quantized"))))
     out_dir = tmp_path / "out"
     rc = cli.main(["evaluate", "--config", str(cfg_path),
                    "--power-db", "85", "--out-dir", str(out_dir)])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from wlanmodel.scenario import (
     build_open_floor,
     build_stadium,
     build_walled_office,
+    from_tree,
 )
 
 
@@ -229,4 +231,4 @@ def test_scenario_roundtrip(tmp_path):
     s = build_walled_office(4, 6, 10, seed=3)
     path = tmp_path / "scenario.json"
     s.save(path)
-    assert Scenario.load(path) == s
+    assert from_tree(Scenario, json.loads(path.read_text())) == s

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def test_sectorization_lifts_no_cca_throughput():
 
 def test_sector_config_roundtrip():
     cfg = pipeline.RunConfig(sector_width_deg=90.0, sector_orientation_deg=45.0)
-    again = pipeline.RunConfig.from_dict(cfg.to_dict())
+    again = pipeline.RunConfig(**asdict(cfg))
     assert again == cfg
     scen, _ = pipeline.build_scenario(cfg)
     assert all(ap.sector == Sector(45.0, 90.0) for ap in scen.aps)
