@@ -3,11 +3,15 @@
 The three technologies run through one realization loop, as they are one
 zero-forcing transmitter at different sizes (see `rates.zf_rates`). A group
 is a set of APs pooling their antennas, with AP block b of its composite
-channel to user k scaled by sqrt(g_bk); it zero-forces S streams (S = 1 is
-conjugate beamforming) and splits its pooled power P evenly over them.
-Every other co-channel group's beams reach its users through fresh
-channels, adding (P_j/S_j) * sum_s |v_s^H h|^2 of interference. Everything
-is reproducible per seed: each job gets its own counter-derived stream.
+channel to user k scaled by sqrt(g_bk); it zero-forces S streams and splits
+its pooled power P evenly over them. A multi-stream group draws channels,
+precoders and beams; other co-channel groups' users hear the beams through
+fresh channels, (P_j/S_j) * sum_s |v_s^H h|^2. A one-stream group (conjugate
+beamforming) draws its exact laws: user k gets P * sum_b g_bk E_bk with
+E_bk ~ Gamma(M_b), and the beam to a uniform user u* leaks
+P * sum_b w_b g_bk' * Exp(1) to another group's user k', with block shares
+w_b = g_bu* E_bu* / sum_b' g_b'u* E_b'u*. Each job draws from its own
+counter-derived stream, so everything is reproducible per seed.
 """
 
 from __future__ import annotations
@@ -49,22 +53,18 @@ class OracleReport:
 
 
 class _Group(NamedTuple):
-    rows: np.ndarray    # AP id of each antenna of the pooled array
+    aps: np.ndarray       # AP ids, one block of the pooled array each
+    antennas: np.ndarray  # M_b of each block
+    rows: np.ndarray      # AP id of each antenna of the pooled array
     users: np.ndarray
-    streams: int        # S
-    power: float        # pooled power P
+    streams: int          # S
+    power: float          # pooled power P
 
 
 def _group(aps: tuple[ApNode, ...], ap_ids, users, streams: int) -> _Group:
-    rows = np.repeat(ap_ids, [aps[a].antennas for a in ap_ids])
-    return _Group(rows, np.asarray(users), int(streams),
-                  sum(aps[a].power_linear for a in ap_ids))
-
-
-def _rayleigh(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    h = rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
-    h *= np.sqrt(0.5)
-    return h
+    m = np.array([aps[a].antennas for a in ap_ids])
+    return _Group(np.asarray(ap_ids), m, np.repeat(ap_ids, m), np.asarray(users),
+                  int(streams), sum(aps[a].power_linear for a in ap_ids))
 
 
 def _state_jobs(model: CtmcModel, n_realizations: int,
@@ -75,29 +75,26 @@ def _state_jobs(model: CtmcModel, n_realizations: int,
     from pi, each sampled occurrence contributing one realization.
     """
     if model.n_states <= STATE_ENUM_THRESHOLD:
-        return [
-            (model.states[s], float(model.pi[s]), n_realizations, False)
-            for s in range(model.n_states)
-            if model.pi[s] > 0 and model.states[s].any()
-        ]
+        return [(model.states[s], float(model.pi[s]), n_realizations, False)
+                for s in range(model.n_states) if model.pi[s] > 0 and model.states[s].any()]
     counts = rng.multinomial(n_realizations, model.pi)
-    return [
-        (model.states[s], counts[s] / n_realizations, int(counts[s]), True)
-        for s in np.flatnonzero(counts)
-        if model.states[s].any()
-    ]
+    return [(model.states[s], counts[s] / n_realizations, int(counts[s]), True)
+            for s in np.flatnonzero(counts) if model.states[s].any()]
 
 
-def _zf_precoders(h_cols: np.ndarray):
+def _zf_precoders(h_cols: np.ndarray, beams: bool = True):
     """Batched ZF precoder: h_cols is [..., M, S]; returns (V, xi).
 
     V has unit-power columns scaled so V^H H = diag(sqrt(xi)); xi is the
     per-stream effective gain [..., S], clamped at 0 where rank-deficient
     columns (APs blind to some served users) leave only rounding noise.
+    V is None when `beams` is false.
     """
     gram = np.swapaxes(h_cols.conj(), -1, -2) @ h_cols
     inv = np.linalg.inv(gram)
     xi = np.maximum(1.0 / np.real(np.einsum("...ss->...s", inv)), 0.0)
+    if not beams:
+        return None, xi
     v = h_cols @ inv
     v *= np.sqrt(xi[..., None, :])
     return v, xi
@@ -112,25 +109,85 @@ def _random_subsets(rng: np.random.Generator, n_draws: int, pool: int,
 
 def _draw(rng: np.random.Generator, power: np.ndarray, nsub: int) -> np.ndarray:
     """Rayleigh channels [r, nsub, N, c] with per-entry power[N, r, c]."""
-    amp = np.sqrt(np.moveaxis(power, 0, -2))[:, None]
-    h = _rayleigh(rng, (amp.shape[0], nsub) + amp.shape[2:])
+    amp = np.sqrt(0.5 * np.moveaxis(power, 0, -2))[:, None]
+    h = rng.standard_normal((amp.shape[0], nsub) + amp.shape[2:] + (2,))
+    h = h.view(np.complex128)[..., 0]
     h *= amp
     return h
 
 
 def _realization_bytes(groups: list[_Group], nsub: int) -> int:
-    """Bytes one realization of a job holds: a complex [nsub, N_j, cols_i]
-    draw for every pair of groups (i, j), own (j = i) or co-channel, plus
-    each ZF group's Gram matrix and its inverse, [nsub, S, S] each."""
-    cols = sum(len(g.users) if g.streams == 1 else g.streams for g in groups)
-    antennas = sum(len(g.rows) for g in groups)
-    grams = sum(2 * g.streams**2 for g in groups if g.streams > 1)
-    return 16 * nsub * (cols * antennas + grams)
+    """Bytes one realization of a job holds per subcarrier: a ZF group's [N, S]
+    channel, Gram matrix and inverse, a one-stream group's [B, k] energies, and
+    per co-channel pair (i, j) an [N_j, cols_i] channel or a [cols_i] leakage."""
+    total = 0
+    for g in groups:
+        cols = len(g.users) if g.streams == 1 else g.streams
+        own = 8 * len(g.aps) if g.streams == 1 else 16 * (len(g.rows) + 2 * cols)
+        heard = sum(8 if j.streams == 1 else 16 * len(j.rows) for j in groups if j is not g)
+        total += cols * (own + heard)
+    return nsub * total
 
 
-def _simulate(jobs, gains: GainMatrix, n_users: int,
-              config: OracleConfig) -> OracleReport:
-    """Fading-average the per-user rates of weighted jobs.
+def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
+             r: int, nsub: int, sums: list[np.ndarray]) -> int:
+    """Draw r realizations of one job's groups and add each scored user's
+    subcarrier-averaged rate and its square into its group's [2, users]
+    sums. Returns the number of singular ZF draws redrawn."""
+    picks, signals, beams, resamples = [], [], [], 0
+    for g in groups:
+        k = len(g.users)
+        if g.streams == 1:
+            picks.append(np.broadcast_to(np.arange(k), (r, k)))
+            gain = gains.ap_to_ut[g.aps[:, None], g.users]
+            energy = rng.standard_gamma(g.antennas[:, None], (r, nsub) + gain.shape)
+            signals.append(g.power * np.einsum("rnbk,bk->rnk", energy, gain))
+            # A lead user outside every sector gets the unit-gain beam E_b / sum E.
+            lead = rng.integers(k, size=r)
+            share = np.where(gain[:, lead].any(axis=0), gain[:, lead], 1.0).T[:, None]
+            share = share * energy[np.arange(r), :, :, lead]
+            beams.append(share / share.sum(axis=2, keepdims=True))
+            continue
+        picks.append(_random_subsets(rng, r, k, g.streams))
+        link = gains.ap_to_ut[g.rows[:, None, None], g.users[picks[-1]]]
+        # Precode on columns normalized to unit mean gain, so a user without
+        # any gain (outside every sector) keeps a finite beam and an
+        # invertible Gram matrix. Beams are formed only if someone hears them.
+        scale = link.mean(axis=0)
+        link /= np.where(scale > 0, scale, 1.0)
+        link += scale == 0
+        try:
+            v, xi = _zf_precoders(_draw(rng, link, nsub), len(groups) > 1)
+        except np.linalg.LinAlgError:
+            resamples += 1
+            v, xi = _zf_precoders(_draw(rng, link, nsub), len(groups) > 1)
+        signals.append(xi * scale[:, None] * (g.power / g.streams))
+        beams.append(v)
+    for i, g in enumerate(groups):
+        cols = g.users[picks[i]]
+        interf = 0.0
+        for j, other in enumerate(groups):
+            if j == i:
+                continue
+            if other.streams == 1:
+                power = np.moveaxis(gains.ap_to_ut[other.aps[:, None, None], cols], 0, -2)
+                leak = (beams[j] @ power) * rng.standard_exponential((r, nsub, cols.shape[1]))
+            else:
+                # A fresh circularly symmetric h makes h^T v as distributed
+                # as v^H h, without conjugating the beams.
+                h = _draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols], nsub)
+                leak = np.sum(np.abs(np.swapaxes(h, 2, 3) @ beams[j]) ** 2, axis=3)
+            interf = interf + other.power / other.streams * leak
+        x = np.log2(1.0 + signals[i] / (1.0 + interf)).mean(axis=1)
+        x /= len(g.users) if g.streams == 1 else 1
+        for row, y in zip(sums[i], (x, x**2)):
+            row += np.bincount(picks[i].ravel(), y.ravel(), len(row))
+    return resamples
+
+
+def _simulate(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGroups],
+              technology: Technology, config: OracleConfig, seed: int) -> OracleReport:
+    """Fading-average the per-user rates of the channels' weighted jobs.
 
     A job is (weight, draws, sampled, rng, groups), the groups being the
     ones active together on one channel. A one-stream group evaluates every
@@ -141,55 +198,13 @@ def _simulate(jobs, gains: GainMatrix, n_users: int,
     one realization per chunk).
     """
     nsub = config.subcarriers
-    mean, var, spread = np.zeros(n_users), np.zeros(n_users), np.zeros(n_users)
+    mean, var, spread = (np.zeros(scenario.n_users) for _ in range(3))
     resamples = 0
-    for weight, draws, sampled, rng, groups in jobs:
+    for weight, draws, sampled, rng, groups in _jobs(scenario, gains, channels,
+                                                     technology, config, seed):
         sums = [np.zeros((2, len(g.users))) for g in groups]
         for chunk in rates.row_blocks(draws, _realization_bytes(groups, nsub)):
-            r = chunk.stop - chunk.start
-            picks, signals, beams = [], [], []
-            for g in groups:
-                k = len(g.users)
-                # All users of a one-stream group, in random order; the
-                # served subset of a multi-stream group.
-                pick = _random_subsets(rng, r, k, k if g.streams == 1 else g.streams)
-                link = gains.ap_to_ut[g.rows[:, None, None], g.users[pick]]
-                # Precode on columns normalized to unit mean gain, so a user
-                # without any gain (outside every sector) keeps a finite beam
-                # and an invertible Gram matrix.
-                scale = link.mean(axis=0)
-                link /= np.where(scale > 0, scale, 1.0)
-                link += scale == 0
-                h = _draw(rng, link, nsub)
-                if g.streams == 1:
-                    # Conjugate beam to the first user.
-                    xi = np.sum(np.abs(h) ** 2, axis=2)
-                    v = h[..., :1] / np.sqrt(xi[:, :, None, :1])
-                else:
-                    try:
-                        v, xi = _zf_precoders(h)
-                    except np.linalg.LinAlgError:
-                        resamples += 1
-                        v, xi = _zf_precoders(_draw(rng, link, nsub))
-                picks.append(pick)
-                signals.append(xi * scale[:, None] * (g.power / g.streams))
-                beams.append(v)
-            for i, g in enumerate(groups):
-                cols = g.users[picks[i]]
-                interf = 0.0
-                for j, other in enumerate(groups):
-                    if j != i:
-                        # A fresh circularly symmetric h makes h^T v as
-                        # distributed as v^H h, without conjugating the beams.
-                        h = _draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols],
-                                  nsub)
-                        interf = interf + other.power / other.streams * np.sum(
-                            np.abs(np.swapaxes(h, 2, 3) @ beams[j]) ** 2, axis=3)
-                per_slot = np.log2(1.0 + signals[i] / (1.0 + interf)).mean(axis=1)
-                if g.streams == 1:
-                    per_slot /= len(g.users)
-                for row, x in zip(sums[i], (per_slot, per_slot**2)):
-                    row += np.bincount(picks[i].ravel(), x.ravel(), len(g.users))
+            resamples += _realize(rng, gains, groups, chunk.stop - chunk.start, nsub, sums)
         for g, (total, total_sq) in zip(groups, sums):
             m = total / draws
             mean[g.users] += weight * m
@@ -233,9 +248,8 @@ def mc_su_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
                config: OracleConfig, seed: int = 0) -> OracleReport:
     """Monte Carlo single-user beamforming rates: each active AP with users
     is a one-stream group, its beam conjugate to one of its users."""
-    return _simulate(_jobs(scenario, gains, rates.ap_groups(assoc, mac),
-                           Technology.SU_BEAMFORMING, config, seed),
-                     gains, scenario.n_users, config)
+    return _simulate(scenario, gains, rates.ap_groups(assoc, mac),
+                     Technology.SU_BEAMFORMING, config, seed)
 
 
 def mc_mu_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
@@ -244,9 +258,8 @@ def mc_mu_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
     """Monte Carlo concentrated MU-MIMO rates: each active AP zero-forces to
     a uniformly random subset of its users, sized by the deterministic
     stream optimizer for that contention state."""
-    return _simulate(_jobs(scenario, gains, rates.ap_groups(assoc, mac),
-                           Technology.CONCENTRATED_MU_MIMO, config, seed),
-                     gains, scenario.n_users, config)
+    return _simulate(scenario, gains, rates.ap_groups(assoc, mac),
+                     Technology.CONCENTRATED_MU_MIMO, config, seed)
 
 
 def mc_dist_rate(scenario: Scenario, gains: GainMatrix, plan: ClusterPlan,
@@ -258,6 +271,5 @@ def mc_dist_rate(scenario: Scenario, gains: GainMatrix, plan: ClusterPlan,
     optimizer, and clusters sharing a channel interfere through their ZF
     beams. One job per channel holds all of its clusters.
     """
-    return _simulate(_jobs(scenario, gains, rates.cluster_groups(plan),
-                           Technology.DISTRIBUTED_MU_MIMO, config, seed),
-                     gains, scenario.n_users, config)
+    return _simulate(scenario, gains, rates.cluster_groups(plan),
+                     Technology.DISTRIBUTED_MU_MIMO, config, seed)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -137,8 +138,9 @@ class Scenario:
 
 def from_tree(cls, tree):
     """Build a record (a frozen dataclass) from its JSON tree, the layout
-    `dataclasses.asdict` writes. A missing key keeps its default; a key that
-    is not a field, or a value its field type cannot hold, is refused."""
+    `dataclasses.asdict` writes. A missing key keeps its default; a missing
+    required key, a key that is not a field, or a value its field type
+    cannot hold is refused, naming the record, the field and the list item."""
     return _converter(cls)(tree)
 
 
@@ -156,11 +158,19 @@ def _converter(tp):
         def sequence(v):
             if not isinstance(v, (list, tuple)) or fixed and len(v) != len(items):
                 raise ValueError(f"expected {tp}, got {v!r}")
-            return tuple([c(x) for c, x in zip(items, v)] if fixed else map(items[0], v))
+            out = []
+            try:
+                for convert, x in zip(items if fixed else repeat(items[0]), v):
+                    out.append(convert(x))
+            except ValueError as exc:
+                raise ValueError(f"{exc} (item {len(out)})") from None
+            return tuple(out)
         return sequence
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         field_of = {f.name: _converter(hints[f.name]) for f in fields(tp)}
+        required = {f.name for f in fields(tp)
+                    if f.default is MISSING and f.default_factory is MISSING}
 
         def record(tree):
             if not isinstance(tree, dict):
@@ -168,6 +178,9 @@ def _converter(tp):
             if not tree.keys() <= field_of.keys():
                 unknown = ", ".join(sorted(tree.keys() - field_of.keys()))
                 raise ValueError(f"{tp.__name__} has no field {unknown}")
+            if not required <= tree.keys():
+                missing = ", ".join(sorted(required - tree.keys()))
+                raise ValueError(f"{tp.__name__} is missing field {missing}")
             values = {}
             for key, value in tree.items():
                 try:

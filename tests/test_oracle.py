@@ -6,7 +6,13 @@ import pytest
 from scipy import integrate
 
 from wlanmodel import oracle, pipeline, rates
-from wlanmodel.csma import build_contention_graph, channel_ctmcs
+from wlanmodel.csma import (
+    ChannelCtmc,
+    CtmcMode,
+    build_contention_graph,
+    channel_ctmcs,
+    stationary_distribution,
+)
 from wlanmodel.oracle import (
     OracleConfig,
     _zf_precoders,
@@ -189,7 +195,6 @@ def test_mc_dist_single_ap_matches_mu():
     ch_plan = ChannelPlan(channel_preset("1x80"), {0: 0}, 0)
     assoc = AssociationMap(sets={0: (0, 1)}, permutation_seed=0)
     graph = build_contention_graph(gains, ch_plan, scenario.aps, None)
-    from wlanmodel.csma import ChannelCtmc, CtmcMode, stationary_distribution
     mac = {0: ChannelCtmc(0, (0,), stationary_distribution(
         np.array([[1]]), rho=100.0, mode=CtmcMode.NO_CSMA))}
     mu = mc_mu_rate(scenario, gains, ch_plan, assoc, mac, cfg, seed=7)
@@ -364,11 +369,11 @@ def test_chunk_budget_leaves_the_estimates_unchanged(monkeypatch, technology):
         technology=technology, channelization="1x80", cca_db=None,
         n_clusters=2, oracle=OracleConfig(n_realizations=600))
     per_realization, chunks = [], []
-    count_bytes, draw = oracle._realization_bytes, oracle._draw
+    count_bytes, realize = oracle._realization_bytes, oracle._realize
     monkeypatch.setattr(oracle, "_realization_bytes", lambda groups, nsub: (
         per_realization.append(count_bytes(groups, nsub)) or per_realization[-1]))
-    monkeypatch.setattr(oracle, "_draw", lambda rng, power, nsub: (
-        chunks.append(power.shape[1]) or draw(rng, power, nsub)))
+    monkeypatch.setattr(oracle, "_realize", lambda rng, gains, groups, r, *rest: (
+        chunks.append(r) or realize(rng, gains, groups, r, *rest)))
     default = pipeline.mc_validate(cfg).oracle_report
     assert len(per_realization) == 1
     for budget, sizes in ((1, {1}), (7 * per_realization[0], {7, 5})):
@@ -379,3 +384,132 @@ def test_chunk_budget_leaves_the_estimates_unchanged(monkeypatch, technology):
         tol = 4 * np.hypot(default.std_error, got.std_error)
         assert np.all(np.abs(got.mean_rate - default.mean_rate) <= tol)
         assert got.std_error.mean() <= 1.25 * default.std_error.mean()
+
+
+def _explicit_realize(rng, gains, groups, r, nsub, sums):
+    """Reference for `oracle._realize` that draws every group explicitly.
+
+    A one-stream group draws its users' N-antenna Rayleigh channels, takes
+    each user's signal from its channel's energy and forms the conjugate
+    beam to the first user of a random order; every other group's users hear
+    that beam through fresh channels, as they hear ZF beams.
+    """
+    picks, signals, beams = [], [], []
+    for g in groups:
+        k = len(g.users)
+        pick = oracle._random_subsets(rng, r, k, k if g.streams == 1 else g.streams)
+        link = gains.ap_to_ut[g.rows[:, None, None], g.users[pick]]
+        scale = link.mean(axis=0)
+        link /= np.where(scale > 0, scale, 1.0)
+        link += scale == 0
+        h = oracle._draw(rng, link, nsub)
+        if g.streams == 1:
+            xi = np.sum(np.abs(h) ** 2, axis=2)
+            v = h[..., :1] / np.sqrt(xi[:, :, None, :1])
+        else:
+            v, xi = _zf_precoders(h)
+        picks.append(pick)
+        signals.append(xi * scale[:, None] * (g.power / g.streams))
+        beams.append(v)
+    for i, g in enumerate(groups):
+        cols = g.users[picks[i]]
+        interf = 0.0
+        for j, other in enumerate(groups):
+            if j != i:
+                h = oracle._draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols], nsub)
+                interf = interf + other.power / other.streams * np.sum(
+                    np.abs(np.swapaxes(h, 2, 3) @ beams[j]) ** 2, axis=3)
+        x = np.log2(1.0 + signals[i] / (1.0 + interf)).mean(axis=1)
+        x /= len(g.users) if g.streams == 1 else 1
+        for row, y in zip(sums[i], (x, x**2)):
+            row += np.bincount(picks[i].ravel(), y.ravel(), len(row))
+    return 0
+
+
+def _assert_matches_explicit_draws(monkeypatch, run):
+    """`run()` gives the same per-user law with exact one-stream draws as
+    with explicit ones: |z| <= 4 per user and a mean std error within
+    0.8-1.25 times the reference's. Returns the groups of every job."""
+    seen, realize = [], oracle._realize
+    monkeypatch.setattr(oracle, "_realize", lambda rng, gains, groups, *rest: (
+        seen.append(groups) or realize(rng, gains, groups, *rest)))
+    exact = run()
+    monkeypatch.setattr(oracle, "_realize", _explicit_realize)
+    explicit = run()
+    se = np.hypot(exact.std_error, explicit.std_error)
+    silent = se == 0
+    assert np.all(exact.mean_rate[silent] == explicit.mean_rate[silent])
+    assert np.all(np.abs(exact.mean_rate - explicit.mean_rate)[~silent] <= 4 * se[~silent])
+    ratio = exact.std_error.mean() / explicit.std_error.mean()
+    assert 0.8 <= ratio <= 1.25
+    return seen
+
+
+def test_su_co_channel_subcarriers_match_explicit_draws(monkeypatch):
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 30},
+        technology="su_beamforming", channelization="1x80", cca_db=None,
+        oracle=OracleConfig(n_realizations=1500, subcarriers=4))
+    seen = _assert_matches_explicit_draws(
+        monkeypatch, lambda: pipeline.mc_validate(cfg).oracle_report)
+    assert max(len(groups) for groups in seen) == 6
+
+
+def test_mu_single_user_cells_match_explicit_draws(monkeypatch):
+    # Cells of one user choose S = 1 next to a three-user ZF cell.
+    aps = tuple(ApNode(i, (float(i), 0.0), antennas=4) for i in range(3))
+    users = tuple(UtNode(k, (float(k), 5.0)) for k in range(5))
+    scenario = Scenario(width_m=10.0, height_m=10.0, aps=aps, users=users)
+    cells = {0: (0,), 1: (1, 2, 3), 2: (4,)}
+    g = np.random.default_rng(0).uniform(5e-9, 3e-8, (3, 5))
+    for ap, cell in cells.items():
+        g[ap, list(cell)] = 1e-7
+    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((3, 3)), seed=0)
+    plan = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0, 2: 0}, 0)
+    assoc = AssociationMap(sets=cells, permutation_seed=0)
+    mac = {0: ChannelCtmc(0, (0, 1, 2), stationary_distribution(
+        np.ones((1, 3)), rho=100.0, mode=CtmcMode.NO_CSMA))}
+    seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_mu_rate(
+        scenario, gains, plan, assoc, mac, OracleConfig(n_realizations=4000), seed=3))
+    assert [grp.streams for grp in seen[0]][::2] == [1, 1]
+    assert seen[0][1].streams > 1
+
+
+def test_pooled_one_stream_clusters_match_explicit_draws(monkeypatch):
+    # Two one-stream clusters of two APs with unequal arrays next to a ZF
+    # cluster: one serves two weak users, one of them far from its first AP,
+    # the other is blind to its user (the unit-gain beam). The ZF cluster's
+    # users hear mostly the AP block on which each one-stream beam puts its
+    # smaller share, so the lead user and the shares set their interference.
+    aps = tuple(ApNode(i, (float(i), 0.0), antennas=m)
+                for i, m in enumerate((2, 4, 4, 2, 4)))
+    users = tuple(UtNode(k, (float(k), 5.0)) for k in range(6))
+    scenario = Scenario(width_m=10.0, height_m=10.0, aps=aps, users=users)
+    g = np.random.default_rng(1).uniform(2e-9, 2e-8, (5, 6))
+    g[:2, [0, 5]] = [[1e-11, 1e-10], [1e-10, 1e-10]]
+    g[2:4, 1] = 0.0
+    g[:4, 2:5] = np.array([1e-7, 1e-10, 1e-10, 1e-7])[:, None]
+    g[4, 2:5] = 1e-7
+    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((5, 5)), seed=0)
+    clusters = tuple(Cluster(ids, 0, sum(aps[a].power_linear for a in ids))
+                     for ids in ((0, 1), (2, 3), (4,)))
+    plan = ClusterPlan(clusters=clusters, channels=channel_preset("1x80"),
+                       user_cluster={0: 0, 5: 0, 1: 1, 2: 2, 3: 2, 4: 2})
+    seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_dist_rate(
+        scenario, gains, plan, OracleConfig(n_realizations=4000), seed=4))
+    assert [grp.streams for grp in seen[0]][:2] == [1, 1]
+    assert seen[0][2].streams > 1
+
+
+def test_sectorized_ap_blind_to_its_user_matches_explicit_draws(monkeypatch):
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 8, "n_users": 60},
+        technology="su_beamforming", sector_width_deg=90.0, cca_db=None,
+        oracle=OracleConfig(n_realizations=1500))
+    validations = []
+
+    def run():
+        validations.append(pipeline.mc_validate(cfg))
+        return validations[-1].oracle_report
+    _assert_matches_explicit_draws(monkeypatch, run)
+    assert np.any(validations[0].det_rates == 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wlanmodel import rates
-from wlanmodel.oracle import _rayleigh
+from wlanmodel.oracle import _draw
 from wlanmodel.propagation import (
     PathlossParams,
     ShadowMap,
@@ -276,19 +276,24 @@ def test_sectorized_gain_matrix_zeroes_back_lobe():
     assert g.ap_to_ap[1, 0] > 0       # omni AP still reaches AP 0
 
 
+def _rayleigh(rng, n_draws, antennas=1):
+    """The oracle's channel draw at unit power: [n_draws, antennas]."""
+    return _draw(rng, np.ones((antennas, n_draws, 1)), 1)[:, 0, :, 0]
+
+
 def test_sample_fading_moments():
-    draws = _rayleigh(np.random.default_rng([123, 0]), (100_000,))
+    draws = _rayleigh(np.random.default_rng([123, 0]), 100_000)
     assert abs(draws.mean()) < 0.02
-    h = _rayleigh(np.random.default_rng([123, 1]), (20_000, 4))
+    h = _rayleigh(np.random.default_rng([123, 1]), 20_000, 4)
     norms = np.sum(np.abs(h) ** 2, axis=1)
     assert np.mean(norms) == pytest.approx(4.0, rel=0.02)
 
 
 def test_sample_fading_deterministic():
-    a = _rayleigh(np.random.default_rng([42, 7]), (6,))
-    b = _rayleigh(np.random.default_rng([42, 7]), (6,))
+    a = _rayleigh(np.random.default_rng([42, 7]), 6)
+    b = _rayleigh(np.random.default_rng([42, 7]), 6)
     assert np.array_equal(a, b)
-    c = _rayleigh(np.random.default_rng([42, 8]), (6,))
+    c = _rayleigh(np.random.default_rng([42, 8]), 6)
     assert not np.array_equal(a, c)
 
 

@@ -232,3 +232,15 @@ def test_scenario_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     s.save(path)
     assert from_tree(Scenario, json.loads(path.read_text())) == s
+
+
+def test_missing_required_key_names_record_field_and_index(tmp_path):
+    path = tmp_path / "scenario.json"
+    build_conference_hall(4, 12, seed=0).save(path)
+    for item in (0, 5):
+        tree = json.loads(path.read_text())
+        del tree["users"][item]["position"]
+        with pytest.raises(ValueError) as err:
+            from_tree(Scenario, tree)
+        assert str(err.value) == \
+            f"Scenario.users: UtNode is missing field position (item {item})"
