@@ -3,15 +3,21 @@
 The three technologies run through one realization loop, as they are one
 zero-forcing transmitter at different sizes (see `rates.zf_rates`). A group
 is a set of APs pooling their antennas, with AP block b of its composite
-channel to user k scaled by sqrt(g_bk); it zero-forces S streams and splits
-its pooled power P evenly over them. A multi-stream group draws channels,
-precoders and beams; other co-channel groups' users hear the beams through
-fresh channels, (P_j/S_j) * sum_s |v_s^H h|^2. A one-stream group (conjugate
-beamforming) draws its exact laws: user k gets P * sum_b g_bk E_bk with
-E_bk ~ Gamma(M_b), and the beam to a uniform user u* leaks
-P * sum_b w_b g_bk' * Exp(1) to another group's user k', with block shares
-w_b = g_bu* E_bu* / sum_b' g_b'u* E_b'u*. Each job draws from its own
-counter-derived stream, so everything is reproducible per seed.
+channel to user k scaled by sqrt(g_bk); it zero-forces S streams, splits
+its pooled power P evenly over them, and another co-channel group's user
+k' hears (P/S) * sum_s |v_s^H h|^2. Each job draws from its own
+counter-derived stream, so everything is reproducible per seed. A group
+draws one of three laws:
+
+- One stream (conjugate beam): user k gets P * sum_b g_bk E_bk, E_bk ~
+  Gamma(M_b), and the beam to a uniform user u* leaks P * sum_b w_b g_bk'
+  * Exp(1), with block shares w_b = g_bu* E_bu* / sum_b' g_b'u* E_b'u*.
+- Single-AP ZF (B = 1): its unit-gain columns are iid CN(0, 1), so H = QR
+  with |R_ii|^2 ~ Gamma(N - i), R_ij ~ CN(0, 1) above the diagonal and Q
+  independent of R. Stream s gets (gP/S) xi_s, xi_s = 1 / ||row s of R^-1||^2
+  (Gamma(N - S + 1), drawn so if nobody hears it), and k' hears
+  (P/S) g_k' ||W z||^2, W the unit rows of R^-1 and z ~ CN(0, I_S) fresh.
+- Pooled ZF (B >= 2): explicit channels, precoders and beams.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ class OracleReport:
     mean_rate: np.ndarray   # bit/s/Hz per user, chain- and fading-averaged
     std_error: np.ndarray
     n_realizations: int
-    resample_events: int = 0
+    resample_events: int = 0  # singular pooled ZF draws redrawn (no other law can be singular)
 
 
 class _Group(NamedTuple):
@@ -100,6 +106,24 @@ def _zf_precoders(h_cols: np.ndarray, beams: bool = True):
     return v, xi
 
 
+def _zf_factor(rng: np.random.Generator, n: int, s: int, shape: tuple):
+    """ZF on [*shape] draws of an [n, s] channel of iid CN(0, 1) entries,
+    from its Bartlett factor R: returns (R, xi, W) with the per-stream gains
+    xi = 1 / ||row s of R^-1||^2 [*shape, s] and the beams in the frame of
+    the channel, the unit rows W of R^-1, so W R = diag(sqrt(xi))."""
+    r = np.zeros(shape + (s, s), dtype=np.complex128)
+    upper = np.triu_indices(s, 1)
+    r[..., upper[0], upper[1]] = np.sqrt(0.5) * _gauss(rng, shape + (len(upper[0]),))
+    r[..., range(s), range(s)] = np.sqrt(rng.standard_gamma(n - np.arange(s), shape + (s,)))
+    inv = np.zeros_like(r)
+    for i in range(s - 1, -1, -1):  # back-substitution, one row of R^-1 a step
+        inv[..., i, i] = 1.0 / r[..., i, i]
+        inv[..., i, i + 1:] = -(r[..., i, None, i + 1:] @ inv[..., i + 1:, i + 1:])[..., 0, :] \
+            * inv[..., i, i, None]
+    norm = np.einsum("...ij,...ij->...i", inv.view(np.float64), inv.view(np.float64))
+    return r, 1.0 / norm, inv / np.sqrt(norm)[..., None]
+
+
 def _random_subsets(rng: np.random.Generator, n_draws: int, pool: int,
                     size: int) -> np.ndarray:
     """[n_draws, size] matrix of distinct indices drawn uniformly."""
@@ -107,25 +131,32 @@ def _random_subsets(rng: np.random.Generator, n_draws: int, pool: int,
     return np.argsort(scores, axis=1)[:, :size]
 
 
+def _gauss(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Complex draws whose real and imaginary parts are N(0, 1)."""
+    return rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+
+
 def _draw(rng: np.random.Generator, power: np.ndarray, nsub: int) -> np.ndarray:
     """Rayleigh channels [r, nsub, N, c] with per-entry power[N, r, c]."""
     amp = np.sqrt(0.5 * np.moveaxis(power, 0, -2))[:, None]
-    h = rng.standard_normal((amp.shape[0], nsub) + amp.shape[2:] + (2,))
-    h = h.view(np.complex128)[..., 0]
+    h = _gauss(rng, (amp.shape[0], nsub) + amp.shape[2:])
     h *= amp
     return h
 
 
 def _realization_bytes(groups: list[_Group], nsub: int) -> int:
-    """Bytes one realization of a job holds per subcarrier: a ZF group's [N, S]
-    channel, Gram matrix and inverse, a one-stream group's [B, k] energies, and
-    per co-channel pair (i, j) an [N_j, cols_i] channel or a [cols_i] leakage."""
-    total = 0
+    """Bytes one realization of a job holds per subcarrier: a one-stream group's
+    [B, k] energies, a single-AP ZF group's [S] xi (if heard, [S, S] factor and
+    beams), a pooled one's [N, S] channel, Gram matrix and inverse; per pair (i, j)
+    a [cols_i] leakage, an [S_j, cols_i] z and its product, or an [N_j, cols_i] h."""
+    total, heard = 0, len(groups) > 1
     for g in groups:
         cols = len(g.users) if g.streams == 1 else g.streams
-        own = 8 * len(g.aps) if g.streams == 1 else 16 * (len(g.rows) + 2 * cols)
-        heard = sum(8 if j.streams == 1 else 16 * len(j.rows) for j in groups if j is not g)
-        total += cols * (own + heard)
+        own = (8 * len(g.aps) if g.streams == 1 else 8 + 32 * cols * heard
+               if len(g.aps) == 1 else 16 * (len(g.rows) + 2 * cols))
+        hears = sum(8 if j.streams == 1 else 32 * j.streams if len(j.aps) == 1
+                    else 16 * len(j.rows) for j in groups if j is not g)
+        total += cols * (own + hears)
     return nsub * total
 
 
@@ -133,8 +164,9 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
              r: int, nsub: int, sums: list[np.ndarray]) -> int:
     """Draw r realizations of one job's groups and add each scored user's
     subcarrier-averaged rate and its square into its group's [2, users]
-    sums. Returns the number of singular ZF draws redrawn."""
+    sums. Returns the number of singular pooled ZF draws redrawn."""
     picks, signals, beams, resamples = [], [], [], 0
+    heard = len(groups) > 1
     for g in groups:
         k = len(g.users)
         if g.streams == 1:
@@ -149,18 +181,25 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
             beams.append(share / share.sum(axis=2, keepdims=True))
             continue
         picks.append(_random_subsets(rng, r, k, g.streams))
-        link = gains.ap_to_ut[g.rows[:, None, None], g.users[picks[-1]]]
-        # Precode on columns normalized to unit mean gain, so a user without
-        # any gain (outside every sector) keeps a finite beam and an
-        # invertible Gram matrix. Beams are formed only if someone hears them.
-        scale = link.mean(axis=0)
-        link /= np.where(scale > 0, scale, 1.0)
-        link += scale == 0
-        try:
-            v, xi = _zf_precoders(_draw(rng, link, nsub), len(groups) > 1)
-        except np.linalg.LinAlgError:
-            resamples += 1
-            v, xi = _zf_precoders(_draw(rng, link, nsub), len(groups) > 1)
+        if len(g.aps) == 1:
+            # One AP's unit-gain columns are iid CN(0, 1), sectors or not:
+            # draw their Bartlett factor, or only xi if nobody hears the beams.
+            n, scale = len(g.rows), gains.ap_to_ut[g.aps[0], g.users[picks[-1]]]
+            xi, v = (_zf_factor(rng, n, g.streams, (r, nsub))[1:] if heard else
+                     (rng.standard_gamma(n - g.streams + 1, (r, nsub, g.streams)), None))
+        else:
+            link = gains.ap_to_ut[g.rows[:, None, None], g.users[picks[-1]]]
+            # Precode on columns normalized to unit mean gain, so a user
+            # without any gain (outside every sector) keeps a finite beam and
+            # an invertible Gram matrix.
+            scale = link.mean(axis=0)
+            link /= np.where(scale > 0, scale, 1.0)
+            link += scale == 0
+            try:
+                v, xi = _zf_precoders(_draw(rng, link, nsub), heard)
+            except np.linalg.LinAlgError:
+                resamples += 1
+                v, xi = _zf_precoders(_draw(rng, link, nsub), heard)
         signals.append(xi * scale[:, None] * (g.power / g.streams))
         beams.append(v)
     for i, g in enumerate(groups):
@@ -172,6 +211,13 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
             if other.streams == 1:
                 power = np.moveaxis(gains.ap_to_ut[other.aps[:, None, None], cols], 0, -2)
                 leak = (beams[j] @ power) * rng.standard_exponential((r, nsub, cols.shape[1]))
+            elif len(other.aps) == 1:
+                # A fresh channel seen in the frame of the AP's served
+                # columns is z ~ CN(0, g I_S); there the beams are W's rows.
+                y = beams[j] @ _gauss(rng, (r, nsub, other.streams, cols.shape[1]))
+                leak = 0.5 * gains.ap_to_ut[other.aps[0], cols][:, None] * (
+                    np.einsum("rnsc,rnsc->rnc", y.real, y.real)
+                    + np.einsum("rnsc,rnsc->rnc", y.imag, y.imag))
             else:
                 # A fresh circularly symmetric h makes h^T v as distributed
                 # as v^H h, without conjugating the beams.

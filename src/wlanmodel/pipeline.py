@@ -244,6 +244,10 @@ def evaluate(config: RunConfig) -> EvaluationResult:
             radio_plan.associate_users_to_clusters(gains, aps, cluster_plan,
                                                    config.seeds.plan)
             groups = rates.cluster_groups(cluster_plan)
+        blind = [(c, int((gains.ap_to_ut[np.ix_(tx, cell)] == 0).any(axis=0).sum()))
+                 for ch in groups.values() for c, tx, cell in zip(ch.ids, ch.groups, ch.cells)]
+        notes += [f"cluster {c}: {n} users are outside some of its APs' sectors; pooled "
+                  "zero-forcing still counts all its antennas for them" for c, n in blind if n]
         if len(cluster_plan.clusters) > len(channels):
             notes.append(
                 "co-channel clusters transmit concurrently; inter-cluster "

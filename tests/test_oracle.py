@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from wlanmodel import oracle, pipeline, rates
@@ -15,6 +17,7 @@ from wlanmodel.csma import (
 )
 from wlanmodel.oracle import (
     OracleConfig,
+    _zf_factor,
     _zf_precoders,
     mc_dist_rate,
     mc_mu_rate,
@@ -513,3 +516,98 @@ def test_sectorized_ap_blind_to_its_user_matches_explicit_draws(monkeypatch):
         return validations[-1].oracle_report
     _assert_matches_explicit_draws(monkeypatch, run)
     assert np.any(validations[0].det_rates == 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda s: st.tuples(st.integers(s, s + 6), st.just(s))),
+       st.integers(0, 2**32 - 1))
+def test_zf_factor_gives_unit_interference_free_beams(antennas_streams, seed):
+    # Every beam row has unit norm and nulls the other streams' columns of
+    # R (W R = diag(sqrt(xi))); each stream's gain is Gamma(N - S + 1), and
+    # a fresh z ~ CN(0, I_S) meets the S unit rows with mean energy S.
+    n, s = antennas_streams
+    rng = np.random.default_rng(seed)
+    draws = 4000
+    r, xi, w = _zf_factor(rng, n, s, (draws,))
+    assert np.allclose(np.linalg.norm(w, axis=-1), 1.0)
+    assert np.allclose(w @ r, np.sqrt(xi)[..., None] * np.eye(s), atol=1e-9)
+    assert np.allclose(r, np.triu(r))
+    shape = n - s + 1
+    assert np.all(np.abs(xi.mean(axis=0) - shape) <= 5 * math.sqrt(shape / draws))
+    z = _rayleigh(rng, (draws, s))
+    energy = np.sum(np.abs(np.einsum("dst,dt->ds", w, z)) ** 2, axis=-1)
+    assert abs(energy.mean() - s) <= 5 * s / math.sqrt(draws)
+
+
+def test_co_channel_mu_subcarriers_match_explicit_draws(monkeypatch):
+    # Six single-AP ZF cells on one channel without carrier sensing, every
+    # one at S >= 2, each hearing the other five through their beams.
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 30},
+        technology="concentrated_mu_mimo", channelization="1x80", cca_db=None,
+        oracle=OracleConfig(n_realizations=1500, subcarriers=4))
+    seen = _assert_matches_explicit_draws(
+        monkeypatch, lambda: pipeline.mc_validate(cfg).oracle_report)
+    assert all(len(groups) == 6 for groups in seen)
+    assert min(grp.streams for groups in seen for grp in groups) >= 2
+
+
+def test_sectorized_mu_ap_blind_to_served_users_matches_explicit_draws(monkeypatch):
+    # 90-degree sectors leave AP 0 blind to most of its 15 users, which it
+    # still serves (zero signal) and whose streams still use its antennas.
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 8, "n_users": 60},
+        technology="concentrated_mu_mimo", sector_width_deg=90.0, cca_db=None,
+        oracle=OracleConfig(n_realizations=1500))
+    validations = []
+
+    def run():
+        validations.append(pipeline.mc_validate(cfg))
+        return validations[-1].oracle_report
+    seen = _assert_matches_explicit_draws(monkeypatch, run)
+    det = validations[0].deterministic
+    blind = [grp for groups in seen for grp in groups if grp.streams > 1
+             and np.any(det.gains.ap_to_ut[grp.aps[0], grp.users] == 0)]
+    assert blind
+
+
+def test_mu_cells_at_full_rank_match_explicit_draws(monkeypatch):
+    # Two strong cells of S = N users (N = 3 and N = 2) that contend: alone,
+    # nobody hears their beams; together, each hears the other's.
+    aps = (ApNode(0, (0.0, 0.0), antennas=3), ApNode(1, (9.0, 0.0), antennas=2))
+    users = tuple(UtNode(k, (float(k), 5.0)) for k in range(5))
+    scenario = Scenario(width_m=10.0, height_m=10.0, aps=aps, users=users)
+    cells = {0: (0, 1, 2), 1: (3, 4)}
+    g = np.full((2, 5), 5e-8)
+    for ap, cell in cells.items():
+        g[ap, list(cell)] = [1e-6, 3e-6, 1e-5][:len(cell)]
+    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((2, 2)), seed=0)
+    plan = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0}, 0)
+    assoc = AssociationMap(sets=cells, permutation_seed=0)
+    mac = {0: ChannelCtmc(0, (0, 1), stationary_distribution(
+        np.array([[1, 0], [0, 1], [1, 1]]), rho=1.0))}
+    seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_mu_rate(
+        scenario, gains, plan, assoc, mac, OracleConfig(n_realizations=4000), seed=5))
+    assert sorted(len(groups) for groups in seen) == [1, 1, 2]
+    assert all(grp.streams == grp.antennas[0] for groups in seen for grp in groups)
+
+
+def test_mu_validation_stays_under_the_byte_budget(monkeypatch):
+    # Six co-channel ZF cells of 16 antennas (S about 8): the one job's
+    # realizations take several chunks, and the whole validation's traced
+    # peak stays within a few budgets (in one chunk it would not).
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 60},
+        technology="concentrated_mu_mimo", channelization="1x80", cca_db=None,
+        antennas=16)
+    chunks, realize = [], oracle._realize
+    monkeypatch.setattr(oracle, "_realize", lambda rng, gains, groups, r, *rest: (
+        chunks.append(r) or realize(rng, gains, groups, r, *rest)))
+    tracemalloc.start()
+    try:
+        pipeline.mc_validate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunks) > 1
+    assert peak < 4 * rates.BLOCK_BYTES

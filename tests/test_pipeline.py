@@ -88,6 +88,24 @@ def test_distributed_co_channel_clusters_noted_and_slower():
     assert crowded.report.summary["mean"] < clean.report.summary["mean"] * 1.5
 
 
+@pytest.mark.parametrize("sector", [90.0, None])
+def test_pooled_users_outside_some_sectors_are_noted(tmp_path, sector):
+    # With 90-degree sectors the one cluster's APs cannot all reach every
+    # user, while its zero-forcing rates still count all of its antennas.
+    res = pipeline.evaluate(desk_config(
+        scenario={"generator": "conference_hall", "n_aps": 8, "n_users": 60},
+        technology="distributed_mu_mimo", sector_width_deg=sector, cca_db=None))
+    (cluster,) = res.cluster_plan.clusters
+    blind = int((res.gains.ap_to_ut[list(cluster.ap_ids)] == 0).any(axis=0).sum())
+    notes = [n for n in res.notes if "sectors" in n]
+    assert notes == ([f"cluster 0: {blind} users are outside some of its APs' sectors; "
+                      "pooled zero-forcing still counts all its antennas for them"]
+                     if sector else [])
+    assert blind > 0 if sector else blind == 0
+    paths = pipeline.write_report(res, tmp_path)
+    assert json.loads(paths["summary"].read_text())["notes"] == res.notes
+
+
 def test_userless_co_channel_cluster_interferes_with_nobody():
     # Six one-AP clusters on one channel and two users: four clusters have
     # no users, so they transmit nothing, and each user sees only the other
