@@ -5,6 +5,10 @@ threshold defer to each other; feasible transmission patterns are the
 independent sets of the contention graph. In the idealized collision-free
 chain, the stationary probability of a pattern depends only on its size:
 pi_m proportional to rho^|m|, with rho the transmit/countdown time ratio.
+
+The graph is a channel per AP and a symmetric bool adjacency matrix. Each
+channel's chain is enumerated over neighbour bitmasks held as Python ints,
+since one channel can hold more than 64 APs.
 """
 
 from __future__ import annotations
@@ -35,25 +39,15 @@ class StateSpaceOverflow(RuntimeError):
 
 @dataclass
 class ContentionGraph:
-    ap_order: tuple[int, ...]
-    channel_of: dict[int, int]
-    adjacency: dict[int, frozenset[int]]
-    cca_db: float | None  # None means carrier sensing disabled
-
-    @property
-    def n_aps(self) -> int:
-        return len(self.ap_order)
-
-    @property
-    def channels(self) -> list[int]:
-        return sorted(set(self.channel_of.values()))
+    channel: np.ndarray    # [n_aps] channel id of each AP
+    adjacency: np.ndarray  # [n_aps, n_aps] symmetric bool: the pair defers
+    cca_db: float | None   # None means carrier sensing disabled
 
     def members(self, channel_id: int) -> list[int]:
-        return [a for a in self.ap_order if self.channel_of[a] == channel_id]
+        return np.flatnonzero(self.channel == channel_id).tolist()
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (i, j) for i, nbrs in self.adjacency.items() for j in nbrs if i < j)
+        return [tuple(e) for e in np.argwhere(np.triu(self.adjacency, 1)).tolist()]
 
 
 def build_contention_graph(gains: GainMatrix, plan: ChannelPlan,
@@ -61,37 +55,20 @@ def build_contention_graph(gains: GainMatrix, plan: ChannelPlan,
                            cca_db: float | None) -> ContentionGraph:
     """Edge (i, j) iff same channel and either side receives the other at or
     above the threshold (sensing symmetrized by OR)."""
-    n = len(aps)
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
+    channel = np.array([plan.ap_channel[a] for a in range(len(aps))], dtype=int)
+    heard = np.zeros((channel.size, channel.size), dtype=bool)
     if cca_db is not None:
-        thr = 10.0 ** (cca_db / 10.0)
         powers = np.array([ap.power_linear for ap in aps])
-        for i in range(n):
-            for j in range(i + 1, n):
-                if plan.ap_channel[i] != plan.ap_channel[j]:
-                    continue
-                if powers[j] * gains.ap_to_ap[j, i] >= thr or \
-                   powers[i] * gains.ap_to_ap[i, j] >= thr:
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-    return ContentionGraph(
-        ap_order=tuple(range(n)),
-        channel_of=dict(plan.ap_channel),
-        adjacency={i: frozenset(nbrs) for i, nbrs in adjacency.items()},
-        cca_db=cca_db,
-    )
+        heard = powers[:, None] * gains.ap_to_ap >= 10.0 ** (cca_db / 10.0)
+    adjacency = (heard | heard.T) & (channel[:, None] == channel)
+    np.fill_diagonal(adjacency, False)
+    return ContentionGraph(channel=channel, adjacency=adjacency, cca_db=cca_db)
 
 
-def _neighbor_masks(members: list[int], adjacency: dict[int, frozenset[int]]) -> list[int]:
-    index = {ap: b for b, ap in enumerate(members)}
-    masks = []
-    for ap in members:
-        m = 0
-        for nbr in adjacency[ap]:
-            if nbr in index:
-                m |= 1 << index[nbr]
-        masks.append(m)
-    return masks
+def _neighbor_masks(adjacency: np.ndarray) -> list[int]:
+    """Each row's neighbours as the bits of a Python int, of any width."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _all_independent_states(nbr: list[int], cap: int) -> np.ndarray:
@@ -170,9 +147,9 @@ def _channel_state_arrays(graph: ContentionGraph, mode: CtmcMode | None, cap: in
     to its maximal independent sets only when that channel overflows `cap`.
     """
     result = {}
-    for ch in graph.channels:
+    for ch in np.unique(graph.channel).tolist():
         members = graph.members(ch)
-        nbr = _neighbor_masks(members, graph.adjacency)
+        nbr = _neighbor_masks(graph.adjacency[np.ix_(members, members)])
         ch_mode = mode
         if mode == CtmcMode.NO_CSMA:
             states = np.ones((1, len(members)), dtype=np.uint8)
@@ -203,11 +180,11 @@ def enumerate_states(graph: ContentionGraph, mode: CtmcMode,
     """State space over all APs; cross-channel states are Cartesian products
     of the per-channel independent sets.
 
-    Returns a [n_states, n_aps] 0/1 matrix with columns in graph.ap_order.
+    Returns a [n_states, n_aps] 0/1 matrix with columns in AP id order.
     Raises StateSpaceOverflow beyond `cap` total states.
     """
     if mode == CtmcMode.NO_CSMA:
-        return np.ones((1, graph.n_aps), dtype=np.uint8)
+        return np.ones((1, graph.channel.size), dtype=np.uint8)
     per_channel = _channel_state_arrays(graph, mode, cap)
     total = 1
     for _, states, _ in per_channel.values():
@@ -216,13 +193,11 @@ def enumerate_states(graph: ContentionGraph, mode: CtmcMode,
             raise StateSpaceOverflow(
                 f"cross-channel product exceeds {cap} states; "
                 "use MAXIMAL_ONLY mode")
-    col = {ap: idx for idx, ap in enumerate(graph.ap_order)}
-    out = np.zeros((total, graph.n_aps), dtype=np.uint8)
+    out = np.zeros((total, graph.channel.size), dtype=np.uint8)
     sizes = [len(states) for _, states, _ in per_channel.values()]
     grids = np.indices(sizes).reshape(len(sizes), -1)
     for axis, (members, states, _) in enumerate(per_channel.values()):
-        cols = [col[ap] for ap in members]
-        out[:, cols] = states[grids[axis]]
+        out[:, members] = states[grids[axis]]
     return out
 
 

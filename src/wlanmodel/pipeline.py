@@ -244,6 +244,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
             radio_plan.associate_users_to_clusters(gains, aps, cluster_plan,
                                                    config.seeds.plan)
             groups = rates.cluster_groups(cluster_plan)
+        zero_rate, attached = cluster_plan.zero_rate_users, "to cluster 0"
         blind = [(c, int((gains.ap_to_ut[np.ix_(tx, cell)] == 0).any(axis=0).sum()))
                  for ch in groups.values() for c, tx, cell in zip(ch.ids, ch.groups, ch.cells)]
         notes += [f"cluster {c}: {n} users are outside some of its APs' sectors; pooled "
@@ -259,6 +260,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
             peak, snr = rates.peak_rate_matrix(gains, aps, tech)
             assoc = radio_plan.associate_users(peak, config.seeds.plan,
                                                fallback_metric=snr)
+        zero_rate, attached = assoc.zero_rate_users, "by raw SNR"
         with _stage("contention"):
             graph = csma.build_contention_graph(gains, plan, aps, config.cca_db)
             # Disabled carrier sensing means nobody defers: single all-on state.
@@ -269,9 +271,8 @@ def evaluate(config: RunConfig) -> EvaluationResult:
                   f"chain uses its {c.model.n_states} maximal independent sets only"
                   for ch, c in sorted(mac.items())
                   if c.model.mode == csma.CtmcMode.MAXIMAL_ONLY]
-        if assoc.zero_rate_users:
-            notes.append(f"{len(assoc.zero_rate_users)} zero-rate users "
-                         "attached by raw SNR")
+    if zero_rate:
+        notes.append(f"{len(zero_rate)} zero-rate users attached {attached}")
     stream_choice: dict = {}
     with _stage("rates"):
         avg = np.zeros(n_users)

@@ -1,20 +1,19 @@
 """Channel allocation, user-AP association, and coordination clusters.
 
 All three use one-pass greedy rules over seeded random permutations; ties
-break toward the lowest id everywhere.
+break toward the lowest id everywhere. Users join APs and clusters through
+one loop (`_greedy`) over isolated peaks, and `isolated_snr` is the one
+formula behind those peaks: a group of APs serving one user alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .propagation import GainMatrix
 from .scenario import ApNode
-
-TOTAL_BANDWIDTH_HZ = 80e6
 
 #: Channelization presets: how the 80 MHz block is partitioned.
 CHANNELIZATIONS = {"4x20": (4, 20e6), "2x40": (2, 40e6), "1x80": (1, 80e6)}
@@ -23,7 +22,6 @@ CHANNELIZATIONS = {"4x20": (4, 20e6), "2x40": (2, 40e6), "1x80": (1, 80e6)}
 @dataclass(frozen=True)
 class Channel:
     id: int
-    center_mhz: float
     width_hz: float
 
 
@@ -34,11 +32,7 @@ def channel_preset(name: str) -> tuple[Channel, ...]:
     except KeyError:
         raise ValueError(f"unknown channelization {name!r} "
                          f"(choose from {sorted(CHANNELIZATIONS)})") from None
-    w_mhz = width / 1e6
-    return tuple(
-        Channel(id=c, center_mhz=(c + 0.5) * w_mhz, width_hz=width)
-        for c in range(count)
-    )
+    return tuple(Channel(id=c, width_hz=width) for c in range(count))
 
 
 @dataclass
@@ -54,23 +48,19 @@ def assign_channels(gains: GainMatrix, aps: tuple[ApNode, ...],
 
     Each AP takes the channel minimizing the total interference power it
     would receive from the APs already assigned there; exact ties go to the
-    lowest channel id.
+    lowest channel id. received[c, i] adds up P_j * g_ji over the APs j on
+    channel c in the order they joined.
     """
     if not channels:
         raise ValueError("need at least one channel")
-    rng = np.random.default_rng([seed, 0])
-    order = rng.permutation(len(aps))
+    order = np.random.default_rng([seed, 0]).permutation(len(aps))
     powers = np.array([ap.power_linear for ap in aps])
+    received = np.zeros((len(channels), len(aps)))
     assignment: dict[int, int] = {}
-    members: dict[int, list[int]] = {ch.id: [] for ch in channels}
-    for i in order:
-        best_id, best_interf = None, math.inf
-        for ch in channels:  # ascending id, so ties keep the lowest
-            interf = sum(powers[j] * gains.ap_to_ap[j, i] for j in members[ch.id])
-            if interf < best_interf:
-                best_id, best_interf = ch.id, interf
-        assignment[int(i)] = best_id
-        members[best_id].append(int(i))
+    for i in order.tolist():
+        c = int(np.argmin(received[:, i]))  # ascending ids: the first minimum
+        assignment[i] = channels[c].id
+        received[c] += powers[i] * gains.ap_to_ap[i]
     return ChannelPlan(channels=channels, ap_channel=assignment, permutation_seed=seed)
 
 
@@ -94,6 +84,42 @@ class AssociationMap:
         return {ut: ap for ap, uts in self.sets.items() for ut in uts}
 
 
+def isolated_snr(gains: GainMatrix, aps: tuple[ApNode, ...],
+                 groups: list[tuple[int, ...]] | None = None) -> np.ndarray:
+    """SNR of each group of APs serving each user alone, [n_groups, n_users]:
+    (N/B * sum_b g_bk) * sum_b P_b, rounded in that order, over its B APs
+    with N antennas in all: rates._zf_sinr at one stream without
+    interference. Without groups every AP is one, and the gain matrix is
+    read in place.
+    """
+    if groups is None:
+        groups, g_sum = [(a,) for a in range(len(aps))], gains.ap_to_ut
+    else:
+        g_sum = np.array([gains.ap_to_ut[list(g)].sum(axis=0) for g in groups])
+    snr = np.array([sum(aps[a].antennas for a in g) / len(g) for g in groups])[:, None] * g_sum
+    snr *= np.array([sum(aps[a].power_linear for a in g) for g in groups])[:, None]
+    return snr
+
+
+def _greedy(peak: np.ndarray, order: np.ndarray, fallback: np.ndarray | None = None
+            ) -> tuple[list[list[int]], frozenset[int]]:
+    """Users (columns) in `order` each join the row maximizing peak / (its
+    load after joining); argmax keeps the lowest row on ties. A user with no
+    positive peak joins the argmax of its `fallback` column (of its peaks
+    without one) and is zero-rate. Returns each row's users in join order
+    and the zero-rate users.
+    """
+    dead = (peak <= 0).all(axis=0).tolist()
+    fallback = peak if fallback is None else fallback
+    load = np.ones(peak.shape[0])  # each row's load after one more joins
+    joined: list[list[int]] = [[] for _ in range(peak.shape[0])]
+    for k in order.tolist():
+        best = int(np.argmax(fallback[:, k] if dead[k] else peak[:, k] / load))
+        joined[best].append(k)
+        load[best] += 1.0
+    return joined, frozenset(k for k, d in enumerate(dead) if d)
+
+
 def associate_users(peak_rates: np.ndarray, seed: int,
                     fallback_metric: np.ndarray | None = None) -> AssociationMap:
     """Greedy association by available capacity in a seeded random user order.
@@ -103,34 +129,16 @@ def associate_users(peak_rates: np.ndarray, seed: int,
     rates) fall back to the argmax of `fallback_metric` (e.g. raw SNR) and
     are flagged as zero-rate.
     """
-    n_aps, n_users = peak_rates.shape
-    rng = np.random.default_rng([seed, 1])
-    order = rng.permutation(n_users)
-    sets: dict[int, list[int]] = {i: [] for i in range(n_aps)}
-    zero_rate = set()
-    for k in order:
-        k = int(k)
-        col = peak_rates[:, k]
-        if np.all(col <= 0):
-            zero_rate.add(k)
-            col = fallback_metric[:, k] if fallback_metric is not None else col
-            best = int(np.argmax(col))
-        else:
-            scores = col / np.array([len(sets[i]) + 1 for i in range(n_aps)])
-            best = int(np.argmax(scores))  # argmax keeps the lowest id on ties
-        sets[best].append(k)
-    return AssociationMap(
-        sets={i: tuple(uts) for i, uts in sets.items()},
-        permutation_seed=seed,
-        zero_rate_users=frozenset(zero_rate),
-    )
+    order = np.random.default_rng([seed, 1]).permutation(peak_rates.shape[1])
+    joined, zero_rate = _greedy(peak_rates, order, fallback_metric)
+    return AssociationMap(sets={i: tuple(uts) for i, uts in enumerate(joined)},
+                          permutation_seed=seed, zero_rate_users=zero_rate)
 
 
 @dataclass(frozen=True)
 class Cluster:
     ap_ids: tuple[int, ...]
     channel_id: int
-    p_sum: float  # pooled linear transmit power of the member APs
 
 
 @dataclass
@@ -138,6 +146,7 @@ class ClusterPlan:
     clusters: tuple[Cluster, ...]
     channels: tuple[Channel, ...]
     user_cluster: dict[int, int] = field(default_factory=dict)
+    zero_rate_users: frozenset[int] = frozenset()
 
 
 def _kmeans_init(positions: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -198,42 +207,21 @@ def build_clusters(aps: tuple[ApNode, ...], gains: GainMatrix, n_clusters: int,
     groups = [tuple(int(a) for a in np.flatnonzero(assign == j))
               for j in range(n_clusters)]
     groups.sort(key=lambda g: g[0])
-    clusters = tuple(
-        Cluster(
-            ap_ids=g,
-            channel_id=channels[j % len(channels)].id,
-            p_sum=float(sum(aps[a].power_linear for a in g)),
-        )
-        for j, g in enumerate(groups)
-    )
+    clusters = tuple(Cluster(ap_ids=g, channel_id=channels[j % len(channels)].id)
+                     for j, g in enumerate(groups))
     return ClusterPlan(clusters=clusters, channels=channels)
 
 
 def associate_users_to_clusters(gains: GainMatrix, aps: tuple[ApNode, ...],
                                 plan: ClusterPlan, seed: int) -> dict[int, int]:
-    """Greedy user-cluster association by available capacity.
-
-    The peak-rate proxy for cluster c is the single-user pooled-array rate
-    log2(1 + (sum of member antennas / B) * sum_i g_ik * p_sum); the score
-    divides it by the cluster load after joining. Ties go to the lowest
-    cluster index.
+    """Greedy user-cluster association by available capacity, as in
+    associate_users, with log2(1 + isolated_snr) of each cluster's pooled
+    APs as its peak in every rate mode. A user no cluster reaches joins
+    cluster 0 and is zero-rate. Fills plan.user_cluster and
+    plan.zero_rate_users.
     """
-    n_users = gains.ap_to_ut.shape[1]
-    rng = np.random.default_rng([seed, 3])
-    order = rng.permutation(n_users)
-    peak = np.zeros((len(plan.clusters), n_users))
-    for ci, cluster in enumerate(plan.clusters):
-        members = list(cluster.ap_ids)
-        g_sum = gains.ap_to_ut[members, :].sum(axis=0)
-        m_eff = sum(aps[a].antennas for a in members) / len(members)
-        peak[ci] = np.log2(1.0 + m_eff * g_sum * cluster.p_sum)
-    loads = np.zeros(len(plan.clusters))
-    user_cluster: dict[int, int] = {}
-    for k in order:
-        k = int(k)
-        scores = peak[:, k] / (loads + 1.0)
-        best = int(np.argmax(scores))
-        user_cluster[k] = best
-        loads[best] += 1
-    plan.user_cluster = user_cluster
-    return user_cluster
+    peak = np.log2(1.0 + isolated_snr(gains, aps, [c.ap_ids for c in plan.clusters]))
+    order = np.random.default_rng([seed, 3]).permutation(peak.shape[1])
+    joined, plan.zero_rate_users = _greedy(peak, order)
+    plan.user_cluster = {k: ci for ci, uts in enumerate(joined) for k in uts}
+    return plan.user_cluster

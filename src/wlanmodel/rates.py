@@ -19,7 +19,7 @@ import numpy as np
 from .csma import ChannelCtmc, CtmcMode, CtmcModel, stationary_distribution
 from .metrics import DEFAULT_MCS_TABLE, McsTable, mcs_quantize
 from .propagation import GainMatrix
-from .radio_plan import AssociationMap, Cluster, ClusterPlan
+from .radio_plan import AssociationMap, Cluster, ClusterPlan, isolated_snr
 from .scenario import ApNode
 
 
@@ -63,10 +63,9 @@ def spectral_efficiency(sinr_linear, tech: TechConfig):
 
 def peak_rate_matrix(gains: GainMatrix, aps: tuple[ApNode, ...],
                      tech: TechConfig = TechConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Isolated peak rates eff(g*M*P) for every (AP, user) pair, and the
-    beamformed SNR g*M*P they come from; both [n_aps, n_users]."""
-    snr = gains.ap_to_ut * np.array(
-        [ap.antennas * ap.power_linear for ap in aps])[:, None]
+    """Isolated peak rates eff(M*g*P) for every (AP, user) pair, and the
+    beamformed SNR M*g*P (isolated_snr) they come from; both [n_aps, n_users]."""
+    snr = isolated_snr(gains, aps)
     return spectral_efficiency(snr, tech), snr
 
 
@@ -294,10 +293,11 @@ def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
     members = list(cluster.ap_ids)
     n_antennas = sum(aps[a].antennas for a in members)
     g_sum = gains.ap_to_ut[np.ix_(members, user_ids)].sum(axis=0)
+    p_sum = sum(aps[a].power_linear for a in members)
     interf = (np.zeros(k_total) if co_channel_interference is None
               else np.asarray(co_channel_interference, dtype=float))
     rates, streams = zf_rates(
-        g_sum * cluster.p_sum, 1.0 + interf,
+        g_sum * p_sum, 1.0 + interf,
         np.zeros(k_total, dtype=int), [n_antennas], [len(members)],
         [min(k_total, n_antennas)], tech)
     return rates, int(streams[0])

@@ -98,7 +98,7 @@ def test_criterion_3_reduction_identities():
         # pooled array with B=1, I=0 vs concentrated with I=0
         mu_all, streams_all = mu_channel_state_rates(gains, assoc, aps, [0], on,
                                                      TechConfig(), n_users)
-        cluster = Cluster(ap_ids=(0,), channel_id=0, p_sum=aps[0].power_linear)
+        cluster = Cluster(ap_ids=(0,), channel_id=0)
         dist_r, s_star = dist_mu_rate(cluster, gains, aps, list(range(n_users)))
         assert s_star == streams_all[0, 0]
         assert np.max(np.abs(dist_r - mu_all[0])) <= 1e-12

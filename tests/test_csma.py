@@ -28,16 +28,11 @@ def airtime_shares(model):
 
 def make_graph(n, edges, channel_of=None, cca_db=10.0):
     channel_of = channel_of or {i: 0 for i in range(n)}
-    adjacency = {i: set() for i in range(n)}
+    adjacency = np.zeros((n, n), dtype=bool)
     for a, b in edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    return ContentionGraph(
-        ap_order=tuple(range(n)),
-        channel_of=channel_of,
-        adjacency={i: frozenset(s) for i, s in adjacency.items()},
-        cca_db=cca_db,
-    )
+        adjacency[a, b] = adjacency[b, a] = True
+    return ContentionGraph(channel=np.array([channel_of[i] for i in range(n)]),
+                           adjacency=adjacency, cca_db=cca_db)
 
 
 # Two triangles joined by a perfect matching: its independent sets are the

@@ -183,8 +183,7 @@ def _cluster_setup(b_aps, m_antennas, n_users, g=1e-7, power_db=90.0):
                         height_m=10.0, aps=aps, users=users)
     gains = GainMatrix(ap_to_ut=np.full((b_aps, n_users), g),
                        ap_to_ap=np.zeros((b_aps, b_aps)), seed=0)
-    cluster = Cluster(ap_ids=tuple(range(b_aps)), channel_id=0,
-                      p_sum=sum(ap.power_linear for ap in aps))
+    cluster = Cluster(ap_ids=tuple(range(b_aps)), channel_id=0)
     plan = ClusterPlan(clusters=(cluster,), channels=channel_preset("1x80"),
                        user_cluster={k: 0 for k in range(n_users)})
     return scenario, gains, plan
@@ -494,8 +493,7 @@ def test_pooled_one_stream_clusters_match_explicit_draws(monkeypatch):
     g[:4, 2:5] = np.array([1e-7, 1e-10, 1e-10, 1e-7])[:, None]
     g[4, 2:5] = 1e-7
     gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((5, 5)), seed=0)
-    clusters = tuple(Cluster(ids, 0, sum(aps[a].power_linear for a in ids))
-                     for ids in ((0, 1), (2, 3), (4,)))
+    clusters = tuple(Cluster(ids, 0) for ids in ((0, 1), (2, 3), (4,)))
     plan = ClusterPlan(clusters=clusters, channels=channel_preset("1x80"),
                        user_cluster={0: 0, 5: 0, 1: 1, 2: 2, 3: 2, 4: 2})
     seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_dist_rate(

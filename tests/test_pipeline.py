@@ -3,7 +3,7 @@ import math
 import re
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -102,6 +102,28 @@ def test_pooled_users_outside_some_sectors_are_noted(tmp_path, sector):
                       "pooled zero-forcing still counts all its antennas for them"]
                      if sector else [])
     assert blind > 0 if sector else blind == 0
+    paths = pipeline.write_report(res, tmp_path)
+    assert json.loads(paths["summary"].read_text())["notes"] == res.notes
+
+
+@pytest.mark.parametrize("sector", [90.0, None])
+def test_distributed_zero_rate_users_are_noted(tmp_path, sector):
+    # With 90-degree sectors some users are outside every AP's sector: no
+    # cluster reaches them, so they join cluster 0 at zero rate, as SU notes.
+    cfg = desk_config(scenario={"generator": "conference_hall", "n_aps": 8, "n_users": 60},
+                      technology="distributed_mu_mimo", n_clusters=2,
+                      sector_width_deg=sector, cca_db=None)
+    res = pipeline.evaluate(cfg)
+    unreached = np.flatnonzero((res.gains.ap_to_ut == 0).all(axis=0))
+    assert unreached.size > 0 if sector else unreached.size == 0
+    assert res.cluster_plan.zero_rate_users == frozenset(unreached.tolist())
+    assert np.all(res.report.spectral_efficiency[unreached] == 0)
+    assert np.all(res.report.serving[unreached] == 0)
+    want = [f"{unreached.size} zero-rate users attached to cluster 0"] if sector else []
+    assert [n for n in res.notes if "zero-rate" in n] == want
+    su = pipeline.evaluate(replace(cfg, technology="su_beamforming"))
+    assert [n for n in su.notes if "zero-rate" in n] == (
+        [f"{unreached.size} zero-rate users attached by raw SNR"] if sector else [])
     paths = pipeline.write_report(res, tmp_path)
     assert json.loads(paths["summary"].read_text())["notes"] == res.notes
 

@@ -8,6 +8,7 @@ from wlanmodel.radio_plan import (
     associate_users_to_clusters,
     build_clusters,
     channel_preset,
+    isolated_snr,
 )
 from wlanmodel.rates import cluster_groups
 from wlanmodel.scenario import ApNode, Scenario, UtNode
@@ -149,7 +150,9 @@ def test_build_clusters_basic():
     chans = channel_preset("4x20")
     plan = build_clusters(aps, gains, 1, chans)
     assert plan.clusters[0].ap_ids == tuple(range(6))
-    assert plan.clusters[0].p_sum == pytest.approx(6 * 10 ** 9)
+    # Pooled: 24 antennas over 6 APs, 6 x 1e-7 gain, 6 x 1e9 power.
+    snr = isolated_snr(gains, aps, [plan.clusters[0].ap_ids])
+    assert snr == pytest.approx(np.full((1, 4), 4 * 6e-7 * 6e9))
     with pytest.raises(ValueError):
         build_clusters(aps, gains, 7, chans)
 

@@ -214,7 +214,7 @@ def _dist_oracle(g_sum, n_ant, b, p_sum, k, interf, tech):
 
 def test_dist_rate_direct_value():
     # B=2, M=4, per-AP g = 1e-7 (sum 2e-7), per-AP P = 1e9 (sum 2e9), K=8.
-    cluster = Cluster(ap_ids=(0, 1), channel_id=0, p_sum=2e9)
+    cluster = Cluster(ap_ids=(0, 1), channel_id=0)
     g = np.full((2, 8), 1e-7)
     gains = _gains(g)
     aps = _aps(2, antennas=4)
@@ -229,7 +229,7 @@ def test_dist_rate_direct_value():
 
 
 def test_dist_rate_single_user():
-    cluster = Cluster(ap_ids=(0, 1, 2), channel_id=0, p_sum=3e9)
+    cluster = Cluster(ap_ids=(0, 1, 2), channel_id=0)
     gains = _gains(np.full((3, 1), 1e-7))
     aps = _aps(3, antennas=4)
     rates, s_star = dist_mu_rate(cluster, gains, aps, [0])
@@ -248,14 +248,14 @@ def test_dist_equals_concentrated_at_single_ap():
         gains = _gains(g[None, :])
         assoc = AssociationMap(sets={0: tuple(range(n_users))}, permutation_seed=0)
         mu, streams = _mu(gains, assoc, aps, [1])
-        cluster = Cluster(ap_ids=(0,), channel_id=0, p_sum=aps[0].power_linear)
+        cluster = Cluster(ap_ids=(0,), channel_id=0)
         dist, s_star = dist_mu_rate(cluster, gains, aps, list(range(n_users)))
         assert s_star == streams[0]
         assert np.max(np.abs(dist - mu)) <= 1e-12
 
 
 def test_dist_co_channel_interference_lowers_rates():
-    cluster = Cluster(ap_ids=(0, 1), channel_id=0, p_sum=2e9)
+    cluster = Cluster(ap_ids=(0, 1), channel_id=0)
     gains = _gains(np.full((2, 4), 1e-7))
     aps = _aps(2, antennas=4)
     clean, _ = dist_mu_rate(cluster, gains, aps, list(range(4)))
@@ -403,7 +403,7 @@ def test_pooled_single_ap_equals_concentrated(g, m, power_db, tech):
     gains = _gains(g[None, :])
     assoc = AssociationMap(sets={0: tuple(range(g.size))}, permutation_seed=0)
     mu, streams = _mu(gains, assoc, aps, [1], tech)
-    cluster = Cluster(ap_ids=(0,), channel_id=0, p_sum=aps[0].power_linear)
+    cluster = Cluster(ap_ids=(0,), channel_id=0)
     dist, s_star = dist_mu_rate(cluster, gains, aps, list(range(g.size)), tech)
     assert s_star == streams[0]
     assert np.max(np.abs(dist - mu)) <= 1e-12 * max(1.0, np.max(mu))
