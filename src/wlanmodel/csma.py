@@ -143,9 +143,12 @@ def _channel_state_arrays(graph: ContentionGraph, mode: CtmcMode | None, cap: in
                           ) -> dict[int, tuple[list[int], np.ndarray, CtmcMode]]:
     """Per channel: (member ap ids, state matrix over those members, mode).
 
-    Mode None enumerates every independent set of a channel and falls back
+    Mode None takes the single all-on state when nobody senses (cca_db None);
+    otherwise it enumerates every independent set of a channel and falls back
     to its maximal independent sets only when that channel overflows `cap`.
     """
+    if mode is None and graph.cca_db is None:
+        mode = CtmcMode.NO_CSMA
     result = {}
     for ch in np.unique(graph.channel).tolist():
         members = graph.members(ch)
@@ -207,7 +210,6 @@ class CtmcModel:
 
     states: np.ndarray  # [n_states, n_aps] 0/1
     pi: np.ndarray      # [n_states]
-    rho: float
     mode: CtmcMode
 
     @property
@@ -227,7 +229,7 @@ def stationary_distribution(states: np.ndarray, rho: float,
     logw = sizes * np.log(rho)
     pi = np.exp(logw - logsumexp(logw))
     pi /= pi.sum()
-    return CtmcModel(states=states.astype(np.uint8), pi=pi, rho=rho, mode=mode)
+    return CtmcModel(states=states.astype(np.uint8), pi=pi, mode=mode)
 
 
 @dataclass
@@ -246,7 +248,8 @@ def channel_ctmcs(graph: ContentionGraph, rho: float,
     product chain's stationary law factorizes across them, so per-channel
     models are exact and avoid materializing the product space.
 
-    Mode None enumerates every independent set, falling back to maximal
+    Mode None takes one all-on state when sensing is off (graph.cca_db None)
+    and otherwise enumerates every independent set, falling back to maximal
     independent sets only on the channels whose enumeration exceeds `cap`;
     each chain's model records the mode it used."""
     out = {}

@@ -8,6 +8,7 @@ all seeds) so results can be reproduced from any single artifact.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -263,9 +264,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         zero_rate, attached = assoc.zero_rate_users, "by raw SNR"
         with _stage("contention"):
             graph = csma.build_contention_graph(gains, plan, aps, config.cca_db)
-            # Disabled carrier sensing means nobody defers: single all-on state.
-            mode = csma.CtmcMode.NO_CSMA if config.cca_db is None else None
-            mac = csma.channel_ctmcs(graph, config.rho, mode, config.state_cap)
+            mac = csma.channel_ctmcs(graph, config.rho, cap=config.state_cap)
             groups = rates.ap_groups(assoc, mac)
         notes += [f"channel {ch}: more than {config.state_cap} independent sets; "
                   f"chain uses its {c.model.n_states} maximal independent sets only"
@@ -302,87 +301,78 @@ def evaluate(config: RunConfig) -> EvaluationResult:
 # ---------------------------------------------------------------------------
 # File emission
 
-def _header(echo: dict) -> str:
-    return "# config=" + json.dumps(echo, sort_keys=True, default=str)
-
-
-def _write_csv(path: Path, echo: dict, columns: list[str], rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(echo) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return v
+def _write(out_dir: str | Path, echo: dict, files: dict) -> dict[str, Path]:
+    """Write {path key: (file name, body)} under out_dir; return the paths. A (columns,
+    rows) body is a CSV (config line, rows as iterated, floats %.10g); else JSON."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in files.values():
+        with open(out / name, "w", newline="") as fh:
+            if isinstance(body, tuple):
+                fh.write("# config=" + json.dumps(echo, sort_keys=True, default=str) + "\n")
+                writer = csv.writer(fh)
+                writer.writerow(body[0])
+                writer.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in row]
+                                 for row in body[1])
+            else:
+                json.dump(body, fh, indent=2, sort_keys=True, default=str)
+    return {key: out / name for key, (name, _) in files.items()}
 
 
 def write_report(result: EvaluationResult, out_dir: str | Path) -> dict[str, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = result.report
-    echo = report.config
-    paths = {}
-    n = report.throughput_bps.size
-    paths["report"] = out / "report.csv"
-    _write_csv(
-        paths["report"], echo,
-        ["ut_id", "serving", "spectral_efficiency_bps_hz", "throughput_bps"],
-        [(k, int(report.serving[k]), float(report.spectral_efficiency[k]),
-          float(report.throughput_bps[k])) for k in range(n)])
-    paths["cdf"] = out / "cdf.csv"
-    _write_csv(
-        paths["cdf"], echo, ["throughput_bps", "fraction"],
-        zip(report.cdf_values.tolist(), report.cdf_fractions.tolist()))
-    paths["summary"] = out / "summary.json"
-    with open(paths["summary"], "w") as fh:
-        json.dump({"config": echo, "summary": report.summary,
-                   "notes": result.notes}, fh, indent=2, sort_keys=True,
-                  default=str)
-    return paths
+    return _write(out_dir, report.config, {
+        "report": ("report.csv", (
+            ["ut_id", "serving", "spectral_efficiency_bps_hz", "throughput_bps"],
+            zip(range(report.throughput_bps.size), report.serving.tolist(),
+                report.spectral_efficiency.tolist(), report.throughput_bps.tolist()))),
+        "cdf": ("cdf.csv", (["throughput_bps", "fraction"],
+                            zip(report.cdf_values.tolist(), report.cdf_fractions.tolist()))),
+        "summary": ("summary.json", {"config": report.config, "summary": report.summary,
+                                     "notes": result.notes}),
+    })
+
+
+def _state_rows(mac: dict[int, csma.ChannelCtmc]):
+    """(channel, member bitmask, probability) of every chain state, one row
+    block at a time: a state row plus ord("0") is its mask's ASCII bytes."""
+    for ch_id in sorted(mac):
+        model = mac[ch_id].model
+        width = model.states.shape[1]
+        for block in rates.row_blocks(model.n_states, width):
+            masks = (model.states[block] + ord("0")).view(f"S{width}").ravel()
+            yield from zip(itertools.repeat(ch_id), map(bytes.decode, masks),
+                           map(float, model.pi[block]))
 
 
 def dump_artifacts(result: EvaluationResult, out_dir: str | Path) -> None:
     """Optional intermediate dumps: gains, plan, association, contention, chain."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo = result.report.config
-    g = result.gains
-    _write_csv(out / "gains_ap_ut.csv", echo, ["ap_id", "ut_id", "gain"],
-               [(i, k, float(g.ap_to_ut[i, k]))
-                for i in range(g.ap_to_ut.shape[0])
-                for k in range(g.ap_to_ut.shape[1])])
-    _write_csv(out / "gains_ap_ap.csv", echo, ["tx_ap", "rx_ap", "gain"],
-               [(i, j, float(g.ap_to_ap[i, j]))
-                for i in range(g.ap_to_ap.shape[0])
-                for j in range(g.ap_to_ap.shape[0]) if i != j])
+    g, clusters = result.gains, result.cluster_plan
+    files = {
+        "gains_ap_ut": ("gains_ap_ut.csv", (["ap_id", "ut_id", "gain"], (
+            (i, k, v) for i, row in enumerate(g.ap_to_ut) for k, v in enumerate(row.tolist())))),
+        "gains_ap_ap": ("gains_ap_ap.csv", (["tx_ap", "rx_ap", "gain"], (
+            (i, j, v) for i, row in enumerate(g.ap_to_ap) for j, v in enumerate(row.tolist())
+            if i != j))),
+    }
     if result.plan is not None:
-        _write_csv(out / "channel_plan.csv", echo, ["ap_id", "channel_id"],
-                   sorted(result.plan.ap_channel.items()))
-        _write_csv(out / "association.csv", echo, ["ut_id", "ap_id"],
-                   sorted(result.assoc.serving_ap.items()))
+        files["channel_plan"] = ("channel_plan.csv", (
+            ["ap_id", "channel_id"], sorted(result.plan.ap_channel.items())))
+        files["association"] = ("association.csv", (
+            ["ut_id", "ap_id"], sorted(result.assoc.serving_ap.items())))
     if result.graph is not None:
-        _write_csv(out / "contention_edges.csv", echo, ["ap_i", "ap_j"],
-                   result.graph.edges())
-        rows = []
-        for ch_id in sorted(result.mac):
-            ctmc = result.mac[ch_id]
-            for s in range(ctmc.model.n_states):
-                mask = "".join(str(int(b)) for b in ctmc.model.states[s])
-                rows.append((ch_id, mask, float(ctmc.model.pi[s])))
-        _write_csv(out / "ctmc_states.csv", echo,
-                   ["channel_id", "state_bitmask", "probability"], rows)
-    if result.cluster_plan is not None:
-        _write_csv(out / "clusters.csv", echo,
-                   ["cluster", "channel_id", "ap_ids"],
-                   [(ci, c.channel_id, " ".join(map(str, c.ap_ids)))
-                    for ci, c in enumerate(result.cluster_plan.clusters)])
-        _write_csv(out / "cluster_association.csv", echo, ["ut_id", "cluster"],
-                   sorted(result.cluster_plan.user_cluster.items()))
+        files["contention_edges"] = ("contention_edges.csv", (
+            ["ap_i", "ap_j"], result.graph.edges()))
+        files["ctmc_states"] = ("ctmc_states.csv", (
+            ["channel_id", "state_bitmask", "probability"], _state_rows(result.mac)))
+    if clusters is not None:
+        files["clusters"] = ("clusters.csv", (
+            ["cluster", "channel_id", "ap_ids"],
+            [(ci, c.channel_id, " ".join(map(str, c.ap_ids)))
+             for ci, c in enumerate(clusters.clusters)]))
+        files["cluster_association"] = ("cluster_association.csv", (
+            ["ut_id", "cluster"], sorted(clusters.user_cluster.items())))
+    _write(out_dir, result.report.config, files)
 
 
 def resolve_sweep_point(config: RunConfig, value) -> RunConfig:
@@ -436,30 +426,21 @@ def sweep(config: RunConfig) -> SweepResult:
 
 def write_sweep(config: RunConfig, result: SweepResult,
                 out_dir: str | Path) -> dict[str, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo = asdict(config)
     paths = {}
     for v in result.values:
         if v in result.point_results:
-            paths[f"point_{v}"] = out / f"point_{result.axis}={v}"
+            paths[f"point_{v}"] = Path(out_dir) / f"point_{result.axis}={v}"
             write_report(result.point_results[v], paths[f"point_{v}"])
-    rows = []
-    for v in result.values:
-        s = result.summaries.get(v)
-        if s is None:
-            continue
-        rows.append((v, s["mean"], s["median"], s["p5"], s["outage"]))
-    paths["sweep"] = out / "sweep.csv"
-    _write_csv(paths["sweep"], echo,
-               [result.axis, "mean_throughput_bps", "median_throughput_bps",
-                "p5_throughput_bps", "outage"], rows)
-    paths["summary"] = out / "sweep_summary.json"
-    with open(paths["summary"], "w") as fh:
-        json.dump({"config": echo, "errors": result.errors,
-                   "summaries": {str(k): v for k, v in result.summaries.items()}},
-                  fh, indent=2, sort_keys=True, default=str)
-    return paths
+    echo = asdict(config)
+    rows = ((v, *(result.summaries[v][k] for k in ("mean", "median", "p5", "outage")))
+            for v in result.values if v in result.summaries)
+    return paths | _write(out_dir, echo, {
+        "sweep": ("sweep.csv", ([result.axis, "mean_throughput_bps", "median_throughput_bps",
+                                 "p5_throughput_bps", "outage"], rows)),
+        "summary": ("sweep_summary.json", {
+            "config": echo, "errors": result.errors,
+            "summaries": {str(k): v for k, v in result.summaries.items()}}),
+    })
 
 
 @dataclass
@@ -499,36 +480,29 @@ def mc_validate(config: RunConfig) -> ValidationResult:
 
 
 def write_validation(result: ValidationResult, out_dir: str | Path) -> dict[str, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     echo = result.deterministic.report.config
-    paths = {"comparison": out / "comparison.csv"}
-    _write_csv(paths["comparison"], echo,
-               ["ut_id", "deterministic_bps_hz", "monte_carlo_bps_hz",
-                "mc_std_error", "abs_error", "z"],
-               zip(range(result.det_rates.size), result.det_rates.tolist(),
-                   result.mc_rates.tolist(),
-                   result.oracle_report.std_error.tolist(),
-                   result.abs_error.tolist(), result.z.tolist()))
+    files = {"comparison": ("comparison.csv", (
+        ["ut_id", "deterministic_bps_hz", "monte_carlo_bps_hz", "mc_std_error",
+         "abs_error", "z"],
+        zip(range(result.det_rates.size), result.det_rates.tolist(),
+            result.mc_rates.tolist(), result.oracle_report.std_error.tolist(),
+            result.abs_error.tolist(), result.z.tolist())))}
     for name, arr in (("deterministic", result.det_rates),
                       ("monte_carlo", result.mc_rates)):
         v, f = rates.throughput_cdf(arr)
-        paths[f"cdf_{name}"] = out / f"cdf_{name}.csv"
-        _write_csv(paths[f"cdf_{name}"], echo, ["rate_bps_hz", "fraction"],
-                   zip(v.tolist(), f.tolist()))
-    paths["summary"] = out / "validation_summary.json"
+        files[f"cdf_{name}"] = (f"cdf_{name}.csv", (["rate_bps_hz", "fraction"],
+                                                   zip(v.tolist(), f.tolist())))
     abs_z = np.abs(result.z)
-    with open(paths["summary"], "w") as fh:
-        json.dump({
-            "config": echo,
-            "mean_deterministic_bps_hz": float(np.mean(result.det_rates)),
-            "mean_monte_carlo_bps_hz": float(np.mean(result.mc_rates)),
-            "mean_abs_error": float(np.mean(result.abs_error)),
-            "max_abs_error": float(np.max(result.abs_error)),
-            "mean_abs_z": float(np.mean(abs_z)),
-            "max_abs_z": float(np.max(abs_z)),
-            "share_abs_z_above_3": float(np.mean(abs_z > 3.0)),
-            "n_realizations": result.oracle_report.n_realizations,
-            "resample_events": result.oracle_report.resample_events,
-        }, fh, indent=2, sort_keys=True, default=str)
-    return paths
+    files["summary"] = ("validation_summary.json", {
+        "config": echo,
+        "mean_deterministic_bps_hz": float(np.mean(result.det_rates)),
+        "mean_monte_carlo_bps_hz": float(np.mean(result.mc_rates)),
+        "mean_abs_error": float(np.mean(result.abs_error)),
+        "max_abs_error": float(np.max(result.abs_error)),
+        "mean_abs_z": float(np.mean(abs_z)),
+        "max_abs_z": float(np.max(abs_z)),
+        "share_abs_z_above_3": float(np.mean(abs_z > 3.0)),
+        "n_realizations": result.oracle_report.n_realizations,
+        "resample_events": result.oracle_report.resample_events,
+    })
+    return _write(out_dir, echo, files)

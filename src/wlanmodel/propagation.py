@@ -124,23 +124,20 @@ def _wall_attenuation_matrix(scenario: Scenario, tx: np.ndarray,
     for wall in scenario.walls:
         q1 = np.asarray(wall.p1, dtype=float)
         q2 = np.asarray(wall.p2, dtype=float)
-        d1 = _orient_arr(q1, q2, p1)
-        d2 = _orient_arr(q1, q2, p2)
-        d3 = _orient_points(p1, p2, q1)
-        d4 = _orient_points(p1, p2, q2)
+        d1 = _orient(q1, q2, p1)
+        d2 = _orient(q1, q2, p2)
+        d3 = _orient(p1, p2, q1)
+        d4 = _orient(p1, p2, q2)
         cross = ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0) & \
                 ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
         total += wall.attenuation_db * cross
     return total
 
 
-def _orient_arr(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return (b[0] - a[0]) * (c[..., 1] - a[1]) - (b[1] - a[1]) * (c[..., 0] - a[0])
-
-
-def _orient_points(p1: np.ndarray, p2: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return (p2[..., 0] - p1[..., 0]) * (q[1] - p1[..., 1]) - \
-           (p2[..., 1] - p1[..., 1]) * (q[0] - p1[..., 0])
+def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Signed area of triangle abc over points [..., 0/1], broadcast."""
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - \
+           (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
 
 
 def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, shadows: ShadowMap,

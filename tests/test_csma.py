@@ -81,6 +81,9 @@ def test_contention_graph_channel_gating_and_disabled():
     assert build_contention_graph(gains, split, aps, 10.0).edges() == []
     same = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0}, 0)
     assert build_contention_graph(gains, same, aps, None).edges() == []
+    # Nobody senses, so nobody defers: the chain is the one all-on state.
+    (chain,) = channel_ctmcs(build_contention_graph(gains, same, aps, None), 100.0).values()
+    assert chain.model.mode == CtmcMode.NO_CSMA and chain.model.states.tolist() == [[1, 1]]
 
 
 def test_contention_symmetrized_by_or():

@@ -4,8 +4,8 @@ Each case records the throughput summary (mean, median, p5, outage) and two
 checksums of the per-user spectral efficiencies: the plain sum and a
 position-weighted sum, so that a permutation of users shows. The cases
 cover every PHY mode in both rate modes, disabled carrier sensing,
-co-channel distributed clusters and sectorized APs; quantized MU-MIMO pins
-how exact ties in the stream search break.
+co-channel distributed clusters, sectorized APs and walls; quantized
+MU-MIMO pins how exact ties in the stream search break.
 """
 
 import math
@@ -18,6 +18,7 @@ REL = 1e-12
 
 _HALL = {"generator": "conference_hall", "n_aps": 8, "n_users": 60}
 _FLOOR = {"generator": "open_floor", "n_aps": 12, "n_users": 90}
+_OFFICE = {"generator": "walled_office", "n_aps": 8, "n_users": 60, "n_rooms": 8}
 
 CASES = {
     "su_gaussian": dict(scenario=_HALL, technology="su_beamforming"),
@@ -37,6 +38,7 @@ CASES = {
                             rate_mode="quantized"),
     "su_sectorized": dict(scenario=_HALL, technology="su_beamforming",
                           sector_width_deg=90.0, cca_db=None),
+    "walled_office": dict(scenario=_OFFICE, technology="su_beamforming"),
 }
 
 EXPECTED = {
@@ -84,6 +86,11 @@ EXPECTED = {
         "mean": 15323442.442043308, "median": 9859291.266813897,
         "p5": 0.0, "outage": 0.2,
         "se_sum": 45.97032732612993, "se_wsum": 23.771580368068843,
+    },
+    "walled_office": {
+        "mean": 23608403.077831216, "median": 22529544.8082191,
+        "p5": 12826020.24552953, "outage": 0.0,
+        "se_sum": 70.82520923349367, "se_wsum": 34.46615956693841,
     },
 }
 
