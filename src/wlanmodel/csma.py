@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .propagation import GainMatrix
 from .radio_plan import ChannelPlan
@@ -227,9 +226,9 @@ def stationary_distribution(states: np.ndarray, rho: float,
         raise ValueError("state list must be a nonempty 2-D matrix")
     sizes = states.sum(axis=1).astype(float)
     logw = sizes * np.log(rho)
-    pi = np.exp(logw - logsumexp(logw))
+    pi = np.exp(logw - logw.max())
     pi /= pi.sum()
-    return CtmcModel(states=states.astype(np.uint8), pi=pi, mode=mode)
+    return CtmcModel(states=np.asarray(states, dtype=np.uint8), pi=pi, mode=mode)
 
 
 @dataclass

@@ -139,6 +139,17 @@ class RunConfig:
                              f"(choose from {SWEEP_AXES})")
         if (self.sweep_axis is None) != (not self.sweep_values):
             raise ValueError("sweep_axis and sweep_values must come together")
+        # Compared parsed, so 10 and 10.0 are one point; a value that does not
+        # parse is compared as given and stays that point's own error.
+        points = []
+        for value in self.sweep_values:
+            try:
+                value = SETTING[self.sweep_axis].parse(value)
+            except ValueError:
+                pass
+            if value in points:
+                raise ValueError(f"sweep value {value!r} of {self.sweep_axis} repeats")
+            points.append(value)
         if not 0.0 < self.overhead_discount <= 1.0:
             raise ValueError("overhead_discount must be in (0, 1]")
         if "file" in self.scenario:  # a saved scenario fixes every node

@@ -95,6 +95,15 @@ def test_bad_sweep_point_is_that_points_error():
         pipeline.resolve_sweep_point(cfg, 4.5)
 
 
+def test_repeated_sweep_values_are_refused_when_the_config_is_built():
+    for axis, values in (("rho", [10.0, 10]), ("cca_db", [None, "disabled"]),
+                         ("n_aps", [4, 8, 4]), ("n_aps", [4.5, 4.5]),
+                         ("channelization", ["4x20", "4x20"])):
+        with pytest.raises(ValueError, match="repeats"):
+            RunConfig(scenario=HALL, sweep_axis=axis, sweep_values=values)
+    assert RunConfig(sweep_axis="rho", sweep_values=[10, 100.0]).sweep_values == [10, 100.0]
+
+
 def test_generator_inputs_on_a_scenario_file_are_refused(tmp_path):
     path = tmp_path / "scen.json"
     pipeline.evaluate(RunConfig(scenario=HALL)).scenario.save(path)

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from wlanmodel import rates
 from wlanmodel.oracle import _draw
@@ -13,7 +14,9 @@ from wlanmodel.propagation import (
     _normalize_pairs,
     _pair_normal,
     _sector_mask,
+    _splitmix,
     gain_matrix,
+    ndtri,
 )
 from wlanmodel.scenario import (
     ApNode,
@@ -97,6 +100,62 @@ def test_shadow_map_statistics():
     draws = shadows.sample_many(p, q)
     assert abs(draws.mean()) < 0.2
     assert draws.std() == pytest.approx(3.0, rel=0.05)
+
+
+def _key_uniform(keys):
+    """The uniform a 64-bit key maps to before _pair_normal's clamp."""
+    return ((keys >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def test_ndtri_matches_scipy_on_every_kind_of_key():
+    keys = np.concatenate([_splitmix(np.arange(1 << 20, dtype=np.uint64)),
+                           np.array([0, 2**64 - 1], dtype=np.uint64)])
+    u = np.minimum(_key_uniform(keys), 1.0 - 2.0**-53)
+    reference = special.ndtri(u)
+    assert np.all(np.abs(ndtri(u) - reference) <= 1e-14 * np.abs(reference))
+    assert np.abs(u - 0.5).min() < 1e-5 and u.min() < 1e-15  # all three regions
+
+
+def test_ndtri_is_odd_and_strictly_increasing():
+    # Dyadic grids on which 1 - u is exact, reaching each region and both edges.
+    u = np.unique(np.concatenate([np.arange(1, 1 << 16) / 2.0**16,
+                                  2.0 ** -np.arange(17.0, 54.0),
+                                  1.0 - 2.0 ** -np.arange(17.0, 54.0)]))
+    x = ndtri(u)
+    assert np.all(np.abs(ndtri(1.0 - u) + x) <= 1e-15 * np.abs(x))
+    assert np.all(np.diff(x) > 0.0)
+
+
+def _unsplitmix(h):
+    """Inverse of one splitmix64 step on a Python int."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+    h = unshift(h, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    h = unshift(h, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return (unshift(h, 30) - 0x9E3779B97F4A7C15) % 2**64
+
+
+def test_the_top_key_draws_a_finite_shadow():
+    # Pick the last coordinate so the pair's key has all 53 top bits set:
+    # its uniform (2^53 - 1/2) * 2^-53 rounds to exactly 1.0.
+    seed, coords = 3, np.array([[1.0, 2.0, 3.0, 0.0]])
+    h = _splitmix(np.array([seed], dtype=np.uint64))
+    for col in range(3):
+        h = _splitmix(h ^ coords[:, col].view(np.uint64))
+    for low in range(1 << 11):
+        word = np.array([_unsplitmix((2**53 - 1) << 11 | low) ^ int(h[0])],
+                        dtype=np.uint64)
+        if np.isfinite(word.view(np.float64)[0]):
+            break
+    coords[0, 3] = word.view(np.float64)[0]
+    key = _splitmix(h ^ coords[:, 3].view(np.uint64))
+    assert key[0] >> np.uint64(11) == 2**53 - 1 and _key_uniform(key)[0] == 1.0
+    draw = _pair_normal(seed, coords, 3.0)[0]
+    assert np.isfinite(draw)
+    assert draw == 3.0 * ndtri(np.array([1.0 - 2.0**-53]))[0]
 
 
 def test_gain_matrix_equidistant_users_equal():
