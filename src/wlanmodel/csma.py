@@ -7,8 +7,10 @@ chain, the stationary probability of a pattern depends only on its size:
 pi_m proportional to rho^|m|, with rho the transmit/countdown time ratio.
 
 The graph is a channel per AP and a symmetric bool adjacency matrix. Each
-channel's chain is enumerated over neighbour bitmasks held as Python ints,
-since one channel can hold more than 64 APs.
+channel's neighbour bitmasks are Python ints, since one channel can hold
+more than 64 APs; the enumeration of every independent set keeps each set
+as a row of ceil(n/64) little-endian 64-bit words, so one AND tests it
+against a member's neighbours whatever the width.
 """
 
 from __future__ import annotations
@@ -77,22 +79,27 @@ def _all_independent_states(nbr: list[int], cap: int) -> np.ndarray:
     Members join one at a time: the sets found so far stay, and each of them
     with no earlier neighbour of the new member on is appended with its bit
     set. Appended rows are the old rows plus 2^v, so the order holds, and the
-    row count only grows, so an overflow shows as soon as it happens.
+    row count only grows, so an overflow shows as soon as it happens. While
+    they grow, the rows are bitmasks of ceil(n/64) little-endian uint64
+    words (word w holds members 64w to 64w + 63), tested by one AND against
+    the new member's earlier neighbours and unpacked once at the end.
     """
     n = len(nbr)
-    states = np.zeros((1, n), dtype=np.uint8)
+    width = -(-n // 64)
+    states = np.zeros((1, width), dtype="<u8")
     for v in range(n):
         if len(states) > cap:
             break
-        earlier = [u for u in range(v) if nbr[v] >> u & 1]
-        new = states[~states[:, earlier].any(axis=1)]
-        new[:, v] = 1
+        earlier = np.frombuffer((nbr[v] & ((1 << v) - 1)).to_bytes(8 * width, "little"),
+                                dtype="<u8")
+        new = states[~(states & earlier).any(axis=1)]
+        new[:, v // 64] |= np.uint64(1 << v % 64)
         states = np.concatenate([states, new])
     if len(states) > cap:
         raise StateSpaceOverflow(
             f"more than {cap} independent sets in one channel; "
             "use MAXIMAL_ONLY mode")
-    return states
+    return np.unpackbits(states.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def _maximal_independent_masks(nbr: list[int], cap: int) -> list[int]:

@@ -279,7 +279,7 @@ def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGrou
         # row blocks of the chain average.
         states = np.array([job[0] for job in jobs])
         users, block_rates = rates._own_user_kernel(gains, aps, channel, tech)
-        blocks = rates.row_blocks(len(states), 8 * max(len(users), len(channel.groups)))
+        blocks = rates.state_blocks(len(states), users, channel)
         streams = np.concatenate([block_rates(states[b])[1] for b in blocks]) * states
         for idx, ((_, weight, draws, sampled), row) in enumerate(zip(jobs, streams)):
             groups = [_group(aps, ap_ids, cell, s)

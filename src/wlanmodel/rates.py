@@ -23,12 +23,11 @@ from .radio_plan import AssociationMap, Cluster, ClusterPlan, isolated_snr
 from .scenario import ApNode
 
 
-#: Bytes one [states x own users] float64 array of the chain average may
-#: take: it walks a channel's states in row blocks of this size (see
-#: row_blocks; the oracle's realization chunks and the gain matrix's
-#: transmitter rows share it). Larger blocks leave cache and gain nothing;
-#: much smaller ones pay the per-block overhead at thousands of users per
-#: channel.
+#: Bytes the temporaries of one row block may take together (see
+#: row_blocks): a block of chain states for the chain average, a chunk of
+#: oracle realizations, a block of the gain matrix's transmitter rows.
+#: Larger blocks leave cache and gain nothing; much smaller ones pay the
+#: per-block overhead at thousands of users per channel.
 BLOCK_BYTES = 4 << 20
 
 
@@ -90,13 +89,23 @@ def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
     gp and group are per user, [n_u]; one_plus_i is [..., n_u] over any
     leading state axes; n_ant, n_pool and cap are per group. Returns the
     rates [..., n_u] and the chosen S [..., n_groups] (0 where cap is 0;
-    a read-only broadcast view when every cap is at most 1).
+    a read-only broadcast view when every cap is at most 1). It writes only
+    into arrays it allocates: callers may reuse gp and one_plus_i.
     """
     group = np.asarray(group)
     cap = np.asarray(cap)
     size = np.maximum(np.bincount(group, minlength=cap.size), 1)
     n_ant_u, n_pool_u = np.asarray(n_ant)[group], np.asarray(n_pool)[group]
-    eff = spectral_efficiency(_zf_sinr(n_ant_u, n_pool_u, gp, 1, one_plus_i), tech)
+
+    def eff_at(s):
+        # _zf_sinr's result is a fresh array: turn it into rates in place.
+        x = _zf_sinr(n_ant_u, n_pool_u, gp, s, one_plus_i)
+        if tech.rate_mode != RateMode.GAUSSIAN:
+            return spectral_efficiency(x, tech)
+        x += 1.0
+        return np.log2(x, out=x)
+
+    eff = eff_at(1)
     best_s = np.broadcast_to(np.minimum(cap, 1), eff.shape[:-1] + cap.shape)
     share = np.minimum(cap, 1) / size
     if cap.max(initial=0) > 1:
@@ -105,13 +114,12 @@ def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
         best_obj = (1 / size) * (eff @ member)
         best_s = best_s.copy()
         for s in range(2, int(cap.max()) + 1):
-            eff_s = spectral_efficiency(
-                _zf_sinr(n_ant_u, n_pool_u, gp, s, one_plus_i), tech)
+            eff_s = eff_at(s)
             obj = (s / size) * (eff_s @ member)
             better = (obj > best_obj) & (s <= cap)  # strict: ties keep smaller S
-            best_obj = np.where(better, obj, best_obj)
+            np.copyto(best_obj, obj, where=better)
             best_s[better] = s
-            eff = np.where(better[..., group], eff_s, eff)
+            np.copyto(eff, eff_s, where=better[..., group])
         share = best_s / size
     eff *= share[..., group]
     return eff, best_s
@@ -246,14 +254,24 @@ def row_blocks(n_rows: int, row_bytes: int):
     return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
+def state_blocks(n_states: int, users: list[int], channel: ChannelGroups):
+    """Row blocks of n_states chain states for _own_user_kernel's
+    block_rates. A block holds about four float64 [rows x own users] arrays
+    at once (the interference, the rates, the next stream count's rates and
+    the on mask they are multiplied by), 32 bytes a column, and all of them
+    together fit BLOCK_BYTES."""
+    return row_blocks(n_states, 32 * max(len(users), len(channel.groups)))
+
+
 def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
                         channel: ChannelGroups, tech: TechConfig,
                         n_users_total: int) -> tuple[np.ndarray, dict[int, int]]:
     """One channel's chain-averaged rates, R = sum_m pi_m * R^m, streamed.
 
-    The chain's states are walked in row blocks whose [rows x own users]
-    arrays fit BLOCK_BYTES; each block's rates are computed for the
-    channel's own users only and its share of the average is added in.
+    The chain's states are walked in row blocks (state_blocks) whose
+    temporaries together fit BLOCK_BYTES; each block's rates are computed
+    for the channel's own users only and its share of the average is added
+    in, so no [states x users] array outlives a block.
     Returns the averaged rates [n_users_total] (zero outside the channel)
     and, for MU-MIMO, how many (state, active group with users) pairs chose
     each stream count S ({} for SU beamforming, always one stream).
@@ -264,7 +282,7 @@ def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
         return avg, {}
     chain = channel.chain
     counts: Counter = Counter()
-    for block in row_blocks(chain.n_states, 8 * max(len(users), len(channel.groups))):
+    for block in state_blocks(chain.n_states, users, channel):
         states = chain.states[block]
         rates, streams = block_rates(states)
         avg[users] += average_over_ctmc(rates, chain, block)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlanmodel.csma import (
@@ -11,6 +11,7 @@ from wlanmodel.csma import (
     StateSpaceOverflow,
     _all_independent_states,
     _masks_to_matrix,
+    _neighbor_masks as packed_neighbor_masks,
     build_contention_graph,
     channel_ctmcs,
     enumerate_states,
@@ -257,6 +258,58 @@ def test_vectorized_enumeration_matches_dfs(nbr, cap):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
 
+
+
+def column_gather_independent_states(nbr, cap):
+    """The enumeration over 0/1 byte columns, gathering each new member's
+    earlier-neighbour columns: the reference for the packed-word version."""
+    n = len(nbr)
+    states = np.zeros((1, n), dtype=np.uint8)
+    for v in range(n):
+        if len(states) > cap:
+            break
+        earlier = [u for u in range(v) if nbr[v] >> u & 1]
+        new = states[~states[:, earlier].any(axis=1)]
+        new[:, v] = 1
+        states = np.concatenate([states, new])
+    if len(states) > cap:
+        raise StateSpaceOverflow(
+            f"more than {cap} independent sets in one channel; "
+            "use MAXIMAL_ONLY mode")
+    return states
+
+
+# Enough sets to cross several word boundaries, few enough to stay quick: a
+# graph with more sets than this is only checked to overflow alike.
+REFERENCE_CAP = 20_000
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from([63, 64, 65, 129]), st.integers(0, 130)),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@example(63, 0.5, 1)
+@example(64, 0.5, 2)
+@example(65, 0.5, 3)
+@example(129, 0.5, 4)
+def test_packed_enumeration_matches_column_gather(n, sparsity, seed):
+    # Each pair is a non-edge with probability sparsity * 16 / n (capped at
+    # 1), so wide graphs stay dense enough for their sets to be counted.
+    rng = np.random.default_rng(seed)
+    absent = min(1.0, sparsity * 16 / max(n, 1))
+    upper = np.triu(rng.random((n, n)) >= absent, 1)
+    nbr = packed_neighbor_masks(upper | upper.T)
+    try:
+        want = column_gather_independent_states(nbr, REFERENCE_CAP)
+    except StateSpaceOverflow:
+        with pytest.raises(StateSpaceOverflow, match=f"more than {REFERENCE_CAP} "):
+            _all_independent_states(nbr, REFERENCE_CAP)
+        return
+    count = len(want)
+    got = _all_independent_states(nbr, count)
+    assert got.dtype == want.dtype and got.shape == want.shape == (count, n)
+    assert np.array_equal(got, want)
+    with pytest.raises(StateSpaceOverflow, match=f"more than {count - 1} "):
+        _all_independent_states(nbr, count - 1)
 
 def test_stationary_prism_closed_form():
     graph = make_graph(6, PRISM_EDGES)

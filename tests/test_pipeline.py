@@ -429,4 +429,4 @@ def test_contended_rates_stage_streams_own_user_blocks(monkeypatch, budget):
         tracemalloc.stop()
     states = result.mac[0].model.states
     assert states.shape == (2 ** n_loud, n_loud)
-    assert peaks["rates"] < 8 * rates.BLOCK_BYTES + states.nbytes
+    assert peaks["rates"] < rates.BLOCK_BYTES + states.nbytes

@@ -436,6 +436,52 @@ def test_small_array_group_leaves_other_groups_search_intact():
     assert np.all(np.isfinite(rates))
 
 
+
+def copying_zf_rates(gp, one_plus_i, group, n_ant, n_pool, cap, tech):
+    """zf_rates with a fresh array at every step (np.where for the kept
+    search result): the reference for the version that writes in place."""
+    size = np.maximum(np.bincount(group, minlength=cap.size), 1)
+    n_ant_u, n_pool_u = n_ant[group], n_pool[group]
+    eff = spectral_efficiency(_zf_sinr(n_ant_u, n_pool_u, gp, 1, one_plus_i), tech)
+    best_s = np.broadcast_to(np.minimum(cap, 1), eff.shape[:-1] + cap.shape)
+    share = np.minimum(cap, 1) / size
+    if cap.max(initial=0) > 1:
+        member = np.zeros((group.size, cap.size))
+        member[np.arange(group.size), group] = 1.0
+        best_obj = (1 / size) * (eff @ member)
+        best_s = best_s.copy()
+        for s in range(2, int(cap.max()) + 1):
+            eff_s = spectral_efficiency(
+                _zf_sinr(n_ant_u, n_pool_u, gp, s, one_plus_i), tech)
+            obj = (s / size) * (eff_s @ member)
+            better = (obj > best_obj) & (s <= cap)
+            best_obj = np.where(better, obj, best_obj)
+            best_s[better] = s
+            eff = np.where(better[..., group], eff_s, eff)
+        share = best_s / size
+    return eff * share[..., group], best_s
+
+
+@settings(max_examples=100, deadline=None)
+@given(_groups(), _TECH, st.booleans(), st.data())
+def test_zf_rates_keeps_its_inputs_and_matches_copying_version(case, tech, multi, data):
+    # SU (every cap 1) and MU (caps up to min(M, |cell|)), pooled or not,
+    # over one state or a block of states with their own interference.
+    gp, one_plus_i, group, n_ant, sizes = case
+    cap = np.minimum(n_ant, sizes) if multi else np.ones_like(n_ant)
+    pool = np.array(data.draw(st.lists(st.integers(1, 3), min_size=n_ant.size,
+                                       max_size=n_ant.size)))
+    scales = data.draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4))
+    if len(scales) > 1:
+        one_plus_i = 1.0 + np.array(scales)[:, None] * (one_plus_i - 1.0)
+    gp_before, i_before = gp.copy(), one_plus_i.copy()
+    rates, streams = zf_rates(gp, one_plus_i, group, n_ant, pool, cap, tech)
+    assert gp.tobytes() == gp_before.tobytes()
+    assert one_plus_i.tobytes() == i_before.tobytes()
+    want_rates, want_streams = copying_zf_rates(gp, one_plus_i, group, n_ant, pool, cap, tech)
+    assert rates.shape == want_rates.shape and rates.tobytes() == want_rates.tobytes()
+    assert np.array_equal(streams, want_streams)
+
 @st.composite
 def _contended_channel(draw):
     """A channel of 1-5 member APs, the first user-less, among APs on other
