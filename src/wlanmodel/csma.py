@@ -8,13 +8,16 @@ pi_m proportional to rho^|m|, with rho the transmit/countdown time ratio.
 
 The graph is a channel per AP and a symmetric bool adjacency matrix. Each
 channel's neighbour bitmasks are Python ints, since one channel can hold
-more than 64 APs; the enumeration of every independent set keeps each set
-as a row of ceil(n/64) little-endian 64-bit words, so one AND tests it
-against a member's neighbours whatever the width.
+more than 64 APs. A chain's states stay packed end to end: each is a row
+of ceil(n/64) little-endian 64-bit words in every mode, so one AND tests
+it against a member's neighbours whatever the width. As pi depends only on
+the size, the model keeps each state's size and one weight per size, not
+a probability per state; consumers unpack the rows a block at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,16 +76,16 @@ def _neighbor_masks(adjacency: np.ndarray) -> list[int]:
 
 
 def _all_independent_states(nbr: list[int], cap: int) -> np.ndarray:
-    """Every independent set of the graph as a 0/1 [n_sets, n] matrix, in
+    """Every independent set of the graph as a [n_sets, ceil(n/64)] matrix of
+    little-endian uint64 words (word w holds members 64w to 64w + 63), in
     ascending bitmask order (bit v is member v).
 
     Members join one at a time: the sets found so far stay, and each of them
     with no earlier neighbour of the new member on is appended with its bit
     set. Appended rows are the old rows plus 2^v, so the order holds, and the
-    row count only grows, so an overflow shows as soon as it happens. While
-    they grow, the rows are bitmasks of ceil(n/64) little-endian uint64
-    words (word w holds members 64w to 64w + 63), tested by one AND against
-    the new member's earlier neighbours and unpacked once at the end.
+    row count only grows, so an overflow shows as soon as it happens. One
+    AND against the new member's earlier neighbours tests a row whatever
+    the width.
     """
     n = len(nbr)
     width = -(-n // 64)
@@ -99,7 +102,7 @@ def _all_independent_states(nbr: list[int], cap: int) -> np.ndarray:
         raise StateSpaceOverflow(
             f"more than {cap} independent sets in one channel; "
             "use MAXIMAL_ONLY mode")
-    return np.unpackbits(states.view(np.uint8), axis=1, count=n, bitorder="little")
+    return states
 
 
 def _maximal_independent_masks(nbr: list[int], cap: int) -> list[int]:
@@ -145,97 +148,87 @@ def _maximal_independent_masks(nbr: list[int], cap: int) -> list[int]:
     return sorted(out)
 
 
-def _channel_state_arrays(graph: ContentionGraph, mode: CtmcMode | None, cap: int
-                          ) -> dict[int, tuple[list[int], np.ndarray, CtmcMode]]:
-    """Per channel: (member ap ids, state matrix over those members, mode).
+def _pack_masks(masks: list[int], n_bits: int) -> np.ndarray:
+    """[len(masks), ceil(n_bits/64)] little-endian uint64 words; bit b of
+    mask s is bit b % 64 of word b // 64 of row s."""
+    width = -(-n_bits // 64)
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), width)
 
-    Mode None takes the single all-on state when nobody senses (cca_db None);
-    otherwise it enumerates every independent set of a channel and falls back
-    to its maximal independent sets only when that channel overflows `cap`.
+
+def _channel_states(nbr: list[int], mode: CtmcMode | None, cap: int
+                    ) -> tuple[np.ndarray, CtmcMode]:
+    """One channel's states as packed words, and the mode that made them.
+
+    NO_CSMA is the one all-on state. Mode None enumerates every independent
+    set and falls back to the maximal ones only when that overflows `cap`.
     """
-    if mode is None and graph.cca_db is None:
-        mode = CtmcMode.NO_CSMA
-    result = {}
-    for ch in np.unique(graph.channel).tolist():
-        members = graph.members(ch)
-        nbr = _neighbor_masks(graph.adjacency[np.ix_(members, members)])
-        ch_mode = mode
-        if mode == CtmcMode.NO_CSMA:
-            states = np.ones((1, len(members)), dtype=np.uint8)
-        elif mode != CtmcMode.MAXIMAL_ONLY:
-            try:
-                ch_mode = CtmcMode.ALL_INDEPENDENT_SETS
-                states = _all_independent_states(nbr, cap)
-            except StateSpaceOverflow:
-                if mode is not None:
-                    raise
-                ch_mode = CtmcMode.MAXIMAL_ONLY
-        if ch_mode == CtmcMode.MAXIMAL_ONLY:
-            states = _masks_to_matrix(_maximal_independent_masks(nbr, cap), len(members))
-        result[ch] = (members, states, ch_mode)
-    return result
-
-
-def _masks_to_matrix(masks: list[int], n_bits: int) -> np.ndarray:
-    """[len(masks), n_bits] 0/1 matrix; bit b of mask s is entry [s, b]."""
-    width = (n_bits + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
-                        dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(raw, axis=1, count=n_bits, bitorder="little")
-
-
-def enumerate_states(graph: ContentionGraph, mode: CtmcMode,
-                     cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
-    """State space over all APs; cross-channel states are Cartesian products
-    of the per-channel independent sets.
-
-    Returns a [n_states, n_aps] 0/1 matrix with columns in AP id order.
-    Raises StateSpaceOverflow beyond `cap` total states.
-    """
+    n = len(nbr)
     if mode == CtmcMode.NO_CSMA:
-        return np.ones((1, graph.channel.size), dtype=np.uint8)
-    per_channel = _channel_state_arrays(graph, mode, cap)
-    total = 1
-    for _, states, _ in per_channel.values():
-        total *= len(states)
-        if total > cap:
-            raise StateSpaceOverflow(
-                f"cross-channel product exceeds {cap} states; "
-                "use MAXIMAL_ONLY mode")
-    out = np.zeros((total, graph.channel.size), dtype=np.uint8)
-    sizes = [len(states) for _, states, _ in per_channel.values()]
-    grids = np.indices(sizes).reshape(len(sizes), -1)
-    for axis, (members, states, _) in enumerate(per_channel.values()):
-        out[:, members] = states[grids[axis]]
-    return out
+        return _pack_masks([(1 << n) - 1], n), mode
+    if mode != CtmcMode.MAXIMAL_ONLY:
+        try:
+            return _all_independent_states(nbr, cap), CtmcMode.ALL_INDEPENDENT_SETS
+        except StateSpaceOverflow:
+            if mode is not None:
+                raise
+    return _pack_masks(_maximal_independent_masks(nbr, cap), n), CtmcMode.MAXIMAL_ONLY
 
 
 @dataclass
 class CtmcModel:
-    """Stationary law over transmission patterns: pi ~ rho^(pattern size)."""
+    """Stationary law over transmission patterns: pi ~ rho^(pattern size).
 
-    states: np.ndarray  # [n_states, n_aps] 0/1
-    pi: np.ndarray      # [n_states]
+    The states are held packed, ceil(n_members/64) words a state, and the
+    law by size: every state of size j has probability weights[j], so one
+    float per size, not per state, carries pi. Read them a block at a time
+    through rows() and pi().
+    """
+
+    words: np.ndarray    # [n_states, ceil(n_members/64)] little-endian uint64
+    n_members: int
+    sizes: np.ndarray    # [n_states] uint16: members on in each state
+    weights: np.ndarray  # [max size + 1]: pi of one state of each size
     mode: CtmcMode
 
     @property
     def n_states(self) -> int:
-        return self.states.shape[0]
+        return self.words.shape[0]
+
+    def rows(self, block=slice(None)) -> np.ndarray:
+        """The states `block` (a slice or index array) as 0/1 uint8 rows."""
+        return np.unpackbits(self.words[block].view(np.uint8), axis=1,
+                             count=self.n_members, bitorder="little")
+
+    def pi(self, block=slice(None)) -> np.ndarray:
+        """The stationary probabilities of the states `block`."""
+        return self.weights[self.sizes[block]]
+
+
+def _packed_law(words: np.ndarray, n_members: int, rho: float,
+                mode: CtmcMode) -> CtmcModel:
+    """Normalize rho^|m| over packed states: w_j = rho^j / sum_i N_i rho^i,
+    N_i the number of states of size i, in log space."""
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    sizes = np.bitwise_count(words).sum(axis=1, dtype=np.uint16)
+    counts = np.bincount(sizes)
+    logw = np.arange(counts.size) * np.log(rho)
+    weights = np.exp(logw - logw[counts > 0].max())
+    weights /= counts @ weights
+    return CtmcModel(words, n_members, sizes, weights, mode)
 
 
 def stationary_distribution(states: np.ndarray, rho: float,
                             mode: CtmcMode = CtmcMode.ALL_INDEPENDENT_SETS) -> CtmcModel:
-    """Normalize rho^|m| over the supplied state list (log-space)."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    """Normalize rho^|m| over the supplied 0/1 [n_states, n] state list."""
     states = np.asarray(states)
     if states.size == 0 or states.ndim != 2:
         raise ValueError("state list must be a nonempty 2-D matrix")
-    sizes = states.sum(axis=1).astype(float)
-    logw = sizes * np.log(rho)
-    pi = np.exp(logw - logw.max())
-    pi /= pi.sum()
-    return CtmcModel(states=np.asarray(states, dtype=np.uint8), pi=pi, mode=mode)
+    n = states.shape[1]
+    packed = np.zeros((states.shape[0], 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(states != 0, axis=1, bitorder="little")
+    return _packed_law(packed.view("<u8"), n, rho, mode)
 
 
 @dataclass
@@ -258,12 +251,34 @@ def channel_ctmcs(graph: ContentionGraph, rho: float,
     and otherwise enumerates every independent set, falling back to maximal
     independent sets only on the channels whose enumeration exceeds `cap`;
     each chain's model records the mode it used."""
+    if mode is None and graph.cca_db is None:
+        mode = CtmcMode.NO_CSMA
     out = {}
-    for ch, (members, states, ch_mode) in _channel_state_arrays(
-            graph, mode, cap).items():
-        out[ch] = ChannelCtmc(
-            channel_id=ch,
-            members=tuple(members),
-            model=stationary_distribution(states, rho, ch_mode),
-        )
+    for ch in np.unique(graph.channel).tolist():
+        members = graph.members(ch)
+        nbr = _neighbor_masks(graph.adjacency[np.ix_(members, members)])
+        words, ch_mode = _channel_states(nbr, mode, cap)
+        out[ch] = ChannelCtmc(ch, tuple(members),
+                              _packed_law(words, len(members), rho, ch_mode))
+    return out
+
+
+def enumerate_states(graph: ContentionGraph, mode: CtmcMode,
+                     cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+    """State space over all APs; cross-channel states are Cartesian products
+    of the per-channel independent sets.
+
+    Returns a [n_states, n_aps] 0/1 matrix with columns in AP id order.
+    Raises StateSpaceOverflow beyond `cap` total states.
+    """
+    chains = channel_ctmcs(graph, 1.0, mode, cap).values()
+    shape = [c.model.n_states for c in chains]
+    if math.prod(shape) > cap:
+        raise StateSpaceOverflow(
+            f"cross-channel product exceeds {cap} states; "
+            "use MAXIMAL_ONLY mode")
+    out = np.zeros((math.prod(shape), graph.channel.size), dtype=np.uint8)
+    grids = np.indices(shape).reshape(len(shape), -1)
+    for axis, c in enumerate(chains):
+        out[:, list(c.members)] = c.model.rows(grids[axis])
     return out

@@ -349,11 +349,11 @@ def _state_rows(mac: dict[int, csma.ChannelCtmc]):
     block at a time: a state row plus ord("0") is its mask's ASCII bytes."""
     for ch_id in sorted(mac):
         model = mac[ch_id].model
-        width = model.states.shape[1]
+        width = model.n_members
         for block in rates.row_blocks(model.n_states, width):
-            masks = (model.states[block] + ord("0")).view(f"S{width}").ravel()
+            masks = (model.rows(block) + ord("0")).view(f"S{width}").ravel()
             yield from zip(itertools.repeat(ch_id), map(bytes.decode, masks),
-                           map(float, model.pi[block]))
+                           map(float, model.pi(block)))
 
 
 def dump_artifacts(result: EvaluationResult, out_dir: str | Path) -> None:

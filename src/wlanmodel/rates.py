@@ -256,11 +256,14 @@ def row_blocks(n_rows: int, row_bytes: int):
 
 def state_blocks(n_states: int, users: list[int], channel: ChannelGroups):
     """Row blocks of n_states chain states for _own_user_kernel's
-    block_rates. A block holds about four float64 [rows x own users] arrays
-    at once (the interference, the rates, the next stream count's rates and
-    the on mask they are multiplied by), 32 bytes a column, and all of them
-    together fit BLOCK_BYTES."""
-    return row_blocks(n_states, 32 * max(len(users), len(channel.groups)))
+    block_rates, whose temporaries together fit BLOCK_BYTES. At its peak a
+    block holds about four float64 [rows x own users] arrays (the
+    interference, the rates, the next stream count's rates and their
+    shares), 32 bytes a user column, and per group column the state's
+    unpacked uint8 row and its float64 copy plus, for MU-MIMO, four float64
+    arrays (the objective, the best one, the best stream count and the
+    group sums), 41 bytes."""
+    return row_blocks(n_states, 32 * len(users) + 41 * len(channel.groups))
 
 
 def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
@@ -283,7 +286,7 @@ def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
     chain = channel.chain
     counts: Counter = Counter()
     for block in state_blocks(chain.n_states, users, channel):
-        states = chain.states[block]
+        states = chain.rows(block)
         rates, streams = block_rates(states)
         avg[users] += average_over_ctmc(rates, chain, block)
         if tech.technology != Technology.SU_BEAMFORMING:
@@ -326,7 +329,7 @@ def average_over_ctmc(state_rates: np.ndarray, ctmc: CtmcModel,
     """The chain states `rows`' share of the average, sum_m pi_m * R^m over
     them: the whole chain average when `rows` covers every state."""
     state_rates = np.asarray(state_rates)
-    pi = ctmc.pi[rows]
+    pi = ctmc.pi(rows)
     if state_rates.shape[0] != pi.size:
         raise ValueError(
             f"state mismatch: {state_rates.shape[0]} rate rows vs "

@@ -44,8 +44,8 @@ def test_criterion_1_ctmc_exactness():
         model = stationary_distribution(states, rho)
         z = 1.0 + 6.0 * rho + 6.0 * rho ** 2
         for s in range(model.n_states):
-            size = int(model.states[s].sum())
-            assert abs(model.pi[s] - rho ** size / z) <= 1e-12
+            size = int(model.rows()[s].sum())
+            assert abs(model.pi()[s] - rho ** size / z) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, f"CTMC exactness on the 13-state graph, {elapsed:.3f}s")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from wlanmodel.csma import (
     CtmcMode,
     StateSpaceOverflow,
     _all_independent_states,
-    _masks_to_matrix,
+    _channel_states,
     _neighbor_masks as packed_neighbor_masks,
+    _packed_law,
     build_contention_graph,
     channel_ctmcs,
     enumerate_states,
     stationary_distribution,
 )
+from wlanmodel import pipeline
 from wlanmodel.propagation import GainMatrix
 from wlanmodel.radio_plan import ChannelPlan, channel_preset
 from wlanmodel.scenario import ApNode
@@ -24,7 +27,7 @@ from wlanmodel.scenario import ApNode
 
 def airtime_shares(model):
     """Per-AP transmit-time fraction: sum of pi over states where it is on."""
-    return model.pi @ model.states
+    return model.pi() @ model.rows()
 
 
 def make_graph(n, edges, channel_of=None, cca_db=10.0):
@@ -84,7 +87,7 @@ def test_contention_graph_channel_gating_and_disabled():
     assert build_contention_graph(gains, same, aps, None).edges() == []
     # Nobody senses, so nobody defers: the chain is the one all-on state.
     (chain,) = channel_ctmcs(build_contention_graph(gains, same, aps, None), 100.0).values()
-    assert chain.model.mode == CtmcMode.NO_CSMA and chain.model.states.tolist() == [[1, 1]]
+    assert chain.model.mode == CtmcMode.NO_CSMA and chain.model.rows().tolist() == [[1, 1]]
 
 
 def test_contention_symmetrized_by_or():
@@ -245,16 +248,29 @@ def _neighbor_masks(draw):
     return nbr
 
 
+def masks_to_rows(masks, n):
+    """[len(masks), n] 0/1 uint8 matrix; bit b of mask s is entry [s, b]."""
+    return np.array([[m >> b & 1 for b in range(n)] for m in masks],
+                    dtype=np.uint8).reshape(len(masks), n)
+
+
+def packed_rows(words, n):
+    """The 0/1 rows of a packed state list, read through CtmcModel.rows()
+    after checking its layout: ceil(n/64) little-endian uint64 words a row."""
+    assert words.dtype == np.dtype("<u8") and words.shape[1:] == (-(-n // 64),)
+    return _packed_law(words, n, 1.0, CtmcMode.ALL_INDEPENDENT_SETS).rows()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_neighbor_masks(), st.integers(0, 3000))
 def test_vectorized_enumeration_matches_dfs(nbr, cap):
     try:
-        want = _masks_to_matrix(all_independent_masks(nbr, cap), len(nbr))
+        want = masks_to_rows(all_independent_masks(nbr, cap), len(nbr))
     except StateSpaceOverflow:
         with pytest.raises(StateSpaceOverflow, match=f"more than {cap} "):
             _all_independent_states(nbr, cap)
         return
-    got = _all_independent_states(nbr, cap)
+    got = packed_rows(_all_independent_states(nbr, cap), len(nbr))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -305,7 +321,7 @@ def test_packed_enumeration_matches_column_gather(n, sparsity, seed):
             _all_independent_states(nbr, REFERENCE_CAP)
         return
     count = len(want)
-    got = _all_independent_states(nbr, count)
+    got = packed_rows(_all_independent_states(nbr, count), n)
     assert got.dtype == want.dtype and got.shape == want.shape == (count, n)
     assert np.array_equal(got, want)
     with pytest.raises(StateSpaceOverflow, match=f"more than {count - 1} "):
@@ -318,18 +334,18 @@ def test_stationary_prism_closed_form():
         model = stationary_distribution(states, rho)
         z = 1 + 6 * rho + 6 * rho ** 2
         for s in range(model.n_states):
-            k = int(model.states[s].sum())
-            assert model.pi[s] == pytest.approx(rho ** k / z, abs=1e-12)
-        assert model.pi.sum() == pytest.approx(1.0, abs=1e-12)
+            k = int(model.rows()[s].sum())
+            assert model.pi()[s] == pytest.approx(rho ** k / z, abs=1e-12)
+        assert model.pi().sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stationary_single_ap_and_no_csma():
     states = np.array([[0], [1]], dtype=np.uint8)
     model = stationary_distribution(states, rho=100.0)
-    assert model.pi[1] == pytest.approx(100 / 101)
+    assert model.pi()[1] == pytest.approx(100 / 101)
     ones = np.ones((1, 5), dtype=np.uint8)
     model = stationary_distribution(ones, rho=100.0, mode=CtmcMode.NO_CSMA)
-    assert model.pi[0] == 1.0
+    assert model.pi()[0] == 1.0
 
 
 def test_stationary_validates_inputs():
@@ -344,8 +360,8 @@ def test_stationary_large_rho_no_overflow():
     states = enumerate_states(make_graph(20, []), CtmcMode.ALL_INDEPENDENT_SETS,
                               cap=2_000_000)
     model = stationary_distribution(states, rho=1e6)
-    assert np.isfinite(model.pi).all()
-    assert model.pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.isfinite(model.pi()).all()
+    assert model.pi().sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_airtime_shares_cases():
@@ -376,7 +392,7 @@ def test_mass_concentrates_on_maximum_sets_as_rho_grows():
     max_size = sizes.max()
     for rho, floor in ((10.0, 0.5), (1e4, 0.999)):
         model = stationary_distribution(states, rho)
-        assert model.pi[sizes == max_size].sum() > floor
+        assert model.pi()[sizes == max_size].sum() > floor
 
 
 def test_edge_removal_airtime_effects():
@@ -427,8 +443,87 @@ def test_channel_ctmcs_factorization():
     for s in range(full.n_states):
         p = 1.0
         for ch, ctmc in per_channel.items():
-            block = full.states[s][list(ctmc.members)]
+            block = full.rows()[s][list(ctmc.members)]
             idx = next(i for i in range(ctmc.model.n_states)
-                       if np.array_equal(ctmc.model.states[i], block))
-            p *= ctmc.model.pi[idx]
-        assert full.pi[s] == pytest.approx(p, abs=1e-12)
+                       if np.array_equal(ctmc.model.rows()[i], block))
+            p *= ctmc.model.pi()[idx]
+        assert full.pi()[s] == pytest.approx(p, abs=1e-12)
+
+
+def maximal_rows(rows, adjacency):
+    """The rows of independent sets that no further member can join."""
+    blocked = (rows @ adjacency.astype(np.uint8) > 0) | (rows > 0)
+    return rows[blocked.all(axis=1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from([0, 63, 64, 65, 129, 130]), st.integers(0, 130)),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.sampled_from(list(CtmcMode)))
+@example(0, 0.5, 1, CtmcMode.MAXIMAL_ONLY)
+@example(70, 0.0, 2, CtmcMode.MAXIMAL_ONLY)
+@example(130, 0.5, 3, CtmcMode.NO_CSMA)
+def test_packed_law_matches_unpacked_rows(n, sparsity, seed, mode):
+    # Every mode's packed states unpack to the reference 0/1 rows in their
+    # order, and pi by size is rho^|m| / Z state by state.
+    rng = np.random.default_rng(seed)
+    absent = min(1.0, sparsity * 16 / max(n, 1))
+    upper = np.triu(rng.random((n, n)) >= absent, 1)
+    adjacency = upper | upper.T
+    nbr = packed_neighbor_masks(adjacency)
+    if mode == CtmcMode.NO_CSMA:
+        want = np.ones((1, n), dtype=np.uint8)
+    else:
+        try:
+            want = column_gather_independent_states(nbr, REFERENCE_CAP)
+        except StateSpaceOverflow:
+            return  # enumeration past the cap is checked above
+        if mode == CtmcMode.MAXIMAL_ONLY:
+            want = maximal_rows(want, adjacency)
+    words, got_mode = _channel_states(nbr, mode, REFERENCE_CAP)
+    assert got_mode == mode
+    sizes = want.sum(axis=1)
+    for rho in (0.1, 1.0, 100.0, 1e4):
+        model = _packed_law(words, n, rho, mode)
+        assert np.array_equal(packed_rows(model.words, n), want)
+        assert np.array_equal(model.sizes, sizes)
+        logw = sizes * np.log(rho)
+        exact = np.exp(logw - logw.max())
+        np.testing.assert_allclose(model.pi(), exact / exact.sum(), rtol=0, atol=1e-12)
+        assert model.pi().sum() == pytest.approx(1.0, abs=1e-12)
+        block = slice(len(want) // 3, len(want) // 3 + 5)
+        assert np.array_equal(model.rows(block), want[block])
+        assert np.array_equal(model.pi(block), model.pi()[block])
+
+
+@pytest.fixture(scope="module")
+def stadium_graph():
+    """The contention graph of stadium 100 APs / 1000 users, CCA 10 dB."""
+    return pipeline.evaluate(pipeline.RunConfig(
+        scenario={"generator": "stadium", "n_aps": 100, "n_users": 1000},
+        cca_db=10.0)).graph
+
+
+def test_chain_holds_words_and_sizes_only(stadium_graph):
+    # A chain holds ceil(n/64) words and a uint16 size per state, plus one
+    # weight per size: nothing else grows with the state count. Building
+    # it once first keeps one-time imports out of the trace.
+    channel_ctmcs(stadium_graph, 100.0)
+    tracemalloc.start()
+    try:
+        mac = channel_ctmcs(stadium_graph, 100.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    models = [c.model for c in mac.values()]
+    assert [m.n_states for m in models] == [17_877, 11_628, 9_566, 4_273]
+    per_state = [8 * -(-m.n_members // 64) + 2 for m in models]
+    for m, most in zip(models, per_state):
+        assert (m.words.nbytes + m.sizes.nbytes) / m.n_states <= most
+        assert m.weights.size <= m.n_members + 1
+    # Whatever the chains hold, counted by the allocator: the packed bytes
+    # (433 440) and 16 KiB for the weight tables and Python objects
+    # (measured 4 848).
+    assert held <= sum(most * m.n_states for m, most in zip(models, per_state)) + (16 << 10)
+    # Traced peak of the build, measured at 473 176 bytes (the parent's 0/1
+    # rows and per-state pi peaked at 1 673 378).
+    assert peak < 600_000

@@ -261,7 +261,7 @@ def test_mc_pipeline_on_generated_hall():
     from wlanmodel.rates import average_over_ctmc
     for ch_id, ctmc in mac.items():
         sr = su_channel_state_rates(gains, assoc, scenario.aps,
-                                    list(ctmc.members), ctmc.model.states,
+                                    list(ctmc.members), ctmc.model.rows(),
                                     TechConfig(), scenario.n_users)
         det += average_over_ctmc(sr, ctmc.model)
     assert abs(rep.mean_rate.mean() - det.mean()) / det.mean() < 0.10

@@ -103,9 +103,10 @@ def ref_dump_artifacts(result, out_dir):
         rows = []
         for ch_id in sorted(result.mac):
             ctmc = result.mac[ch_id]
+            states, pi = ctmc.model.rows(), ctmc.model.pi()
             for s in range(ctmc.model.n_states):
-                mask = "".join(str(int(b)) for b in ctmc.model.states[s])
-                rows.append((ch_id, mask, float(ctmc.model.pi[s])))
+                mask = "".join(str(int(b)) for b in states[s])
+                rows.append((ch_id, mask, float(pi[s])))
         ref_write_csv(out / "ctmc_states.csv", echo,
                       ["channel_id", "state_bitmask", "probability"], rows)
     if result.cluster_plan is not None:
@@ -243,7 +244,7 @@ def test_state_dump_streams(tmp_path):
     # their masks, but must not hold a row for every state.
     result = pipeline.evaluate(pipeline.RunConfig(
         scenario={"generator": "stadium", "n_aps": 100, "n_users": 100}, cca_db=10.0))
-    state_bytes = sum(c.model.states.nbytes for c in result.mac.values())
+    state_bytes = sum(c.model.n_states * c.model.n_members for c in result.mac.values())
     assert sum(c.model.n_states for c in result.mac.values()) == 43_344
     tracemalloc.start()
     try:

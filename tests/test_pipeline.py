@@ -427,6 +427,6 @@ def test_contended_rates_stage_streams_own_user_blocks(monkeypatch, budget):
             cca_db=300.0))
     finally:
         tracemalloc.stop()
-    states = result.mac[0].model.states
-    assert states.shape == (2 ** n_loud, n_loud)
-    assert peaks["rates"] < rates.BLOCK_BYTES + states.nbytes
+    model = result.mac[0].model
+    assert (model.n_states, model.n_members) == (2 ** n_loud, n_loud)
+    assert peaks["rates"] < rates.BLOCK_BYTES + model.n_states * model.n_members

@@ -514,13 +514,13 @@ _CONTENDED_TECH = st.sampled_from([
 @given(_contended_channel(), _CONTENDED_TECH, st.integers(2, 7))
 def test_streamed_chain_average_equals_dense_average(channel, tech, odd):
     gains, assoc, aps, members, model, n_users = channel
-    args = (gains, assoc, aps, members, model.states, tech, n_users)
+    args = (gains, assoc, aps, members, model.rows(), tech, n_users)
     if tech.technology == Technology.SU_BEAMFORMING:
         dense, counts = su_channel_state_rates(*args), {}
     else:
         dense, streams = mu_channel_state_rates(*args)
         counts = {s: n for s, n in enumerate(np.bincount(streams.ravel())) if s and n}
-    want = model.pi @ dense
+    want = model.pi() @ dense
     width = max(sum(len(assoc.sets[a]) for a in members), len(members))
     for budget in (rates_module.BLOCK_BYTES, 1, 8 * width * (2 * odd - 1)):
         with mock.patch.object(rates_module, "BLOCK_BYTES", budget):
