@@ -128,11 +128,13 @@ def main(argv=None) -> int:
         paths = pipeline.write_validation(result, args.out_dir)
         mean_det = float(result.det_rates.mean())
         mean_mc = float(result.mc_rates.mean())
+        z = result.z_summary()
         print(f"deterministic mean {mean_det:.4f} bit/s/Hz, "
               f"oracle mean {mean_mc:.4f} bit/s/Hz "
               f"({abs(mean_mc-mean_det)/mean_det*100 if mean_det else 0:.2f}% apart); "
-              f"per user mean |z| {float(abs(result.z).mean()):.2f}, "
-              f"max |z| {float(abs(result.z).max()):.2f}")
+              f"per user mean |z| {z['mean_abs_z']:.2f}, max |z| {z['max_abs_z']:.2f}"
+              + (f" ({z['users_without_z']} users without z: no draw reached them)"
+                 if "users_without_z" in z else ""))
         print(f"wrote {paths['comparison']}")
         return 0
 

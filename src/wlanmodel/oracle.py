@@ -282,7 +282,7 @@ def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGrou
             continue
         # One kernel set-up per channel, walked over its job states in the
         # row blocks of the chain average.
-        users, block_rates = rates._own_user_kernel(gains, aps, channel, tech)
+        users, _, block_rates = rates._own_user_kernel(gains, aps, channel, tech)
         blocks = rates.state_blocks(len(states), users, channel)
         streams = np.concatenate([block_rates(states[b])[1] for b in blocks]) * states
         for idx, (weight, n, row) in enumerate(zip(weights.tolist(), draws.tolist(), streams)):

@@ -461,7 +461,21 @@ class ValidationResult:
     det_rates: np.ndarray
     mc_rates: np.ndarray
     abs_error: np.ndarray   # |mc - det|
-    z: np.ndarray           # (mc - det) / std_error, 0 where both are 0
+    z: np.ndarray           # (mc - det) / std_error: 0 where both are 0, NaN
+                            # where only the error is (no draw reached the user)
+
+    def z_summary(self) -> dict:
+        """Mean and max |z| and the share above 3, over the users with a z.
+        A sampled chain can leave a user's group off in every drawn state,
+        so that no draw measured it; their count is added when nonzero."""
+        abs_z = np.abs(self.z[~np.isnan(self.z)])
+        stats = ((np.mean(abs_z), np.max(abs_z), np.mean(abs_z > 3.0)) if abs_z.size
+                 else (np.nan,) * 3)
+        summary = dict(zip(("mean_abs_z", "max_abs_z", "share_abs_z_above_3"),
+                           map(float, stats)))
+        if abs_z.size < self.z.size:
+            summary["users_without_z"] = self.z.size - abs_z.size
+        return summary
 
 
 def mc_validate(config: RunConfig) -> ValidationResult:
@@ -484,7 +498,8 @@ def mc_validate(config: RunConfig) -> ValidationResult:
     det_rates = det.report.spectral_efficiency
     diff = orep.mean_rate - det_rates
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where((diff == 0) & (orep.std_error == 0), 0.0, diff / orep.std_error)
+        z = np.where(orep.std_error > 0, diff / orep.std_error,
+                     np.where(diff == 0, 0.0, np.nan))
     return ValidationResult(deterministic=det, oracle_report=orep,
                             det_rates=det_rates, mc_rates=orep.mean_rate,
                             abs_error=np.abs(diff), z=z)
@@ -503,16 +518,13 @@ def write_validation(result: ValidationResult, out_dir: str | Path) -> dict[str,
         v, f = rates.throughput_cdf(arr)
         files[f"cdf_{name}"] = (f"cdf_{name}.csv", (["rate_bps_hz", "fraction"],
                                                    zip(v.tolist(), f.tolist())))
-    abs_z = np.abs(result.z)
     files["summary"] = ("validation_summary.json", {
         "config": echo,
         "mean_deterministic_bps_hz": float(np.mean(result.det_rates)),
         "mean_monte_carlo_bps_hz": float(np.mean(result.mc_rates)),
         "mean_abs_error": float(np.mean(result.abs_error)),
         "max_abs_error": float(np.max(result.abs_error)),
-        "mean_abs_z": float(np.mean(abs_z)),
-        "max_abs_z": float(np.max(abs_z)),
-        "share_abs_z_above_3": float(np.mean(abs_z > 3.0)),
+        **result.z_summary(),
         "n_realizations": result.oracle_report.n_realizations,
         "resample_events": result.oracle_report.resample_events,
     })

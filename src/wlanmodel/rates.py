@@ -27,7 +27,10 @@ from .scenario import ApNode
 #: row_blocks): a block of chain states for the chain average, a chunk of
 #: oracle realizations, a block of the gain matrix's transmitter rows.
 #: Larger blocks leave cache and gain nothing; much smaller ones pay the
-#: per-block overhead at thousands of users per channel.
+#: per-block overhead at thousands of users per channel. The chain walk
+#: counts the MU-MIMO peak for one-stream blocks too, which then hold about
+#: half of it (state_blocks); counting them exactly made contended_su's
+#: walk slower.
 BLOCK_BYTES = 4 << 20
 
 
@@ -74,6 +77,59 @@ def _zf_sinr(n_ant, n_pool, gp, streams, one_plus_i):
     return np.maximum(n_ant - streams + 1, 0) / n_pool * gp / streams / one_plus_i
 
 
+def _zf_search(gp: np.ndarray, group: np.ndarray, n_ant: np.ndarray,
+               n_pool: np.ndarray, cap: np.ndarray, tech: TechConfig):
+    """zf_rates for one fixed set of groups: the per-group constants once,
+    then the stream search for any interference.
+
+    Returns (fixed, search). search(one_plus_i, overwrite=False) gives the
+    rates before the air-time share, the chosen S [..., n_groups] and the
+    share S/|j| per group. When every cap is at most 1, S = min(cap, 1) in
+    every state, so the share is fixed: it is returned as `fixed` too
+    ([n_groups], else None). With overwrite, the search forms its last SINR
+    and rates inside one_plus_i.
+    """
+    group = np.asarray(group)
+    cap = np.asarray(cap)
+    size = np.maximum(np.bincount(group, minlength=cap.size), 1)
+    n_ant_u, n_pool_u = np.asarray(n_ant)[group], np.asarray(n_pool)[group]
+    top = max(int(cap.max(initial=0)), 1)
+    # _zf_sinr at unit interference. Dividing by 1 + I is _zf_sinr's own last
+    # step, so coef[S - 1] / (1 + I) equals its SINR at S streams bit for bit.
+    coef = [_zf_sinr(n_ant_u, n_pool_u, gp, s, 1.0) for s in range(1, top + 1)]
+    one_stream = np.minimum(cap, 1)
+    fixed = one_stream / size if top == 1 else None
+    if top > 1:
+        member = np.zeros((group.size, cap.size))
+        member[np.arange(group.size), group] = 1.0
+        weight = [s / size for s in range(1, top + 1)]
+
+    def eff_at(s, one_plus_i, overwrite):
+        x = np.divide(coef[s - 1], one_plus_i, out=one_plus_i if overwrite and s == top else None)
+        if tech.rate_mode != RateMode.GAUSSIAN:
+            return spectral_efficiency(x, tech)
+        x += 1.0
+        return np.log2(x, out=x)
+
+    def search(one_plus_i, overwrite=False):
+        eff = eff_at(1, one_plus_i, overwrite)
+        best_s = np.broadcast_to(one_stream, eff.shape[:-1] + cap.shape)
+        if fixed is not None:
+            return eff, best_s, fixed
+        best_obj = weight[0] * (eff @ member)
+        best_s = best_s.copy()
+        for s in range(2, top + 1):
+            eff_s = eff_at(s, one_plus_i, overwrite)
+            obj = weight[s - 1] * (eff_s @ member)
+            better = (obj > best_obj) & (s <= cap)  # strict: ties keep smaller S
+            np.copyto(best_obj, obj, where=better)
+            best_s[better] = s
+            np.copyto(eff, eff_s, where=better[..., group])
+        return eff, best_s, best_s / size
+
+    return fixed, search
+
+
 def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
              n_ant: np.ndarray, n_pool: np.ndarray, cap: np.ndarray,
              tech: TechConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -92,35 +148,7 @@ def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
     a read-only broadcast view when every cap is at most 1). It writes only
     into arrays it allocates: callers may reuse gp and one_plus_i.
     """
-    group = np.asarray(group)
-    cap = np.asarray(cap)
-    size = np.maximum(np.bincount(group, minlength=cap.size), 1)
-    n_ant_u, n_pool_u = np.asarray(n_ant)[group], np.asarray(n_pool)[group]
-
-    def eff_at(s):
-        # _zf_sinr's result is a fresh array: turn it into rates in place.
-        x = _zf_sinr(n_ant_u, n_pool_u, gp, s, one_plus_i)
-        if tech.rate_mode != RateMode.GAUSSIAN:
-            return spectral_efficiency(x, tech)
-        x += 1.0
-        return np.log2(x, out=x)
-
-    eff = eff_at(1)
-    best_s = np.broadcast_to(np.minimum(cap, 1), eff.shape[:-1] + cap.shape)
-    share = np.minimum(cap, 1) / size
-    if cap.max(initial=0) > 1:
-        member = np.zeros((group.size, cap.size))
-        member[np.arange(group.size), group] = 1.0
-        best_obj = (1 / size) * (eff @ member)
-        best_s = best_s.copy()
-        for s in range(2, int(cap.max()) + 1):
-            eff_s = eff_at(s)
-            obj = (s / size) * (eff_s @ member)
-            better = (obj > best_obj) & (s <= cap)  # strict: ties keep smaller S
-            np.copyto(best_obj, obj, where=better)
-            best_s[better] = s
-            np.copyto(eff, eff_s, where=better[..., group])
-        share = best_s / size
+    eff, best_s, share = _zf_search(gp, group, n_ant, n_pool, cap, tech)[1](one_plus_i)
     eff *= share[..., group]
     return eff, best_s
 
@@ -166,16 +194,18 @@ def cluster_groups(plan: ClusterPlan) -> dict[int, ChannelGroups]:
 
 def _own_user_kernel(gains: GainMatrix, aps: tuple[ApNode, ...],
                      channel: ChannelGroups, tech: TechConfig):
-    """One channel's users, group by group, and a function giving their
-    rates [n, users] and each group's chosen streams [n, groups] for any
-    block of n chain states.
+    """One channel's users, group by group, their fixed air-time share, and
+    a function giving their rates [n, users] and each group's chosen streams
+    [n, groups] for any block of n chain states.
 
     A group sums its APs' antennas, link gains and power, and its users see
     the power every other active group radiates as interference; an inactive
     group's users get zero rate. A group without users neither earns rate
     nor radiates, even if the chain marks it on. Stream counts mean
     something only where the group is on and has users: multiply them by
-    the states.
+    the states. When every group serves one stream, the share 1/|cell| is
+    the same in every state: it is returned per user and left out of the
+    rates (it is None, and in the rates, otherwise; see _zf_search).
     """
     users = [ut for cell in channel.cells for ut in cell]
     n_cell = np.array([len(cell) for cell in channel.cells])
@@ -194,15 +224,22 @@ def _own_user_kernel(gains: GainMatrix, aps: tuple[ApNode, ...],
     foreign[own, col] = 0.0
     cap = (np.minimum(n_ant, n_cell)
            if tech.technology != Technology.SU_BEAMFORMING else np.minimum(n_cell, 1))
+    fixed, search = _zf_search(gp, own, n_ant, n_pool, cap, tech)
+    foreign_t = np.ascontiguousarray(foreign.T)
 
     def block_rates(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        one_plus_i = states.astype(float) @ foreign
+        # A group's on bits are a row of `on`, so the on mask is a row
+        # gather. With a fixed share the rates are user-major too, one row a
+        # user; the stream search runs state-major, summing each state's
+        # users by group, and its share is masked per group.
+        on = states.T.astype(float, order="C")
+        one_plus_i = (foreign_t @ on).T if fixed is not None else on.T @ foreign
         one_plus_i += 1.0
-        rates, streams = zf_rates(gp, one_plus_i, own, n_ant, n_pool, cap, tech)
-        rates *= states[:, own]
+        rates, streams, share = search(one_plus_i, overwrite=True)
+        rates *= on[own].T if fixed is not None else (share * on.T)[..., own]
         return rates, streams
 
-    return users, block_rates
+    return users, None if fixed is None else fixed[own], block_rates
 
 
 def _full_width_rates(gains: GainMatrix, assoc: AssociationMap,
@@ -211,8 +248,11 @@ def _full_width_rates(gains: GainMatrix, assoc: AssociationMap,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Every state's rates [n_states, n_users_total] and streams, each
     member AP its own group, 0 for inactive or user-less APs."""
-    users, block_rates = _own_user_kernel(gains, aps, _ap_channel(assoc, members, None), tech)
+    users, share, block_rates = _own_user_kernel(
+        gains, aps, _ap_channel(assoc, members, None), tech)
     rates, streams = block_rates(states)
+    if share is not None:
+        rates *= share
     out = np.zeros((states.shape[0], n_users_total))
     out[:, users] = rates
     return out, streams * states
@@ -256,13 +296,20 @@ def row_blocks(n_rows: int, row_bytes: int):
 
 def state_blocks(n_states: int, users: list[int], channel: ChannelGroups):
     """Row blocks of n_states chain states for _own_user_kernel's
-    block_rates, whose temporaries together fit BLOCK_BYTES. At its peak a
-    block holds about four float64 [rows x own users] arrays (the
-    interference, the rates, the next stream count's rates and their
-    shares), 32 bytes a user column, and per group column the state's
-    unpacked uint8 row and its float64 copy plus, for MU-MIMO, four float64
+    block_rates, whose temporaries together fit BLOCK_BYTES.
+
+    A block counts the MU-MIMO peak: per user column 32 bytes, four float64
+    arrays (the interference, which the last stream count's SINR and rates
+    overwrite, the one-stream rates, the next stream count's rates, and the
+    masked shares gathered per user), and per group column 41 bytes, the
+    unpacked uint8 row, its float64 copy and the search's four float64
     arrays (the objective, the best one, the best stream count and the
-    group sums), 41 bytes."""
+    group sums). A one-stream block holds less: the rows, their copy, the
+    interference buffer that becomes the rates, and the on mask gathered
+    from the rows, 16 bytes a user and 9 a group. On contended_su's largest
+    channel (241 680 states, 45 groups, 47 users: 3 349 bytes counted, 1 252
+    rows a block) tracemalloc measures the walk's peak at 1 570 bytes a row
+    for SU and 3 532 for MU, the previous block's rates and rows included."""
     return row_blocks(n_states, 32 * len(users) + 41 * len(channel.groups))
 
 
@@ -274,24 +321,30 @@ def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
     The chain's states are walked in row blocks (state_blocks) whose
     temporaries together fit BLOCK_BYTES; each block's rates are computed
     for the channel's own users only and its share of the average is added
-    in, so no [states x users] array outlives a block.
+    in, so no array over all states x users is built. Where every group
+    serves one stream, its air-time share 1/|cell| is the same in every
+    state: it multiplies the summed average once, not every block entry.
     Returns the averaged rates [n_users_total] (zero outside the channel)
     and, for MU-MIMO, how many (state, active group with users) pairs chose
     each stream count S ({} for SU beamforming, always one stream).
     """
-    users, block_rates = _own_user_kernel(gains, aps, channel, tech)
+    users, share, block_rates = _own_user_kernel(gains, aps, channel, tech)
     avg = np.zeros(n_users_total)
     if not users:
         return avg, {}
     chain = channel.chain
+    total = np.zeros(len(users))
     counts: Counter = Counter()
     for block in state_blocks(chain.n_states, users, channel):
         states = chain.rows(block)
         rates, streams = block_rates(states)
-        avg[users] += average_over_ctmc(rates, chain, block)
+        total += average_over_ctmc(rates, chain, block)
         if tech.technology != Technology.SU_BEAMFORMING:
             chosen = np.bincount((streams * states).ravel())
             counts.update({s: int(n) for s, n in enumerate(chosen) if s and n})
+    if share is not None:
+        total *= share
+    avg[users] = total
     return avg, dict(sorted(counts.items()))
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -317,6 +318,34 @@ def test_sampled_chain_states_match_enumeration(monkeypatch, kernel):
     tol = 4 * np.hypot(enumerated.std_error, sampled.std_error)
     assert np.all(np.abs(sampled.mean_rate - enumerated.mean_rate) <= tol)
     assert np.all(sampled.std_error > enumerated.std_error)
+
+
+@pytest.mark.parametrize("technology", ["su_beamforming", "concentrated_mu_mimo"])
+def test_users_no_sampled_state_reaches_get_no_z(monkeypatch, tmp_path, technology):
+    # Twenty realizations sampled from a 7-state chain leave some APs off in
+    # every drawn state: the oracle measured none of their users (mean and
+    # std error 0 against a positive model rate), so they get no z, the |z|
+    # summary leaves them out, and the summary says how many they are.
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 24},
+        technology=technology, channelization="1x80",
+        oracle=OracleConfig(n_realizations=20))
+    enumerated = pipeline.mc_validate(cfg)
+    assert not np.isnan(enumerated.z).any()
+    assert "users_without_z" not in enumerated.z_summary()
+    monkeypatch.setattr(oracle, "STATE_ENUM_THRESHOLD", 2)
+    val = pipeline.mc_validate(cfg)
+    missing = np.isnan(val.z)
+    assert 0 < missing.sum() < missing.size
+    assert np.all(val.oracle_report.std_error[missing] == 0)
+    assert np.all(val.mc_rates[missing] == 0) and np.all(val.det_rates[missing] > 0)
+    assert np.all(np.isfinite(val.z[~missing]))
+    summary = json.loads(pipeline.write_validation(val, tmp_path)["summary"].read_text())
+    assert summary["users_without_z"] == missing.sum()
+    assert summary["max_abs_z"] == np.abs(val.z[~missing]).max()
+    assert summary["mean_abs_z"] == pytest.approx(np.abs(val.z[~missing]).mean(), rel=1e-15)
+    assert all(math.isfinite(summary[k])
+               for k in ("mean_abs_z", "max_abs_z", "share_abs_z_above_3"))
 
 
 @pytest.mark.filterwarnings("error")

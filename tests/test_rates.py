@@ -510,17 +510,45 @@ _CONTENDED_TECH = st.sampled_from([
     for m in (RateMode.GAUSSIAN, RateMode.QUANTIZED)])
 
 
+def per_state_average(gains, assoc, aps, members, model, tech, n_users):
+    """The chain average walked one state at a time: each on AP with users
+    radiates P*g at every other cell's users, zf_rates gives the state's
+    rates, an off AP's users get none, and pi weights the states. Returns
+    the average [n_users] and the MU stream-count histogram over the
+    (state, on AP with users) pairs."""
+    cells = [assoc.sets.get(a, ()) for a in members]
+    users = [u for cell in cells for u in cell]
+    group = np.repeat(np.arange(len(members)), [len(cell) for cell in cells])
+    n_ant = np.array([aps[a].antennas for a in members])
+    n_cell = np.array([len(cell) for cell in cells])
+    su = tech.technology == Technology.SU_BEAMFORMING
+    cap = np.minimum(n_cell, 1) if su else np.minimum(n_ant, n_cell)
+    power = [aps[a].power_linear for a in members]
+    gp = np.array([gains.ap_to_ut[members[j], u] * power[j] for j, u in zip(group, users)])
+    avg, counts = np.zeros(n_users), {}
+    for row, p in zip(model.rows(), model.pi()):
+        interference = np.zeros(len(users))
+        for j, a in enumerate(members):
+            if row[j] and cells[j]:
+                for k, (g, u) in enumerate(zip(group, users)):
+                    if g != j:
+                        interference[k] += power[j] * gains.ap_to_ut[a, u]
+        rates, streams = zf_rates(gp, 1.0 + interference, group, n_ant,
+                                  np.ones_like(n_ant), cap, tech)
+        for k, (g, u) in enumerate(zip(group, users)):
+            if row[g]:
+                avg[u] += p * rates[k]
+        for j, s in enumerate(streams):
+            if row[j] and cells[j] and not su:
+                counts[int(s)] = counts.get(int(s), 0) + 1
+    return avg, dict(sorted(counts.items()))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_contended_channel(), _CONTENDED_TECH, st.integers(2, 7))
 def test_streamed_chain_average_equals_dense_average(channel, tech, odd):
     gains, assoc, aps, members, model, n_users = channel
-    args = (gains, assoc, aps, members, model.rows(), tech, n_users)
-    if tech.technology == Technology.SU_BEAMFORMING:
-        dense, counts = su_channel_state_rates(*args), {}
-    else:
-        dense, streams = mu_channel_state_rates(*args)
-        counts = {s: n for s, n in enumerate(np.bincount(streams.ravel())) if s and n}
-    want = model.pi() @ dense
+    want, counts = per_state_average(gains, assoc, aps, members, model, tech, n_users)
     width = max(sum(len(assoc.sets[a]) for a in members), len(members))
     for budget in (rates_module.BLOCK_BYTES, 1, 8 * width * (2 * odd - 1)):
         with mock.patch.object(rates_module, "BLOCK_BYTES", budget):
