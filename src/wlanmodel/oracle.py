@@ -75,21 +75,18 @@ def _group(aps: tuple[ApNode, ...], ap_ids, users, streams: int) -> _Group:
 
 def _state_jobs(model: CtmcModel, n_realizations: int,
                 rng: np.random.Generator):
-    """(0/1 state rows, weights, draws, sampled) for fading-averaging one
-    channel over the states in which some group is on.
-
-    Small chains are enumerated and weighted by pi; large ones are sampled
-    from pi, each sampled occurrence contributing one realization, and only
-    the drawn rows are unpacked.
-    """
+    """(packed state rows, weights, draws, sampled) for fading-averaging one
+    channel over the states in which some group is on: small chains are
+    enumerated and weighted by pi, large ones sampled from pi, each sampled
+    occurrence contributing one realization."""
     pi = model.pi()
     if model.n_states <= STATE_ENUM_THRESHOLD:
         keep = np.flatnonzero((pi > 0) & (model.sizes > 0))
-        return model.rows(keep), pi[keep], np.full(keep.size, n_realizations), False
+        return model.words[keep], pi[keep], np.full(keep.size, n_realizations), False
     counts = rng.multinomial(n_realizations, pi)
     keep = np.flatnonzero(counts)
     keep = keep[model.sizes[keep] > 0]
-    return model.rows(keep), counts[keep] / n_realizations, counts[keep], True
+    return model.words[keep], counts[keep] / n_realizations, counts[keep], True
 
 
 def _zf_precoders(h_cols: np.ndarray, beams: bool = True):
@@ -276,15 +273,9 @@ def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGrou
     tech = TechConfig(technology=technology)
     for ch_id, channel in channels.items():
         state_rng = np.random.default_rng([seed, ch_id, 1 << 20])
-        states, weights, draws, sampled = _state_jobs(
+        words, weights, draws, sampled = _state_jobs(
             channel.chain, config.n_realizations, state_rng)
-        if not len(states):
-            continue
-        # One kernel set-up per channel, walked over its job states in the
-        # row blocks of the chain average.
-        users, _, block_rates = rates._own_user_kernel(gains, aps, channel, tech)
-        blocks = rates.state_blocks(len(states), users, channel)
-        streams = np.concatenate([block_rates(states[b])[1] for b in blocks]) * states
+        streams = rates._state_rates(gains, aps, channel, tech, words)[1]
         for idx, (weight, n, row) in enumerate(zip(weights.tolist(), draws.tolist(), streams)):
             groups = [_group(aps, ap_ids, cell, s)
                       for ap_ids, cell, s in zip(channel.groups, channel.cells, row) if s > 0]

@@ -24,13 +24,10 @@ from .scenario import ApNode
 
 
 #: Bytes the temporaries of one row block may take together (see
-#: row_blocks): a block of chain states for the chain average, a chunk of
-#: oracle realizations, a block of the gain matrix's transmitter rows.
-#: Larger blocks leave cache and gain nothing; much smaller ones pay the
-#: per-block overhead at thousands of users per channel. The chain walk
-#: counts the MU-MIMO peak for one-stream blocks too, which then hold about
-#: half of it (state_blocks); counting them exactly made contended_su's
-#: walk slower.
+#: row_blocks): a chunk of oracle realizations, a block of the gain
+#: matrix's transmitter rows, or the chain walk's tables and block of
+#: states, half of it each (_group_walk). Larger blocks leave cache and
+#: gain nothing; much smaller ones pay the per-block overhead.
 BLOCK_BYTES = 4 << 20
 
 
@@ -82,12 +79,11 @@ def _zf_search(gp: np.ndarray, group: np.ndarray, n_ant: np.ndarray,
     """zf_rates for one fixed set of groups: the per-group constants once,
     then the stream search for any interference.
 
-    Returns (fixed, search). search(one_plus_i, overwrite=False) gives the
-    rates before the air-time share, the chosen S [..., n_groups] and the
-    share S/|j| per group. When every cap is at most 1, S = min(cap, 1) in
-    every state, so the share is fixed: it is returned as `fixed` too
-    ([n_groups], else None). With overwrite, the search forms its last SINR
-    and rates inside one_plus_i.
+    Returns search(one_plus_i, overwrite=False), giving the rates before
+    the air-time share, the chosen S [..., n_groups] and the share S/|j|;
+    when every cap is at most 1, S = min(cap, 1) and the share are the same
+    in every state and given once, [n_groups]. With overwrite, the search
+    forms its last SINR and rates inside one_plus_i.
     """
     group = np.asarray(group)
     cap = np.asarray(cap)
@@ -113,11 +109,10 @@ def _zf_search(gp: np.ndarray, group: np.ndarray, n_ant: np.ndarray,
 
     def search(one_plus_i, overwrite=False):
         eff = eff_at(1, one_plus_i, overwrite)
-        best_s = np.broadcast_to(one_stream, eff.shape[:-1] + cap.shape)
         if fixed is not None:
-            return eff, best_s, fixed
+            return eff, one_stream, fixed
         best_obj = weight[0] * (eff @ member)
-        best_s = best_s.copy()
+        best_s = np.broadcast_to(one_stream, best_obj.shape).copy()
         for s in range(2, top + 1):
             eff_s = eff_at(s, one_plus_i, overwrite)
             obj = weight[s - 1] * (eff_s @ member)
@@ -127,7 +122,7 @@ def _zf_search(gp: np.ndarray, group: np.ndarray, n_ant: np.ndarray,
             np.copyto(eff, eff_s, where=better[..., group])
         return eff, best_s, best_s / size
 
-    return fixed, search
+    return search
 
 
 def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
@@ -145,12 +140,12 @@ def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
     gp and group are per user, [n_u]; one_plus_i is [..., n_u] over any
     leading state axes; n_ant, n_pool and cap are per group. Returns the
     rates [..., n_u] and the chosen S [..., n_groups] (0 where cap is 0;
-    a read-only broadcast view when every cap is at most 1). It writes only
-    into arrays it allocates: callers may reuse gp and one_plus_i.
+    a read-only view). It writes only into arrays it allocates: callers may
+    reuse gp and one_plus_i.
     """
-    eff, best_s, share = _zf_search(gp, group, n_ant, n_pool, cap, tech)[1](one_plus_i)
+    eff, best_s, share = _zf_search(gp, group, n_ant, n_pool, cap, tech)(one_plus_i)
     eff *= share[..., group]
-    return eff, best_s
+    return eff, np.broadcast_to(best_s, eff.shape[:-1] + share.shape[-1:])
 
 
 class ChannelGroups(NamedTuple):
@@ -192,70 +187,108 @@ def cluster_groups(plan: ClusterPlan) -> dict[int, ChannelGroups]:
             for ch, ids in sorted(by_channel.items())}
 
 
-def _own_user_kernel(gains: GainMatrix, aps: tuple[ApNode, ...],
-                     channel: ChannelGroups, tech: TechConfig):
-    """One channel's users, group by group, their fixed air-time share, and
-    a function giving their rates [n, users] and each group's chosen streams
-    [n, groups] for any block of n chain states.
+def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
+                channel: ChannelGroups, tech: TechConfig, words: np.ndarray):
+    """One channel's users, each group's columns among them, and a walk over
+    the packed states `words` (member g is bit g % 8 of byte g // 8 of a
+    row) yielding, per block of states and group with users on in some of
+    them: (block, group, its on rows in the block, its users' rates there
+    before the air-time share [on, |cell|], the share and the chosen S, per
+    on row or one value when the group's S is fixed).
 
-    A group sums its APs' antennas, link gains and power, and its users see
-    the power every other active group radiates as interference; an inactive
-    group's users get zero rate. A group without users neither earns rate
-    nor radiates, even if the chain marks it on. Stream counts mean
-    something only where the group is on and has users: multiply them by
-    the states. When every group serves one stream, the share 1/|cell| is
-    the same in every state: it is returned per user and left out of the
-    rates (it is None, and in the rates, otherwise; see _zf_search).
+    A group sums its APs' antennas, link gains and power; its users hear
+    every other active group with users. A user earns nothing where its
+    group is off, so a group is evaluated in its on rows only, picked by a
+    bit test on the block's byte planes; their 1 + I is read from tables,
+    per plane and user the 2^8 partial sums of eight groups' radiated power
+    (the method of four Russians). Tables and blocks take half of
+    BLOCK_BYTES each: groups are walked in batches whose tables fit (a
+    wider group alone, its tables rebuilt per column slice and block), and
+    a block counts its planes and the batch's widest group, and the one
+    walked before it, as on in every row.
     """
     users = [ut for cell in channel.cells for ut in cell]
     n_cell = np.array([len(cell) for cell in channel.cells])
-    own = np.repeat(np.arange(n_cell.size), n_cell)
     n_pool = np.array([len(g) for g in channel.groups])
     tx = [a for g in channel.groups for a in g]
     starts = np.cumsum(n_pool) - n_pool
     n_ant = np.add.reduceat([aps[a].antennas for a in tx], starts)
     power = np.array([aps[a].power_linear for a in tx])
-    link = gains.ap_to_ut[np.ix_(tx, users)]
-    col = np.arange(len(users))
-    gp = np.add.reduceat(link, starts)[own, col] * np.add.reduceat(power, starts)[own]
-    # Power each group radiates at each user, but none at its own users and
-    # none at all from a group without users.
-    foreign = np.add.reduceat(power[:, None] * link, starts) * (n_cell > 0)[:, None]
-    foreign[own, col] = 0.0
     cap = (np.minimum(n_ant, n_cell)
            if tech.technology != Technology.SU_BEAMFORMING else np.minimum(n_cell, 1))
-    fixed, search = _zf_search(gp, own, n_ant, n_pool, cap, tech)
-    foreign_t = np.ascontiguousarray(foreign.T)
+    cols = [slice(a - k, a) for a, k in zip(np.cumsum(n_cell).tolist(), n_cell.tolist())]
+    search = {j: _zf_search(
+        gains.ap_to_ut[np.ix_(channel.groups[j], channel.cells[j])].sum(axis=0)
+        * power[starts[j]:starts[j] + n_pool[j]].sum(), np.zeros(n_cell[j], dtype=int),
+        n_ant[j:j + 1], n_pool[j:j + 1], cap[j:j + 1], tech)
+        for j in np.flatnonzero(n_cell).tolist()}
+    # Power each group with users radiates at each other group's users.
+    n_planes, bits = -(-n_cell.size // 8), min(n_cell.size, 8)
+    radiated = np.zeros((8 * n_planes, len(users)))
+    link = gains.ap_to_ut[np.ix_(tx, users)]
+    link *= (power * np.repeat(n_cell > 0, n_pool))[:, None]
+    np.add.reduceat(link, starts, out=radiated[:n_cell.size])
+    radiated[np.repeat(np.arange(n_cell.size), n_cell), np.arange(len(users))] = 0.0
+    radiated = radiated.reshape(n_planes, 8, -1)[:, :bits]
 
-    def block_rates(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # A group's on bits are a row of `on`, so the on mask is a row
-        # gather. With a fixed share the rates are user-major too, one row a
-        # user; the stream search runs state-major, summing each state's
-        # users by group, and its share is masked per group.
-        on = states.T.astype(float, order="C")
-        one_plus_i = (foreign_t @ on).T if fixed is not None else on.T @ foreign
-        one_plus_i += 1.0
-        rates, streams, share = search(one_plus_i, overwrite=True)
-        rates *= on[own].T if fixed is not None else (share * on.T)[..., own]
-        return rates, streams
+    def tables(cs: slice) -> np.ndarray:
+        """1 + I at the users cs for each plane's bytes, [planes, 2^bits, users]."""
+        t = np.zeros((n_planes, 1 << bits, cs.stop - cs.start))
+        t[0] = 1.0
+        for k in range(bits):
+            t[:, 1 << k:2 << k] = t[:, :1 << k] + radiated[:, k, None, cs]
+        return t
 
-    return users, None if fixed is None else fixed[own], block_rates
+    budget = BLOCK_BYTES // 2
+    width = max(1, budget // (8 * n_planes << bits))  # user columns of a batch's tables
+    batches: list[list[int]] = []
+    for j in search:
+        if not batches or n_cell[batches[-1]].sum() + n_cell[j] > width:
+            batches.append([])
+        batches[-1].append(j)
+    # Bytes a row: its planes, bit test and pi; the on group's index, plane
+    # bytes and, per user, 1 + I and a gather (a stream search adds two stream
+    # counts' rates); the results of the group walked before.
+    row_cost = (50, 24) if cap.max(initial=0) <= 1 else (108, 41)
+
+    def one_plus_i(j: int, on: np.ndarray, planes: np.ndarray, kept: dict) -> np.ndarray:
+        at = [plane.take(on) for plane in planes]
+        parts = []
+        for lo in range(cols[j].start, cols[j].stop, width):
+            slab = kept[j] if kept else tables(slice(lo, min(lo + width, cols[j].stop)))
+            parts.append(slab[0].take(at[0], axis=0))
+            for t, a in zip(slab[1:], at[1:]):
+                parts[-1] += t.take(a, axis=0)
+            del slab
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    def walk(batch: list[int]):
+        kept = {j: tables(cols[j]) for j in batch} if n_cell[batch].sum() <= width else {}
+        row_bytes = 2 * n_planes + row_cost[0] + row_cost[1] * n_cell[batch].max()
+        for block in row_blocks(words.shape[0], row_bytes, budget):
+            planes = np.ascontiguousarray(words[block].view(np.uint8)[:, :n_planes].T)
+            for j in batch:
+                on = (planes[j >> 3] >> (j & 7) & 1).view(bool).nonzero()[0]
+                if on.size:
+                    eff, s, share = search[j](one_plus_i(j, on, planes, kept), overwrite=True)
+                    yield block, j, on, eff, share[..., 0], s[..., 0]
+
+    # One batch's tables are freed before the next batch builds its own.
+    return users, cols, (result for batch in batches for result in walk(batch))
 
 
-def _full_width_rates(gains: GainMatrix, assoc: AssociationMap,
-                      aps: tuple[ApNode, ...], members: list[int],
-                      states: np.ndarray, tech: TechConfig, n_users_total: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Every state's rates [n_states, n_users_total] and streams, each
-    member AP its own group, 0 for inactive or user-less APs."""
-    users, share, block_rates = _own_user_kernel(
-        gains, aps, _ap_channel(assoc, members, None), tech)
-    rates, streams = block_rates(states)
-    if share is not None:
-        rates *= share
-    out = np.zeros((states.shape[0], n_users_total))
-    out[:, users] = rates
-    return out, streams * states
+def _state_rates(gains: GainMatrix, aps: tuple[ApNode, ...], channel: ChannelGroups,
+                 tech: TechConfig, words: np.ndarray, n_users_total: int = 0):
+    """Every packed state's rates [rows, n_users_total] (zero outside the channel)
+    and each group's streams [rows, groups], 0 where it is off or has no users."""
+    users, cols, walk = _group_walk(gains, aps, channel, tech, words)
+    out = np.zeros((words.shape[0], n_users_total))
+    streams = np.zeros((words.shape[0], len(channel.groups)), dtype=int)
+    for block, j, on, rates, share, chosen in walk:
+        if n_users_total:
+            out[block.start + on[:, None], users[cols[j]]] = rates * share[..., None]
+        streams[block.start + on, j] = chosen
+    return out, streams
 
 
 def su_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
@@ -269,7 +302,8 @@ def su_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
     [n_states, n_users_total]; users outside the channel stay zero.
     """
     tech = replace(tech, technology=Technology.SU_BEAMFORMING)
-    return _full_width_rates(gains, assoc, aps, members, states, tech, n_users_total)[0]
+    return _state_rates(gains, aps, _ap_channel(assoc, members, None), tech,
+                        np.packbits(states != 0, axis=1, bitorder="little"), n_users_total)[0]
 
 
 def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
@@ -284,33 +318,15 @@ def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
     0 for inactive or user-less APs.
     """
     tech = replace(tech, technology=Technology.CONCENTRATED_MU_MIMO)
-    return _full_width_rates(gains, assoc, aps, members, states, tech, n_users_total)
+    return _state_rates(gains, aps, _ap_channel(assoc, members, None), tech,
+                        np.packbits(states != 0, axis=1, bitorder="little"), n_users_total)
 
 
-def row_blocks(n_rows: int, row_bytes: int):
-    """Slices walking n_rows rows in blocks of at most BLOCK_BYTES, at
-    row_bytes bytes a row; one row at least."""
-    step = max(1, BLOCK_BYTES // max(row_bytes, 1))
+def row_blocks(n_rows: int, row_bytes: int, budget: int | None = None):
+    """Slices walking n_rows rows in blocks of at most `budget` bytes
+    (BLOCK_BYTES by default), at row_bytes bytes a row; one row at least."""
+    step = max(1, (BLOCK_BYTES if budget is None else budget) // max(row_bytes, 1))
     return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
-
-
-def state_blocks(n_states: int, users: list[int], channel: ChannelGroups):
-    """Row blocks of n_states chain states for _own_user_kernel's
-    block_rates, whose temporaries together fit BLOCK_BYTES.
-
-    A block counts the MU-MIMO peak: per user column 32 bytes, four float64
-    arrays (the interference, which the last stream count's SINR and rates
-    overwrite, the one-stream rates, the next stream count's rates, and the
-    masked shares gathered per user), and per group column 41 bytes, the
-    unpacked uint8 row, its float64 copy and the search's four float64
-    arrays (the objective, the best one, the best stream count and the
-    group sums). A one-stream block holds less: the rows, their copy, the
-    interference buffer that becomes the rates, and the on mask gathered
-    from the rows, 16 bytes a user and 9 a group. On contended_su's largest
-    channel (241 680 states, 45 groups, 47 users: 3 349 bytes counted, 1 252
-    rows a block) tracemalloc measures the walk's peak at 1 570 bytes a row
-    for SU and 3 532 for MU, the previous block's rates and rows included."""
-    return row_blocks(n_states, 32 * len(users) + 41 * len(channel.groups))
 
 
 def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
@@ -318,32 +334,25 @@ def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
                         n_users_total: int) -> tuple[np.ndarray, dict[int, int]]:
     """One channel's chain-averaged rates, R = sum_m pi_m * R^m, streamed.
 
-    The chain's states are walked in row blocks (state_blocks) whose
-    temporaries together fit BLOCK_BYTES; each block's rates are computed
-    for the channel's own users only and its share of the average is added
-    in, so no array over all states x users is built. Where every group
-    serves one stream, its air-time share 1/|cell| is the same in every
-    state: it multiplies the summed average once, not every block entry.
-    Returns the averaged rates [n_users_total] (zero outside the channel)
-    and, for MU-MIMO, how many (state, active group with users) pairs chose
-    each stream count S ({} for SU beamforming, always one stream).
+    Each group is evaluated only in the chain states where it is on, and pi
+    there, times each state's air-time share, weights its users' rates into
+    the average (_group_walk: tables and blocks take half of BLOCK_BYTES each,
+    no array over all states x users). Returns the rates [n_users_total], zero
+    outside the channel, and for MU-MIMO how many (state, active group with
+    users) pairs chose each stream count S ({} for SU).
     """
-    users, share, block_rates = _own_user_kernel(gains, aps, channel, tech)
-    avg = np.zeros(n_users_total)
-    if not users:
-        return avg, {}
-    chain = channel.chain
+    users, cols, walk = _group_walk(gains, aps, channel, tech, channel.chain.words)
     total = np.zeros(len(users))
     counts: Counter = Counter()
-    for block in state_blocks(chain.n_states, users, channel):
-        states = chain.rows(block)
-        rates, streams = block_rates(states)
-        total += average_over_ctmc(rates, chain, block)
+    seen = None
+    for block, j, on, rates, share, streams in walk:
+        if block is not seen:
+            pi, seen = channel.chain.pi(block), block
+        total[cols[j]] += (pi.take(on) * share) @ rates
         if tech.technology != Technology.SU_BEAMFORMING:
-            chosen = np.bincount((streams * states).ravel())
+            chosen = np.bincount(np.broadcast_to(streams, on.shape))
             counts.update({s: int(n) for s, n in enumerate(chosen) if s and n})
-    if share is not None:
-        total *= share
+    avg = np.zeros(n_users_total)
     avg[users] = total
     return avg, dict(sorted(counts.items()))
 
@@ -428,10 +437,10 @@ def throughput_report(avg_rates: np.ndarray, serving: np.ndarray,
     bandwidth_hz = np.asarray(bandwidth_hz, dtype=float)
     if not 0.0 < overhead_discount <= 1.0:
         raise ValueError("overhead_discount must be in (0, 1]")
+    ofdm_factor = np.ones_like(bandwidth_hz)
     if tech.rate_mode == RateMode.QUANTIZED:
-        ofdm_factor = np.array([ofdm_efficiency(round(w / 1e6)) for w in bandwidth_hz])
-    else:
-        ofdm_factor = np.ones_like(bandwidth_hz)
+        widths, at = np.unique(bandwidth_hz, return_inverse=True)
+        ofdm_factor = np.array([ofdm_efficiency(round(w / 1e6)) for w in widths])[at]
     throughput = bandwidth_hz * ofdm_factor * avg_rates * overhead_discount
     values, fractions = throughput_cdf(throughput)
     return RateReport(

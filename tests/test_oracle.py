@@ -298,6 +298,32 @@ def test_mc_dist_co_channel_clusters_converge_with_antennas():
     assert abs(gaps[16]) < abs(gaps[4])
 
 
+def test_oracle_jobs_choose_the_streams_of_the_chain_average():
+    # The oracle's jobs and the chain average read their stream counts from
+    # one kernel: on enumerated chains every (state, active group with
+    # users) pair is one job group, so their stream counts sum to the
+    # average's histogram.
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "stadium", "n_aps": 12, "n_users": 40},
+        technology="concentrated_mu_mimo", channelization="1x80")
+    det = pipeline.evaluate(cfg)
+    channels = rates.ap_groups(det.assoc, det.mac)
+    assert max(c.chain.n_states for c in channels.values()) <= oracle.STATE_ENUM_THRESHOLD
+    want: dict = {}
+    for histogram in det.stream_choice.values():
+        for s, n in histogram.items():
+            want[s] = want.get(s, 0) + n
+    assert len(want) == 3
+    got: dict = {}
+    for _, _, sampled, _, groups in oracle._jobs(
+            det.scenario, det.gains, channels, rates.Technology.CONCENTRATED_MU_MIMO,
+            OracleConfig(n_realizations=10), seed=0):
+        assert not sampled
+        for g in groups:
+            got[g.streams] = got.get(g.streams, 0) + 1
+    assert got == want
+
+
 @pytest.mark.parametrize("kernel", [mc_su_rate, mc_mu_rate])
 def test_sampled_chain_states_match_enumeration(monkeypatch, kernel):
     # A chain above the enumeration threshold is sampled from pi; its means

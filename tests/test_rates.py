@@ -325,6 +325,16 @@ def test_throughput_report_quantized_uses_ofdm_factor():
     assert gauss.throughput_bps[0] == pytest.approx(20e6 * 6.0)
 
 
+def test_throughput_report_quantized_factor_per_user_width():
+    # One OFDM factor per distinct width, gathered back to every user.
+    from wlanmodel.metrics import ofdm_efficiency
+    widths = np.array([20e6, 80e6, 20e6, 40e6, 80e6])
+    rates = np.linspace(0.5, 5.0, widths.size)
+    rep = throughput_report(rates, np.zeros(widths.size, int), widths, QUANT)
+    want = [w * ofdm_efficiency(round(w / 1e6)) * r for w, r in zip(widths, rates)]
+    assert rep.throughput_bps.tolist() == want
+
+
 def test_quantized_below_first_mcs_is_zero_throughput():
     # SINR of 1 dB quantizes to zero efficiency.
     sinr = 10 ** (1.0 / 10)
@@ -551,6 +561,46 @@ def test_streamed_chain_average_equals_dense_average(channel, tech, odd):
     want, counts = per_state_average(gains, assoc, aps, members, model, tech, n_users)
     width = max(sum(len(assoc.sets[a]) for a in members), len(members))
     for budget in (rates_module.BLOCK_BYTES, 1, 8 * width * (2 * odd - 1)):
+        with mock.patch.object(rates_module, "BLOCK_BYTES", budget):
+            avg, chosen = chain_average_rates(
+                gains, aps, ap_groups(assoc, {0: ChannelCtmc(0, members, model)})[0],
+                tech, n_users)
+        np.testing.assert_allclose(avg, want, rtol=1e-12, atol=1e-12)
+        assert chosen == counts
+
+
+@st.composite
+def _wide_channel(draw):
+    """A channel of 9-70 member APs, so two or more byte planes and, past 64
+    members, two words a state, over random state rows; one crowded cell of
+    up to 40 users, the rest spread over every AP, a few of them on other
+    channels. Gains are lognormal from a drawn seed, some of them zero."""
+    n_members = draw(st.integers(9, 70))
+    n_aps = n_members + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    crowd = draw(st.integers(0, 40))
+    n_users = crowd + draw(st.integers(1, 12))
+    serving = np.concatenate([np.full(crowd, draw(st.integers(0, n_members - 1))),
+                              rng.integers(0, n_aps, n_users - crowd)])
+    sets = {a: tuple(np.flatnonzero(serving == a).tolist()) for a in range(n_aps)}
+    ap_to_ut = 10.0 ** rng.uniform(-9, -4, (n_aps, n_users)) * (rng.random((n_aps, n_users)) > 0.1)
+    aps = tuple(ApNode(i, (float(i), 0.0), antennas=int(rng.integers(1, 5)), power_db=90.0)
+                for i in range(n_aps))
+    rows = rng.random((draw(st.integers(1, 12)), n_members)) < rng.uniform(0.05, 0.6)
+    model = stationary_distribution(rows, rho=draw(st.floats(0.1, 100.0)))
+    assoc = AssociationMap(sets=sets, permutation_seed=0)
+    return _gains(ap_to_ut), assoc, aps, list(range(n_members)), model, n_users
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wide_channel(), _CONTENDED_TECH, st.integers(1, 5))
+def test_wide_chain_average_equals_per_state_average(channel, tech, columns):
+    # Under the small budgets a table holds one or a few user columns, so
+    # the crowded cell's table is built in column slices for every block.
+    gains, assoc, aps, members, model, n_users = channel
+    want, counts = per_state_average(gains, assoc, aps, members, model, tech, n_users)
+    planes = -(-len(members) // 8)
+    for budget in (rates_module.BLOCK_BYTES, 1, 4 * 2048 * planes * columns):
         with mock.patch.object(rates_module, "BLOCK_BYTES", budget):
             avg, chosen = chain_average_rates(
                 gains, aps, ap_groups(assoc, {0: ChannelCtmc(0, members, model)})[0],
