@@ -235,7 +235,6 @@ def stationary_distribution(states: np.ndarray, rho: float,
 class ChannelCtmc:
     """Per-channel chain: member ap ids plus the model over those columns."""
 
-    channel_id: int
     members: tuple[int, ...]
     model: CtmcModel
 
@@ -258,7 +257,7 @@ def channel_ctmcs(graph: ContentionGraph, rho: float,
         members = graph.members(ch)
         nbr = _neighbor_masks(graph.adjacency[np.ix_(members, members)])
         words, ch_mode = _channel_states(nbr, mode, cap)
-        out[ch] = ChannelCtmc(ch, tuple(members),
+        out[ch] = ChannelCtmc(tuple(members),
                               _packed_law(words, len(members), rho, ch_mode))
     return out
 

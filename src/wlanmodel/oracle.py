@@ -41,13 +41,10 @@ STATE_ENUM_THRESHOLD = 10_000
 @dataclass(frozen=True)
 class OracleConfig:
     n_realizations: int = 2000
-    subcarriers: int = 1
 
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("need at least one realization")
-        if self.subcarriers < 1:
-            raise ValueError("need at least one subcarrier")
 
 
 @dataclass
@@ -137,17 +134,17 @@ def _gauss(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
 
 
-def _draw(rng: np.random.Generator, power: np.ndarray, nsub: int) -> np.ndarray:
-    """Rayleigh channels [r, nsub, N, c] with per-entry power[N, r, c]."""
-    amp = np.sqrt(0.5 * np.moveaxis(power, 0, -2))[:, None]
-    h = _gauss(rng, (amp.shape[0], nsub) + amp.shape[2:])
+def _draw(rng: np.random.Generator, power: np.ndarray) -> np.ndarray:
+    """Rayleigh channels [r, N, c] with per-entry power[N, r, c]."""
+    amp = np.sqrt(0.5 * np.moveaxis(power, 0, -2))
+    h = _gauss(rng, amp.shape)
     h *= amp
     return h
 
 
-def _realization_bytes(groups: list[_Group], nsub: int) -> int:
-    """Bytes one realization of a job holds per subcarrier: a one-stream group's
-    [B, k] energies, a single-AP ZF group's [S] xi (if heard, [S, S] factor and
+def _realization_bytes(groups: list[_Group]) -> int:
+    """Bytes one realization of a job holds: a one-stream group's [B, k]
+    energies, a single-AP ZF group's [S] xi (if heard, [S, S] factor and
     beams), a pooled one's [N, S] channel, Gram matrix and inverse; per pair (i, j)
     a [cols_i] leakage, an [S_j, cols_i] z and its product, or an [N_j, cols_i] h."""
     total, heard = 0, len(groups) > 1
@@ -158,14 +155,14 @@ def _realization_bytes(groups: list[_Group], nsub: int) -> int:
         hears = sum(8 if j.streams == 1 else 32 * j.streams if len(j.aps) == 1
                     else 16 * len(j.rows) for j in groups if j is not g)
         total += cols * (own + hears)
-    return nsub * total
+    return total
 
 
 def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
-             r: int, nsub: int, sums: list[np.ndarray]) -> int:
+             r: int, sums: list[np.ndarray]) -> int:
     """Draw r realizations of one job's groups and add each scored user's
-    subcarrier-averaged rate and its square into its group's [2, users]
-    sums. Returns the number of singular pooled ZF draws redrawn."""
+    rate and its square into its group's [2, users] sums. Returns the
+    number of singular pooled ZF draws redrawn."""
     picks, signals, beams, resamples = [], [], [], 0
     heard = len(groups) > 1
     for g in groups:
@@ -173,21 +170,21 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
         if g.streams == 1:
             picks.append(np.broadcast_to(np.arange(k), (r, k)))
             gain = gains.ap_to_ut[g.aps[:, None], g.users]
-            energy = rng.standard_gamma(g.antennas[:, None], (r, nsub) + gain.shape)
-            signals.append(g.power * np.einsum("rnbk,bk->rnk", energy, gain))
+            energy = rng.standard_gamma(g.antennas[:, None], (r,) + gain.shape)
+            signals.append(g.power * np.einsum("rbk,bk->rk", energy, gain))
             # A lead user outside every sector gets the unit-gain beam E_b / sum E.
             lead = rng.integers(k, size=r)
-            share = np.where(gain[:, lead].any(axis=0), gain[:, lead], 1.0).T[:, None]
-            share = share * energy[np.arange(r), :, :, lead]
-            beams.append(share / share.sum(axis=2, keepdims=True))
+            share = np.where(gain[:, lead].any(axis=0), gain[:, lead], 1.0).T
+            share = share * energy[np.arange(r), :, lead]
+            beams.append((share / share.sum(axis=1, keepdims=True))[:, None])
             continue
         picks.append(_random_subsets(rng, r, k, g.streams))
         if len(g.aps) == 1:
             # One AP's unit-gain columns are iid CN(0, 1), sectors or not:
             # draw their Bartlett factor, or only xi if nobody hears the beams.
             n, scale = len(g.rows), gains.ap_to_ut[g.aps[0], g.users[picks[-1]]]
-            xi, v = (_zf_factor(rng, n, g.streams, (r, nsub))[1:] if heard else
-                     (rng.standard_gamma(n - g.streams + 1, (r, nsub, g.streams)), None))
+            xi, v = (_zf_factor(rng, n, g.streams, (r,))[1:] if heard else
+                     (rng.standard_gamma(n - g.streams + 1, (r, g.streams)), None))
         else:
             link = gains.ap_to_ut[g.rows[:, None, None], g.users[picks[-1]]]
             # Precode on columns normalized to unit mean gain, so a user
@@ -197,11 +194,11 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
             link /= np.where(scale > 0, scale, 1.0)
             link += scale == 0
             try:
-                v, xi = _zf_precoders(_draw(rng, link, nsub), heard)
+                v, xi = _zf_precoders(_draw(rng, link), heard)
             except np.linalg.LinAlgError:
                 resamples += 1
-                v, xi = _zf_precoders(_draw(rng, link, nsub), heard)
-        signals.append(xi * scale[:, None] * (g.power / g.streams))
+                v, xi = _zf_precoders(_draw(rng, link), heard)
+        signals.append(xi * scale * (g.power / g.streams))
         beams.append(v)
     for i, g in enumerate(groups):
         cols = g.users[picks[i]]
@@ -211,21 +208,21 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
                 continue
             if other.streams == 1:
                 power = np.moveaxis(gains.ap_to_ut[other.aps[:, None, None], cols], 0, -2)
-                leak = (beams[j] @ power) * rng.standard_exponential((r, nsub, cols.shape[1]))
+                leak = (beams[j] @ power)[:, 0] * rng.standard_exponential(cols.shape)
             elif len(other.aps) == 1:
                 # A fresh channel seen in the frame of the AP's served
                 # columns is z ~ CN(0, g I_S); there the beams are W's rows.
-                y = beams[j] @ _gauss(rng, (r, nsub, other.streams, cols.shape[1]))
-                leak = 0.5 * gains.ap_to_ut[other.aps[0], cols][:, None] * (
-                    np.einsum("rnsc,rnsc->rnc", y.real, y.real)
-                    + np.einsum("rnsc,rnsc->rnc", y.imag, y.imag))
+                y = beams[j] @ _gauss(rng, (r, other.streams, cols.shape[1]))
+                leak = 0.5 * gains.ap_to_ut[other.aps[0], cols] * (
+                    np.einsum("rsc,rsc->rc", y.real, y.real)
+                    + np.einsum("rsc,rsc->rc", y.imag, y.imag))
             else:
                 # A fresh circularly symmetric h makes h^T v as distributed
                 # as v^H h, without conjugating the beams.
-                h = _draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols], nsub)
-                leak = np.sum(np.abs(np.swapaxes(h, 2, 3) @ beams[j]) ** 2, axis=3)
+                h = _draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols])
+                leak = np.sum(np.abs(np.swapaxes(h, 1, 2) @ beams[j]) ** 2, axis=2)
             interf = interf + other.power / other.streams * leak
-        x = np.log2(1.0 + signals[i] / (1.0 + interf)).mean(axis=1)
+        x = np.log2(1.0 + signals[i] / (1.0 + interf))
         x /= len(g.users) if g.streams == 1 else 1
         for row, y in zip(sums[i], (x, x**2)):
             row += np.bincount(picks[i].ravel(), y.ravel(), len(row))
@@ -244,14 +241,13 @@ def _simulate(scenario: Scenario, gains: GainMatrix, channels: dict[int, Channel
     realizations in chunks whose arrays fit rates.BLOCK_BYTES (at least
     one realization per chunk).
     """
-    nsub = config.subcarriers
     mean, var, spread = (np.zeros(scenario.n_users) for _ in range(3))
     resamples = 0
     for weight, draws, sampled, rng, groups in _jobs(scenario, gains, channels,
                                                      technology, config, seed):
         sums = [np.zeros((2, len(g.users))) for g in groups]
-        for chunk in rates.row_blocks(draws, _realization_bytes(groups, nsub)):
-            resamples += _realize(rng, gains, groups, chunk.stop - chunk.start, nsub, sums)
+        for chunk in rates.row_blocks(draws, _realization_bytes(groups)):
+            resamples += _realize(rng, gains, groups, chunk.stop - chunk.start, sums)
         for g, (total, total_sq) in zip(groups, sums):
             m = total / draws
             mean[g.users] += weight * m

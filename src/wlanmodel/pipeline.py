@@ -93,7 +93,6 @@ SETTINGS = (
     Setting("state_cap", int, flag=False),
     *(Setting(f"seed_{f.name}", int, f"seeds.{f.name}", minimum=0) for f in fields(Seeds)),
     Setting("realizations", int, "oracle.n_realizations", help="oracle realization count"),
-    Setting("subcarriers", int, "oracle.subcarriers", flag=False),
 )
 SETTING = {s.name: s for s in SETTINGS}
 SWEEP_AXES = tuple(s.name for s in SETTINGS if s.sweep)
@@ -404,20 +403,17 @@ class SweepResult:
 
 
 def sweep(config: RunConfig) -> SweepResult:
-    """Evaluate each sweep point (seeds shared), collecting failures.
-
-    A config without a sweep axis degenerates to a single evaluation,
-    reported as the one point of a trivial sweep.
-    """
+    """Evaluate each sweep point (seeds shared), collecting failures."""
     if config.sweep_axis is None:
-        result = evaluate(config)
-        return SweepResult(axis="single", values=["run"],
-                           summaries={"run": result.report.summary},
-                           errors={}, point_results={"run": result})
+        raise ValueError("sweep needs a sweep_axis")
     values = list(config.sweep_values)
-    threads = int(os.environ.get(THREADS_ENV, "1"))
+    raw = os.environ.get(THREADS_ENV, "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
     if threads < 1:
-        raise ValueError(f"{THREADS_ENV} must be at least 1, got {threads}")
+        raise ValueError(f"{THREADS_ENV} must be an integer of at least 1, got {raw!r}")
     errors, results = {}, {}
 
     def _run(value):

@@ -174,7 +174,6 @@ class GainMatrix:
 
     ap_to_ut: np.ndarray
     ap_to_ap: np.ndarray
-    seed: int
 
 
 def _wall_attenuation_matrix(scenario: Scenario, tx: np.ndarray,
@@ -264,4 +263,4 @@ def gain_matrix(scenario: Scenario, params: PathlossParams, seed: int) -> GainMa
     ap_to_ut = np.power(10.0, np.divide(pl_ut, -10.0, out=pl_ut), out=pl_ut)
     ap_to_ap = 10.0 ** (-pl_ap / 10.0)
     np.fill_diagonal(ap_to_ap, 0.0)  # self-gain unused
-    return GainMatrix(ap_to_ut=ap_to_ut, ap_to_ap=ap_to_ap, seed=seed)
+    return GainMatrix(ap_to_ut=ap_to_ut, ap_to_ap=ap_to_ap)

@@ -37,9 +37,7 @@ def channel_preset(name: str) -> tuple[Channel, ...]:
 
 @dataclass
 class ChannelPlan:
-    channels: tuple[Channel, ...]
     ap_channel: dict[int, int]
-    permutation_seed: int
 
 
 def assign_channels(gains: GainMatrix, aps: tuple[ApNode, ...],
@@ -61,7 +59,7 @@ def assign_channels(gains: GainMatrix, aps: tuple[ApNode, ...],
         c = int(np.argmin(received[:, i]))  # ascending ids: the first minimum
         assignment[i] = channels[c].id
         received[c] += powers[i] * gains.ap_to_ap[i]
-    return ChannelPlan(channels=channels, ap_channel=assignment, permutation_seed=seed)
+    return ChannelPlan(ap_channel=assignment)
 
 
 @dataclass
@@ -69,7 +67,6 @@ class AssociationMap:
     """Per-AP ordered user sets; a partition of all users."""
 
     sets: dict[int, tuple[int, ...]]
-    permutation_seed: int
     zero_rate_users: frozenset[int] = frozenset()
 
     def __post_init__(self):
@@ -132,7 +129,7 @@ def associate_users(peak_rates: np.ndarray, seed: int,
     order = np.random.default_rng([seed, 1]).permutation(peak_rates.shape[1])
     joined, zero_rate = _greedy(peak_rates, order, fallback_metric)
     return AssociationMap(sets={i: tuple(uts) for i, uts in enumerate(joined)},
-                          permutation_seed=seed, zero_rate_users=zero_rate)
+                          zero_rate_users=zero_rate)
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,6 @@ class Cluster:
 @dataclass
 class ClusterPlan:
     clusters: tuple[Cluster, ...]
-    channels: tuple[Channel, ...]
     user_cluster: dict[int, int] = field(default_factory=dict)
     zero_rate_users: frozenset[int] = frozenset()
 
@@ -209,7 +205,7 @@ def build_clusters(aps: tuple[ApNode, ...], gains: GainMatrix, n_clusters: int,
     groups.sort(key=lambda g: g[0])
     clusters = tuple(Cluster(ap_ids=g, channel_id=channels[j % len(channels)].id)
                      for j, g in enumerate(groups))
-    return ClusterPlan(clusters=clusters, channels=channels)
+    return ClusterPlan(clusters=clusters)
 
 
 def associate_users_to_clusters(gains: GainMatrix, aps: tuple[ApNode, ...],

@@ -76,8 +76,8 @@ def test_criterion_3_reduction_identities():
         p_db = float(rng.uniform(60, 100))
         g = rng.uniform(1e-9, 1e-4, n_users)
         aps = (ApNode(0, (0.0, 0.0), antennas=m, power_db=p_db),)
-        gains = GainMatrix(ap_to_ut=g[None, :], ap_to_ap=np.zeros((1, 1)), seed=0)
-        assoc = AssociationMap(sets={0: tuple(range(n_users))}, permutation_seed=0)
+        gains = GainMatrix(ap_to_ut=g[None, :], ap_to_ap=np.zeros((1, 1)))
+        assoc = AssociationMap(sets={0: tuple(range(n_users))})
 
         # concentrated at S=1 vs single-user beamforming (formula level)
         interf = float(rng.uniform(0, 10))
@@ -87,7 +87,7 @@ def test_criterion_3_reduction_identities():
 
         # concentrated at S=1 vs single-user beamforming (rate level):
         # a one-user cell forces S = 1
-        solo = AssociationMap(sets={0: (0,)}, permutation_seed=0)
+        solo = AssociationMap(sets={0: (0,)})
         mu_r, streams = mu_channel_state_rates(gains, solo, aps, [0], on,
                                                TechConfig(), n_users)
         su_r = su_channel_state_rates(gains, solo, aps, [0], on,

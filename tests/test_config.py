@@ -85,6 +85,19 @@ def test_cli_config_file_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
     assert "technolgy" in capsys.readouterr().err
 
 
+def test_config_with_oracle_subcarriers_is_refused(tmp_path, capsys):
+    # The oracle no longer has a subcarrier axis: an old config says so.
+    tree = {"oracle": {"subcarriers": 4}}
+    with pytest.raises(TypeError, match="subcarriers"):
+        RunConfig(**tree)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(tree))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["mc-validate", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "subcarriers" in capsys.readouterr().err
+
+
 def test_bad_sweep_point_is_that_points_error():
     cfg = RunConfig(scenario=HALL, sweep_axis="n_aps", sweep_values=[4, 4.5])
     res = pipeline.sweep(cfg)

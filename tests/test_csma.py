@@ -21,7 +21,7 @@ from wlanmodel.csma import (
 )
 from wlanmodel import pipeline
 from wlanmodel.propagation import GainMatrix
-from wlanmodel.radio_plan import ChannelPlan, channel_preset
+from wlanmodel.radio_plan import ChannelPlan
 from wlanmodel.scenario import ApNode
 
 
@@ -66,9 +66,9 @@ def test_contention_graph_threshold_edge():
     # Co-located pair: 90 dB power, 60 dB pathloss -> 30 dB received >= 10 dB.
     g = np.full((2, 2), 1e-6)
     np.fill_diagonal(g, 0.0)
-    gains = GainMatrix(ap_to_ut=np.full((2, 1), 1e-6), ap_to_ap=g, seed=0)
+    gains = GainMatrix(ap_to_ut=np.full((2, 1), 1e-6), ap_to_ap=g)
     aps = (ApNode(0, (0.0, 0.0)), ApNode(1, (1.0, 0.0)))
-    plan = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0}, 0)
+    plan = ChannelPlan({0: 0, 1: 0})
     graph = build_contention_graph(gains, plan, aps, cca_db=10.0)
     assert graph.edges() == [(0, 1)]
     # 30 dB received < 31 dB threshold: no edge
@@ -79,11 +79,11 @@ def test_contention_graph_threshold_edge():
 def test_contention_graph_channel_gating_and_disabled():
     g = np.full((2, 2), 1e-6)
     np.fill_diagonal(g, 0.0)
-    gains = GainMatrix(ap_to_ut=np.full((2, 1), 1e-6), ap_to_ap=g, seed=0)
+    gains = GainMatrix(ap_to_ut=np.full((2, 1), 1e-6), ap_to_ap=g)
     aps = (ApNode(0, (0.0, 0.0)), ApNode(1, (1.0, 0.0)))
-    split = ChannelPlan(channel_preset("2x40"), {0: 0, 1: 1}, 0)
+    split = ChannelPlan({0: 0, 1: 1})
     assert build_contention_graph(gains, split, aps, 10.0).edges() == []
-    same = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0}, 0)
+    same = ChannelPlan({0: 0, 1: 0})
     assert build_contention_graph(gains, same, aps, None).edges() == []
     # Nobody senses, so nobody defers: the chain is the one all-on state.
     (chain,) = channel_ctmcs(build_contention_graph(gains, same, aps, None), 100.0).values()
@@ -93,9 +93,9 @@ def test_contention_graph_channel_gating_and_disabled():
 def test_contention_symmetrized_by_or():
     # Asymmetric gains (sectorized transmitter): one direction suffices.
     ap_to_ap = np.array([[0.0, 1e-6], [0.0, 0.0]])
-    gains = GainMatrix(ap_to_ut=np.full((2, 1), 1e-6), ap_to_ap=ap_to_ap, seed=0)
+    gains = GainMatrix(ap_to_ut=np.full((2, 1), 1e-6), ap_to_ap=ap_to_ap)
     aps = (ApNode(0, (0.0, 0.0)), ApNode(1, (1.0, 0.0)))
-    plan = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0}, 0)
+    plan = ChannelPlan({0: 0, 1: 0})
     assert build_contention_graph(gains, plan, aps, 10.0).edges() == [(0, 1)]
 
 
@@ -105,9 +105,9 @@ def test_raising_cca_never_adds_edges():
     g = rng.uniform(1e-9, 1e-5, size=(n, n))
     g = (g + g.T) / 2
     np.fill_diagonal(g, 0.0)
-    gains = GainMatrix(ap_to_ut=np.full((n, 2), 1e-6), ap_to_ap=g, seed=0)
+    gains = GainMatrix(ap_to_ut=np.full((n, 2), 1e-6), ap_to_ap=g)
     aps = tuple(ApNode(i, (float(i), 0.0)) for i in range(n))
-    plan = ChannelPlan(channel_preset("1x80"), {i: 0 for i in range(n)}, 0)
+    plan = ChannelPlan({i: 0 for i in range(n)})
     prev = None
     for cca in (0.0, 10.0, 20.0, 30.0):
         edges = set(build_contention_graph(gains, plan, aps, cca).edges())

@@ -96,9 +96,9 @@ def test_zf_precoder_nulls_intra_cell_interference():
 def _single_ap_setup(m_antennas, g, power_db=90.0, n_users=1):
     aps = (ApNode(0, (0.0, 0.0), antennas=m_antennas, power_db=power_db),)
     gains = GainMatrix(ap_to_ut=np.full((1, n_users), g),
-                       ap_to_ap=np.zeros((1, 1)), seed=0)
-    plan = ChannelPlan(channel_preset("1x80"), {0: 0}, 0)
-    assoc = AssociationMap(sets={0: tuple(range(n_users))}, permutation_seed=0)
+                       ap_to_ap=np.zeros((1, 1)))
+    plan = ChannelPlan({0: 0})
+    assoc = AssociationMap(sets={0: tuple(range(n_users))})
     users = tuple(UtNode(k, (5.0, float(k))) for k in range(n_users))
     scenario = Scenario(width_m=10, height_m=max(10.0, float(n_users)),
                         aps=aps, users=users)
@@ -183,10 +183,9 @@ def _cluster_setup(b_aps, m_antennas, n_users, g=1e-7, power_db=90.0):
     scenario = Scenario(width_m=max(10.0, float(max(b_aps, n_users))),
                         height_m=10.0, aps=aps, users=users)
     gains = GainMatrix(ap_to_ut=np.full((b_aps, n_users), g),
-                       ap_to_ap=np.zeros((b_aps, b_aps)), seed=0)
+                       ap_to_ap=np.zeros((b_aps, b_aps)))
     cluster = Cluster(ap_ids=tuple(range(b_aps)), channel_id=0)
-    plan = ClusterPlan(clusters=(cluster,), channels=channel_preset("1x80"),
-                       user_cluster={k: 0 for k in range(n_users)})
+    plan = ClusterPlan(clusters=(cluster,), user_cluster={k: 0 for k in range(n_users)})
     return scenario, gains, plan
 
 
@@ -195,10 +194,10 @@ def test_mc_dist_single_ap_matches_mu():
     cfg = OracleConfig(n_realizations=20_000)
     dist = mc_dist_rate(scenario, gains, plan, cfg, seed=7)
 
-    ch_plan = ChannelPlan(channel_preset("1x80"), {0: 0}, 0)
-    assoc = AssociationMap(sets={0: (0, 1)}, permutation_seed=0)
+    ch_plan = ChannelPlan({0: 0})
+    assoc = AssociationMap(sets={0: (0, 1)})
     graph = build_contention_graph(gains, ch_plan, scenario.aps, None)
-    mac = {0: ChannelCtmc(0, (0,), stationary_distribution(
+    mac = {0: ChannelCtmc((0,), stationary_distribution(
         np.array([[1]]), rho=100.0, mode=CtmcMode.NO_CSMA))}
     mu = mc_mu_rate(scenario, gains, ch_plan, assoc, mac, cfg, seed=7)
     rel = np.abs(dist.mean_rate - mu.mean_rate) / mu.mean_rate
@@ -266,16 +265,6 @@ def test_mc_pipeline_on_generated_hall():
                                     TechConfig(), scenario.n_users)
         det += average_over_ctmc(sr, ctmc.model)
     assert abs(rep.mean_rate.mean() - det.mean()) / det.mean() < 0.10
-
-
-def test_mc_su_multiple_subcarriers_same_mean_lower_variance():
-    scenario, gains, plan, assoc, mac = _single_ap_setup(4, 1e-7)
-    one = mc_su_rate(scenario, gains, plan, assoc, mac,
-                     OracleConfig(n_realizations=4000, subcarriers=1), seed=13)
-    four = mc_su_rate(scenario, gains, plan, assoc, mac,
-                      OracleConfig(n_realizations=4000, subcarriers=4), seed=13)
-    assert four.mean_rate[0] == pytest.approx(one.mean_rate[0], rel=0.03)
-    assert four.std_error[0] < one.std_error[0]
 
 
 def test_mc_dist_co_channel_clusters_converge_with_antennas():
@@ -427,8 +416,8 @@ def test_chunk_budget_leaves_the_estimates_unchanged(monkeypatch, technology):
         n_clusters=2, oracle=OracleConfig(n_realizations=600))
     per_realization, chunks = [], []
     count_bytes, realize = oracle._realization_bytes, oracle._realize
-    monkeypatch.setattr(oracle, "_realization_bytes", lambda groups, nsub: (
-        per_realization.append(count_bytes(groups, nsub)) or per_realization[-1]))
+    monkeypatch.setattr(oracle, "_realization_bytes", lambda groups: (
+        per_realization.append(count_bytes(groups)) or per_realization[-1]))
     monkeypatch.setattr(oracle, "_realize", lambda rng, gains, groups, r, *rest: (
         chunks.append(r) or realize(rng, gains, groups, r, *rest)))
     default = pipeline.mc_validate(cfg).oracle_report
@@ -443,7 +432,7 @@ def test_chunk_budget_leaves_the_estimates_unchanged(monkeypatch, technology):
         assert got.std_error.mean() <= 1.25 * default.std_error.mean()
 
 
-def _explicit_realize(rng, gains, groups, r, nsub, sums):
+def _explicit_realize(rng, gains, groups, r, sums):
     """Reference for `oracle._realize` that draws every group explicitly.
 
     A one-stream group draws its users' N-antenna Rayleigh channels, takes
@@ -459,24 +448,24 @@ def _explicit_realize(rng, gains, groups, r, nsub, sums):
         scale = link.mean(axis=0)
         link /= np.where(scale > 0, scale, 1.0)
         link += scale == 0
-        h = oracle._draw(rng, link, nsub)
+        h = oracle._draw(rng, link)
         if g.streams == 1:
-            xi = np.sum(np.abs(h) ** 2, axis=2)
-            v = h[..., :1] / np.sqrt(xi[:, :, None, :1])
+            xi = np.sum(np.abs(h) ** 2, axis=1)
+            v = h[..., :1] / np.sqrt(xi[:, None, :1])
         else:
             v, xi = _zf_precoders(h)
         picks.append(pick)
-        signals.append(xi * scale[:, None] * (g.power / g.streams))
+        signals.append(xi * scale * (g.power / g.streams))
         beams.append(v)
     for i, g in enumerate(groups):
         cols = g.users[picks[i]]
         interf = 0.0
         for j, other in enumerate(groups):
             if j != i:
-                h = oracle._draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols], nsub)
+                h = oracle._draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols])
                 interf = interf + other.power / other.streams * np.sum(
-                    np.abs(np.swapaxes(h, 2, 3) @ beams[j]) ** 2, axis=3)
-        x = np.log2(1.0 + signals[i] / (1.0 + interf)).mean(axis=1)
+                    np.abs(np.swapaxes(h, 1, 2) @ beams[j]) ** 2, axis=2)
+        x = np.log2(1.0 + signals[i] / (1.0 + interf))
         x /= len(g.users) if g.streams == 1 else 1
         for row, y in zip(sums[i], (x, x**2)):
             row += np.bincount(picks[i].ravel(), y.ravel(), len(row))
@@ -506,7 +495,7 @@ def test_su_co_channel_subcarriers_match_explicit_draws(monkeypatch):
     cfg = pipeline.RunConfig(
         scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 30},
         technology="su_beamforming", channelization="1x80", cca_db=None,
-        oracle=OracleConfig(n_realizations=1500, subcarriers=4))
+        oracle=OracleConfig(n_realizations=6000))
     seen = _assert_matches_explicit_draws(
         monkeypatch, lambda: pipeline.mc_validate(cfg).oracle_report)
     assert max(len(groups) for groups in seen) == 6
@@ -521,10 +510,10 @@ def test_mu_single_user_cells_match_explicit_draws(monkeypatch):
     g = np.random.default_rng(0).uniform(5e-9, 3e-8, (3, 5))
     for ap, cell in cells.items():
         g[ap, list(cell)] = 1e-7
-    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((3, 3)), seed=0)
-    plan = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0, 2: 0}, 0)
-    assoc = AssociationMap(sets=cells, permutation_seed=0)
-    mac = {0: ChannelCtmc(0, (0, 1, 2), stationary_distribution(
+    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((3, 3)))
+    plan = ChannelPlan({0: 0, 1: 0, 2: 0})
+    assoc = AssociationMap(sets=cells)
+    mac = {0: ChannelCtmc((0, 1, 2), stationary_distribution(
         np.ones((1, 3)), rho=100.0, mode=CtmcMode.NO_CSMA))}
     seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_mu_rate(
         scenario, gains, plan, assoc, mac, OracleConfig(n_realizations=4000), seed=3))
@@ -547,10 +536,9 @@ def test_pooled_one_stream_clusters_match_explicit_draws(monkeypatch):
     g[2:4, 1] = 0.0
     g[:4, 2:5] = np.array([1e-7, 1e-10, 1e-10, 1e-7])[:, None]
     g[4, 2:5] = 1e-7
-    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((5, 5)), seed=0)
+    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((5, 5)))
     clusters = tuple(Cluster(ids, 0) for ids in ((0, 1), (2, 3), (4,)))
-    plan = ClusterPlan(clusters=clusters, channels=channel_preset("1x80"),
-                       user_cluster={0: 0, 5: 0, 1: 1, 2: 2, 3: 2, 4: 2})
+    plan = ClusterPlan(clusters=clusters, user_cluster={0: 0, 5: 0, 1: 1, 2: 2, 3: 2, 4: 2})
     seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_dist_rate(
         scenario, gains, plan, OracleConfig(n_realizations=4000), seed=4))
     assert [grp.streams for grp in seen[0]][:2] == [1, 1]
@@ -598,7 +586,7 @@ def test_co_channel_mu_subcarriers_match_explicit_draws(monkeypatch):
     cfg = pipeline.RunConfig(
         scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 30},
         technology="concentrated_mu_mimo", channelization="1x80", cca_db=None,
-        oracle=OracleConfig(n_realizations=1500, subcarriers=4))
+        oracle=OracleConfig(n_realizations=6000))
     seen = _assert_matches_explicit_draws(
         monkeypatch, lambda: pipeline.mc_validate(cfg).oracle_report)
     assert all(len(groups) == 6 for groups in seen)
@@ -634,10 +622,10 @@ def test_mu_cells_at_full_rank_match_explicit_draws(monkeypatch):
     g = np.full((2, 5), 5e-8)
     for ap, cell in cells.items():
         g[ap, list(cell)] = [1e-6, 3e-6, 1e-5][:len(cell)]
-    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((2, 2)), seed=0)
-    plan = ChannelPlan(channel_preset("1x80"), {0: 0, 1: 0}, 0)
-    assoc = AssociationMap(sets=cells, permutation_seed=0)
-    mac = {0: ChannelCtmc(0, (0, 1), stationary_distribution(
+    gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((2, 2)))
+    plan = ChannelPlan({0: 0, 1: 0})
+    assoc = AssociationMap(sets=cells)
+    mac = {0: ChannelCtmc((0, 1), stationary_distribution(
         np.array([[1, 0], [0, 1], [1, 1]]), rho=1.0))}
     seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_mu_rate(
         scenario, gains, plan, assoc, mac, OracleConfig(n_realizations=4000), seed=5))

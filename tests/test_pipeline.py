@@ -216,9 +216,10 @@ def test_sweep_results_do_not_depend_on_thread_count(monkeypatch):
     assert set(runs["1"].errors) == {99}  # more clusters than APs
     assert runs["1"].errors == runs["2"].errors
     assert runs["1"].summaries == runs["2"].summaries
-    monkeypatch.setenv(pipeline.THREADS_ENV, "0")
-    with pytest.raises(ValueError, match=pipeline.THREADS_ENV):
-        pipeline.sweep(cfg)
+    for threads in ("0", "two"):
+        monkeypatch.setenv(pipeline.THREADS_ENV, threads)
+        with pytest.raises(ValueError, match=pipeline.THREADS_ENV):
+            pipeline.sweep(cfg)
 
 
 def test_maximal_only_channels_are_noted(tmp_path):
@@ -374,14 +375,9 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert echo["rate_mode"] == "quantized"
 
 
-def test_sweep_without_axis_is_single_evaluation():
-    cfg = desk_config()
-    res = pipeline.sweep(cfg)
-    assert res.values == ["run"] and not res.errors
-    single = pipeline.evaluate(cfg)
-    point = res.point_results["run"]
-    assert np.array_equal(point.report.throughput_bps,
-                          single.report.throughput_bps)
+def test_sweep_without_axis_is_refused():
+    with pytest.raises(ValueError, match="sweep_axis"):
+        pipeline.sweep(desk_config())
 
 
 def test_cca_sweep_axis_includes_disabled():
@@ -403,12 +399,11 @@ def test_contended_rates_stage_streams_own_user_blocks(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(rates, "BLOCK_BYTES", budget)
     monkeypatch.setattr(radio_plan, "assign_channels", lambda gains, aps, channels, seed:
-                        radio_plan.ChannelPlan(channels, {a: int(a >= n_loud)
-                                                          for a in range(n_aps)}, seed))
+                        radio_plan.ChannelPlan({a: int(a >= n_loud) for a in range(n_aps)}))
     sets = {a: tuple(range(a, 20, n_loud)) for a in range(n_loud)}
     sets[n_loud] = tuple(range(20, n_users))
     monkeypatch.setattr(radio_plan, "associate_users", lambda peak, seed, fallback_metric:
-                        radio_plan.AssociationMap(sets, seed))
+                        radio_plan.AssociationMap(sets))
     real_stage, peaks = pipeline._stage, {}
 
     @contextmanager

@@ -145,7 +145,7 @@ def test_assign_channels_matches_the_loop(data):
     ap_to_ap = data.draw(arrays(float, (n_aps, n_aps), elements=st.sampled_from(GAIN_VALUES)))
     aps = _aps(data.draw(st.lists(st.sampled_from([0.0, 10.0]), min_size=n_aps,
                                   max_size=n_aps)))
-    gains = GainMatrix(ap_to_ut=np.ones((n_aps, 1)), ap_to_ap=ap_to_ap, seed=0)
+    gains = GainMatrix(ap_to_ut=np.ones((n_aps, 1)), ap_to_ap=ap_to_ap)
     channels = tuple(Channel(c, 20e6) for c in range(n_channels))
     seed = data.draw(st.integers(0, 2**16))
     got = assign_channels(gains, aps, channels, seed).ap_channel
@@ -160,7 +160,7 @@ def test_assign_channels_adds_in_join_order():
     ap_to_ap = np.zeros((5, 5))
     ap_to_ap[[2, 1, 0, 4], 3] = [0.1, 0.2, 0.3, 0.6]
     ap_to_ap[:3, 4] = 1.0
-    gains = GainMatrix(ap_to_ut=np.ones((5, 1)), ap_to_ap=ap_to_ap, seed=0)
+    gains = GainMatrix(ap_to_ut=np.ones((5, 1)), ap_to_ap=ap_to_ap)
     aps = _aps([0.0] * 5)
     channels = (Channel(0, 40e6), Channel(1, 40e6))
     seed = next(s for s in range(10_000)
@@ -182,7 +182,7 @@ def test_peak_snr_matches_the_product_it_replaced(g, data):
     antennas = np.array(data.draw(st.lists(st.integers(1, 16), min_size=n, max_size=n)))
     aps = _aps(data.draw(st.lists(st.floats(-10.0, 100.0), min_size=n, max_size=n)),
                antennas.tolist())
-    snr = peak_rate_matrix(GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((n, n)), seed=0), aps)[1]
+    snr = peak_rate_matrix(GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((n, n))), aps)[1]
     old = g * np.array([ap.antennas * ap.power_linear for ap in aps])[:, None]
     power_of_two = (antennas & (antennas - 1)) == 0
     assert np.array_equal(snr[power_of_two], old[power_of_two])
@@ -213,9 +213,9 @@ def test_associate_users_to_clusters_matches_the_loop(data):
                                   min_size=n_aps, max_size=n_aps)),
                data.draw(st.lists(st.integers(1, 8), min_size=n_aps, max_size=n_aps)))
     gains = GainMatrix(ap_to_ut=data.draw(_tied_columns(n_aps, n_users)),
-                       ap_to_ap=np.zeros((n_aps, n_aps)), seed=0)
+                       ap_to_ap=np.zeros((n_aps, n_aps)))
     seed = data.draw(st.integers(0, 2**16))
-    plan = ClusterPlan(clusters=clusters, channels=(Channel(0, 80e6),))
+    plan = ClusterPlan(clusters=clusters)
     got = associate_users_to_clusters(gains, aps, plan, seed)
     user_cluster, zero_rate = ref_associate_users_to_clusters(gains, aps, clusters, seed)
     assert got == plan.user_cluster == user_cluster
@@ -233,9 +233,9 @@ def test_associate_users_to_clusters_matches_the_loop(data):
 ])
 def test_cluster_peaks_add_in_member_order(gain, power_db):
     aps = _aps(power_db)
-    gains = GainMatrix(ap_to_ut=np.array(gain)[:, None], ap_to_ap=np.zeros((6, 6)), seed=0)
+    gains = GainMatrix(ap_to_ut=np.array(gain)[:, None], ap_to_ap=np.zeros((6, 6)))
     clusters = (Cluster((0, 1, 2), 0), Cluster((3, 4, 5), 0))
-    plan = ClusterPlan(clusters=clusters, channels=(Channel(0, 80e6),))
+    plan = ClusterPlan(clusters=clusters)
     want = ref_associate_users_to_clusters(gains, aps, clusters, 0)[0]
     assert associate_users_to_clusters(gains, aps, plan, 0) == want == {0: 1}
 
@@ -249,8 +249,8 @@ def test_contention_graph_matches_the_loop(n_aps, n_channels, cca_db, density, s
     ap_to_ap = np.where(rng.random((n_aps, n_aps)) < density,
                         rng.choice([1.0, 2.0, 10.0], (n_aps, n_aps)), 0.0)
     aps = _aps(rng.choice([0.0, 10.0], n_aps).tolist())
-    gains = GainMatrix(ap_to_ut=np.ones((n_aps, 1)), ap_to_ap=ap_to_ap, seed=0)
-    plan = ChannelPlan((), dict(enumerate(rng.integers(0, n_channels, n_aps).tolist())), 0)
+    gains = GainMatrix(ap_to_ut=np.ones((n_aps, 1)), ap_to_ap=ap_to_ap)
+    plan = ChannelPlan(dict(enumerate(rng.integers(0, n_channels, n_aps).tolist())))
     graph = build_contention_graph(gains, plan, aps, cca_db)
     adjacency = ref_contention_adjacency(gains, plan, aps, cca_db)
     assert graph.edges() == sorted((i, j) for i, nbrs in adjacency.items()

@@ -30,7 +30,6 @@ def _fake_gains(n_aps, n_users, ap_to_ap=None, ap_to_ut=None):
     return GainMatrix(
         ap_to_ut=np.ones((n_aps, n_users)) * 1e-7 if ap_to_ut is None else ap_to_ut,
         ap_to_ap=np.ones((n_aps, n_aps)) * 1e-8 if ap_to_ap is None else ap_to_ap,
-        seed=0,
     )
 
 

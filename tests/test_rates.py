@@ -39,7 +39,7 @@ def _gains(ap_to_ut, ap_to_ap=None):
     n = ap_to_ut.shape[0]
     if ap_to_ap is None:
         ap_to_ap = np.zeros((n, n))
-    return GainMatrix(ap_to_ut=ap_to_ut, ap_to_ap=np.asarray(ap_to_ap, float), seed=0)
+    return GainMatrix(ap_to_ut=ap_to_ut, ap_to_ap=np.asarray(ap_to_ap, float))
 
 
 def _aps(n, antennas=4, power_db=90.0):
@@ -87,14 +87,14 @@ def test_peak_rate_vanishing_gain():
 
 def test_su_rate_inactive_ap_zero():
     gains = _gains([[1e-7, 1e-7]])
-    assoc = AssociationMap(sets={0: (0, 1)}, permutation_seed=0)
+    assoc = AssociationMap(sets={0: (0, 1)})
     rates = _su(gains, assoc, _aps(1), [0])
     assert np.all(rates == 0.0)
 
 
 def test_su_rate_isolated_cell_of_two():
     gains = _gains([[1e-7, 1e-7]])
-    assoc = AssociationMap(sets={0: (0, 1)}, permutation_seed=0)
+    assoc = AssociationMap(sets={0: (0, 1)})
     rates = _su(gains, assoc, _aps(1), [1])
     assert rates == pytest.approx([math.log2(401) / 2, math.log2(401) / 2])
 
@@ -106,7 +106,7 @@ def test_su_rate_matched_interferer():
     g_interf = 4e-2   # g*P   = 4e7
     gains = _gains([[g_signal, 0.0], [0.0, g_interf]],
                    ap_to_ap=np.full((2, 2), 1e-9))
-    assoc = AssociationMap(sets={0: (0,), 1: (1,)}, permutation_seed=0)
+    assoc = AssociationMap(sets={0: (0,), 1: (1,)})
     aps = _aps(2, antennas=4, power_db=90.0)
     # user 0 of AP0 sees AP1's g=4e-2: swap roles so interference hits user 0
     gains.ap_to_ut[1, 0] = g_interf
@@ -156,7 +156,7 @@ def _mu_oracle(g_cell, m, p, denom, n_cell, tech):
 
 def test_mu_rate_state_matches_brute_force():
     gains = _gains([[1e-7, 1e-7, 1e-7, 1e-7]])
-    assoc = AssociationMap(sets={0: (0, 1, 2, 3)}, permutation_seed=0)
+    assoc = AssociationMap(sets={0: (0, 1, 2, 3)})
     aps = _aps(1, antennas=4)
     rates, streams = _mu(gains, assoc, aps, [1])
     s_star, _, expected = _mu_oracle([1e-7] * 4, 4, 1e9, 1.0, 4, GAUSS)
@@ -171,7 +171,7 @@ def test_mu_rate_state_random_instances_match_oracle():
         m = int(rng.integers(1, 9))
         g_cell = rng.uniform(1e-9, 1e-5, n_users)
         gains = _gains(g_cell[None, :])
-        assoc = AssociationMap(sets={0: tuple(range(n_users))}, permutation_seed=0)
+        assoc = AssociationMap(sets={0: tuple(range(n_users))})
         aps = _aps(1, antennas=m)
         tech = QUANT if rng.random() < 0.5 else GAUSS
         rates, streams = _mu(gains, assoc, aps, [1], tech)
@@ -183,7 +183,7 @@ def test_mu_rate_state_random_instances_match_oracle():
 def test_mu_heavy_interference_reverts_to_single_stream():
     gains = _gains(np.full((2, 3), 1e-5), ap_to_ap=np.full((2, 2), 1e-9))
     gains.ap_to_ut[1, :2] = 1e-2  # crushing interference onto AP 0's users
-    assoc = AssociationMap(sets={0: (0, 1), 1: (2,)}, permutation_seed=0)
+    assoc = AssociationMap(sets={0: (0, 1), 1: (2,)})
     aps = _aps(2, antennas=4)
     rates, streams = _mu(gains, assoc, aps, [1, 1])
     assert streams[0] == 1
@@ -191,7 +191,7 @@ def test_mu_heavy_interference_reverts_to_single_stream():
 
 def test_mu_single_user_cell_equals_su():
     gains = _gains([[3e-7]])
-    assoc = AssociationMap(sets={0: (0,)}, permutation_seed=0)
+    assoc = AssociationMap(sets={0: (0,)})
     aps = _aps(1, antennas=4)
     mu, streams = _mu(gains, assoc, aps, [1])
     su = _su(gains, assoc, aps, [1])
@@ -246,7 +246,7 @@ def test_dist_equals_concentrated_at_single_ap():
         p_db = float(rng.uniform(60, 100))
         aps = _aps(1, antennas=m, power_db=p_db)
         gains = _gains(g[None, :])
-        assoc = AssociationMap(sets={0: tuple(range(n_users))}, permutation_seed=0)
+        assoc = AssociationMap(sets={0: tuple(range(n_users))})
         mu, streams = _mu(gains, assoc, aps, [1])
         cluster = Cluster(ap_ids=(0,), channel_id=0)
         dist, s_star = dist_mu_rate(cluster, gains, aps, list(range(n_users)))
@@ -411,7 +411,7 @@ def test_pooled_single_ap_equals_concentrated(g, m, power_db, tech):
     g = np.array(g)
     aps = _aps(1, antennas=m, power_db=power_db)
     gains = _gains(g[None, :])
-    assoc = AssociationMap(sets={0: tuple(range(g.size))}, permutation_seed=0)
+    assoc = AssociationMap(sets={0: tuple(range(g.size))})
     mu, streams = _mu(gains, assoc, aps, [1], tech)
     cluster = Cluster(ap_ids=(0,), channel_id=0)
     dist, s_star = dist_mu_rate(cluster, gains, aps, list(range(g.size)), tech)
@@ -510,7 +510,7 @@ def _contended_channel(draw):
     every = np.array(list(itertools.product((0, 1), repeat=n_members)), dtype=np.uint8)
     rows = draw(st.lists(st.integers(0, len(every) - 1), min_size=1, unique=True))
     model = stationary_distribution(every[sorted(rows)], rho=draw(st.floats(0.1, 100.0)))
-    assoc = AssociationMap(sets=sets, permutation_seed=0)
+    assoc = AssociationMap(sets=sets)
     return gains, assoc, aps, list(range(n_members)), model, n_users
 
 
@@ -563,7 +563,7 @@ def test_streamed_chain_average_equals_dense_average(channel, tech, odd):
     for budget in (rates_module.BLOCK_BYTES, 1, 8 * width * (2 * odd - 1)):
         with mock.patch.object(rates_module, "BLOCK_BYTES", budget):
             avg, chosen = chain_average_rates(
-                gains, aps, ap_groups(assoc, {0: ChannelCtmc(0, members, model)})[0],
+                gains, aps, ap_groups(assoc, {0: ChannelCtmc(members, model)})[0],
                 tech, n_users)
         np.testing.assert_allclose(avg, want, rtol=1e-12, atol=1e-12)
         assert chosen == counts
@@ -588,7 +588,7 @@ def _wide_channel(draw):
                 for i in range(n_aps))
     rows = rng.random((draw(st.integers(1, 12)), n_members)) < rng.uniform(0.05, 0.6)
     model = stationary_distribution(rows, rho=draw(st.floats(0.1, 100.0)))
-    assoc = AssociationMap(sets=sets, permutation_seed=0)
+    assoc = AssociationMap(sets=sets)
     return _gains(ap_to_ut), assoc, aps, list(range(n_members)), model, n_users
 
 
@@ -603,7 +603,7 @@ def test_wide_chain_average_equals_per_state_average(channel, tech, columns):
     for budget in (rates_module.BLOCK_BYTES, 1, 4 * 2048 * planes * columns):
         with mock.patch.object(rates_module, "BLOCK_BYTES", budget):
             avg, chosen = chain_average_rates(
-                gains, aps, ap_groups(assoc, {0: ChannelCtmc(0, members, model)})[0],
+                gains, aps, ap_groups(assoc, {0: ChannelCtmc(members, model)})[0],
                 tech, n_users)
         np.testing.assert_allclose(avg, want, rtol=1e-12, atol=1e-12)
         assert chosen == counts
@@ -616,12 +616,12 @@ def test_stream_counts_of_a_two_ap_chain():
     # Each AP is on in two of the four equally likely states.
     aps = _aps(2, antennas=4, power_db=90.0)
     gains = _gains([[1e-6, 0.0, 0.0], [0.0, 1e-6, 1e-6]])
-    assoc = AssociationMap(sets={0: (0,), 1: (1, 2)}, permutation_seed=0)
+    assoc = AssociationMap(sets={0: (0,), 1: (1, 2)})
     model = stationary_distribution(
         np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.uint8), rho=1.0)
     tech = TechConfig(technology=Technology.CONCENTRATED_MU_MIMO)
     avg, counts = chain_average_rates(
-        gains, aps, ap_groups(assoc, {0: ChannelCtmc(0, (0, 1), model)})[0], tech, 3)
+        gains, aps, ap_groups(assoc, {0: ChannelCtmc((0, 1), model)})[0], tech, 3)
     assert counts == {1: 2, 2: 2}
     assert avg == pytest.approx(
         [0.5 * math.log2(4001), 0.5 * math.log2(1501), 0.5 * math.log2(1501)],
