@@ -13,7 +13,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -57,14 +56,15 @@ class Setting(NamedTuple):
     def parse(self, value):
         """The one parser for constructor arguments, JSON values, CLI flag
         literals and sweep points: a string is never a number, a number is
-        never truncated, and NaN and values below the minimum are refused."""
+        never truncated, and NaN, infinities and values below the minimum are
+        refused."""
         if value in self.nulls:
             return None
         if isinstance(self.kind, tuple):
             if value in self.kind:
                 return value
         elif isinstance(value, numbers.Integral if self.kind is int else numbers.Real) \
-                and not isinstance(value, bool) and not math.isnan(value) \
+                and not isinstance(value, bool) and math.isfinite(value) \
                 and (self.minimum is None or value >= self.minimum):
             return self.kind(value)
         raise ValueError(f"{self.at or self.name} cannot be {value!r}")
@@ -90,7 +90,7 @@ SETTINGS = (
             help="sectorize every AP to this beamwidth"),
     Setting("sector_orientation_deg", float),
     Setting("outage_threshold_bps", float),
-    Setting("state_cap", int, flag=False),
+    Setting("state_cap", int, flag=False, minimum=1),
     *(Setting(f"seed_{f.name}", int, f"seeds.{f.name}", minimum=0) for f in fields(Seeds)),
     Setting("realizations", int, "oracle.n_realizations", help="oracle realization count"),
 )
@@ -414,6 +414,7 @@ def sweep(config: RunConfig) -> SweepResult:
         threads = 0
     if threads < 1:
         raise ValueError(f"{THREADS_ENV} must be an integer of at least 1, got {raw!r}")
+    from concurrent.futures import ThreadPoolExecutor  # only sweep runs a thread pool
     errors, results = {}, {}
 
     def _run(value):

@@ -139,8 +139,9 @@ class Scenario:
 def from_tree(cls, tree):
     """Build a record (a frozen dataclass) from its JSON tree, the layout
     `dataclasses.asdict` writes. A missing key keeps its default; a missing
-    required key, a key that is not a field, or a value its field type
-    cannot hold is refused, naming the record, the field and the list item."""
+    required key, a key that is not a field, a value its field type cannot
+    hold, or a NaN or infinite number is refused, naming the record, the field
+    and the list item."""
     return _converter(cls)(tree)
 
 
@@ -192,6 +193,8 @@ def _converter(tp):
     kinds = (int, float) if tp is float else tp
 
     def leaf(v):
+        if isinstance(v, float) and not math.isfinite(v):  # json reads NaN and Infinity
+            raise ValueError(f"expected a finite number, got {v!r}")
         if isinstance(v, kinds) and not isinstance(v, bool):
             return v
         if issubclass(tp, (Enum, Fraction)) and isinstance(v, (str, int)):

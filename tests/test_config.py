@@ -44,6 +44,9 @@ def test_cli_config_file_without_cca_keeps_carrier_sensing(tmp_path):
     ({"scenario": {**HALL, "n_aps": 4.5}}, "n_aps"),
     ({"seeds": {"plan": 2.5}}, "seeds.plan"),
     ({"oracle": {"n_realizations": 10.5}}, "oracle.n_realizations"),
+    ({"rho": float("inf")}, "rho"),
+    ({"power_db": float("-inf")}, "power_db"),
+    ({"state_cap": 0}, "state_cap"),
 ])
 def test_bad_values_are_refused_by_name(data, name):
     with pytest.raises(ValueError, match=re.escape(name)):
@@ -67,7 +70,7 @@ def test_constructor_arguments_are_parsed_too():
 
 @pytest.mark.parametrize("flag, text", [
     ("--antennas", "4.7"), ("--n-aps", "4.5"), ("--cca-db", "none"),
-    ("--power-db", "loud"), ("--technology", "laser"),
+    ("--power-db", "loud"), ("--technology", "laser"), ("--power-db", "inf"),
 ])
 def test_bad_flag_values_are_usage_errors(flag, text, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:

@@ -278,8 +278,9 @@ def test_mc_validate_outputs(tmp_path):
     vres = pipeline.mc_validate(q)
     assert vres.deterministic.tech.rate_mode.value == "gaussian"
     # users at zero rate in both model and oracle score z = 0, not NaN
+    # (10^-400 underflows to a zero transmit power; an infinite one is refused)
     silent = pipeline.mc_validate(desk_config(
-        power_db=-math.inf, oracle=OracleConfig(n_realizations=50)))
+        power_db=-4000.0, oracle=OracleConfig(n_realizations=50)))
     assert np.all(silent.oracle_report.std_error == 0)
     assert np.array_equal(silent.z, np.zeros(silent.z.size))
 

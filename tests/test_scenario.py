@@ -244,3 +244,16 @@ def test_missing_required_key_names_record_field_and_index(tmp_path):
             from_tree(Scenario, tree)
         assert str(err.value) == \
             f"Scenario.users: UtNode is missing field position (item {item})"
+
+
+def test_non_finite_number_names_record_field_and_index(tmp_path):
+    path = tmp_path / "scenario.json"
+    build_conference_hall(4, 12, seed=0).save(path)
+    for value in (math.nan, math.inf, -math.inf):
+        tree = json.loads(path.read_text())
+        tree["aps"][1]["power_db"] = value
+        text = json.dumps(tree)  # the non-standard NaN / Infinity tokens
+        with pytest.raises(ValueError) as err:
+            from_tree(Scenario, json.loads(text))
+        assert str(err.value) == ("Scenario.aps: ApNode.power_db: "
+                                  f"expected a finite number, got {value!r} (item 1)")
