@@ -18,6 +18,10 @@ draws one of three laws:
   (Gamma(N - S + 1), drawn so if nobody hears it), and k' hears
   (P/S) g_k' ||W z||^2, W the unit rows of R^-1 and z ~ CN(0, I_S) fresh.
 - Pooled ZF (B >= 2): explicit channels, precoders and beams.
+
+The states of an enumerated chain are strata of known weight pi, and each
+draws realizations in proportion to it (_draw_counts): each group's
+heaviest state keeps the full n.
 """
 
 from __future__ import annotations
@@ -51,8 +55,9 @@ class OracleConfig:
 class OracleReport:
     mean_rate: np.ndarray   # bit/s/Hz per user, chain- and fading-averaged
     std_error: np.ndarray
-    n_realizations: int
-    resample_events: int = 0  # singular pooled ZF draws redrawn (no other law can be singular)
+    n_realizations: int     # per group's heaviest state (see _draw_counts)
+    realizations_drawn: int = 0  # over every job
+    resample_events: int = 0  # no law redraws; kept for readers of the count
 
 
 class _Group(NamedTuple):
@@ -74,33 +79,60 @@ def _state_jobs(model: CtmcModel, n_realizations: int,
                 rng: np.random.Generator):
     """(packed state rows, weights, draws, sampled) for fading-averaging one
     channel over the states in which some group is on: small chains are
-    enumerated and weighted by pi, large ones sampled from pi, each sampled
+    enumerated and weighted by pi (their draws, None here, follow from the
+    weights: see _draw_counts), large ones sampled from pi, each sampled
     occurrence contributing one realization."""
     pi = model.pi()
     if model.n_states <= STATE_ENUM_THRESHOLD:
         keep = np.flatnonzero((pi > 0) & (model.sizes > 0))
-        return model.words[keep], pi[keep], np.full(keep.size, n_realizations), False
+        return model.words[keep], pi[keep], None, False
     counts = rng.multinomial(n_realizations, pi)
     keep = np.flatnonzero(counts)
     keep = keep[model.sizes[keep] > 0]
     return model.words[keep], counts[keep] / n_realizations, counts[keep], True
 
 
+def _draw_counts(weights: np.ndarray, on: np.ndarray, n: int) -> np.ndarray:
+    """Realizations for each enumerated state of weight pi [states] whose
+    groups are `on` with users [states, groups]: ceil(n * max_g pi / pi*_g),
+    pi*_g the largest pi among g's states (at least one, at most n)."""
+    pi = np.where(on, weights[:, None], 0.0)
+    top = pi.max(axis=0, initial=0.0)
+    share = (pi / np.where(top > 0, top, 1.0)).max(axis=1, initial=0.0)
+    return np.maximum(np.ceil(n * share), 1).astype(np.int64)
+
+
+def _upper_inverse(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the upper-triangular [..., S, S] factor r of a Gram matrix
+    r^H r by back-substitution: returns r^-1 and its squared row norms, the
+    diagonal of (r^H r)^-1, so that stream s's ZF gain is 1 / norm_s."""
+    inv = np.zeros_like(r)
+    for i in range(r.shape[-1] - 1, -1, -1):  # one row of r^-1 a step
+        inv[..., i, i] = 1.0 / r[..., i, i]
+        inv[..., i, i + 1:] = -(r[..., i, None, i + 1:] @ inv[..., i + 1:, i + 1:])[..., 0, :] \
+            * inv[..., i, i, None]
+    return inv, np.einsum("...ij,...ij->...i", inv.view(np.float64), inv.view(np.float64))
+
+
 def _zf_precoders(h_cols: np.ndarray, beams: bool = True):
     """Batched ZF precoder: h_cols is [..., M, S]; returns (V, xi).
 
     V has unit-power columns scaled so V^H H = diag(sqrt(xi)); xi is the
-    per-stream effective gain [..., S], clamped at 0 where rank-deficient
-    columns (APs blind to some served users) leave only rounding noise.
+    per-stream effective gain [..., S]. The Gram matrix gets a ridge of
+    1e-13 of its mean diagonal before its Cholesky factor is inverted, so
+    streams ZF cannot separate (more streams than antennas, or APs blind to
+    some served users) get xi of that order instead of a singular matrix.
     V is None when `beams` is false.
     """
     gram = np.swapaxes(h_cols.conj(), -1, -2) @ h_cols
-    inv = np.linalg.inv(gram)
-    xi = np.maximum(1.0 / np.real(np.einsum("...ss->...s", inv)), 0.0)
+    s = gram.shape[-1]
+    gram[..., range(s), range(s)] += 1e-13 / s * np.einsum("...ss->...", gram).real[..., None]
+    inv, norm = _upper_inverse(np.linalg.cholesky(gram, upper=True))
+    xi = 1.0 / norm
     if not beams:
         return None, xi
-    v = h_cols @ inv
-    v *= np.sqrt(xi[..., None, :])
+    # V = H (r^H r)^-1 diag(sqrt(xi)) = (H r^-1) W^H, W the unit rows of r^-1.
+    v = (h_cols @ inv) @ np.swapaxes(inv.conj() * np.sqrt(xi)[..., None], -1, -2)
     return v, xi
 
 
@@ -113,12 +145,7 @@ def _zf_factor(rng: np.random.Generator, n: int, s: int, shape: tuple):
     upper = np.triu_indices(s, 1)
     r[..., upper[0], upper[1]] = np.sqrt(0.5) * _gauss(rng, shape + (len(upper[0]),))
     r[..., range(s), range(s)] = np.sqrt(rng.standard_gamma(n - np.arange(s), shape + (s,)))
-    inv = np.zeros_like(r)
-    for i in range(s - 1, -1, -1):  # back-substitution, one row of R^-1 a step
-        inv[..., i, i] = 1.0 / r[..., i, i]
-        inv[..., i, i + 1:] = -(r[..., i, None, i + 1:] @ inv[..., i + 1:, i + 1:])[..., 0, :] \
-            * inv[..., i, i, None]
-    norm = np.einsum("...ij,...ij->...i", inv.view(np.float64), inv.view(np.float64))
+    inv, norm = _upper_inverse(r)
     return r, 1.0 / norm, inv / np.sqrt(norm)[..., None]
 
 
@@ -137,21 +164,23 @@ def _gauss(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 def _draw(rng: np.random.Generator, power: np.ndarray) -> np.ndarray:
     """Rayleigh channels [r, N, c] with per-entry power[N, r, c]."""
     amp = np.sqrt(0.5 * np.moveaxis(power, 0, -2))
-    h = _gauss(rng, amp.shape)
-    h *= amp
-    return h
+    h = rng.standard_normal(amp.shape + (2,))
+    h *= amp[..., None]
+    return h.view(np.complex128)[..., 0]
 
 
 def _realization_bytes(groups: list[_Group]) -> int:
     """Bytes one realization of a job holds: a one-stream group's [B, k]
     energies, a single-AP ZF group's [S] xi (if heard, [S, S] factor and
-    beams), a pooled one's [N, S] channel, Gram matrix and inverse; per pair (i, j)
-    a [cols_i] leakage, an [S_j, cols_i] z and its product, or an [N_j, cols_i] h."""
+    beams), a pooled one's [N, S] channel, [S, S] Gram matrix, factor R
+    and R^-1 (if heard, R gives way to the unit rows of R^-1, and H R^-1
+    and the beams add two [N, S]); per pair (i, j) a [cols_i] leakage, an
+    [S_j, cols_i] z and its product, or an [N_j, cols_i] h."""
     total, heard = 0, len(groups) > 1
     for g in groups:
         cols = len(g.users) if g.streams == 1 else g.streams
         own = (8 * len(g.aps) if g.streams == 1 else 8 + 32 * cols * heard
-               if len(g.aps) == 1 else 16 * (len(g.rows) + 2 * cols))
+               if len(g.aps) == 1 else 16 * ((1 + 2 * heard) * len(g.rows) + 3 * cols))
         hears = sum(8 if j.streams == 1 else 32 * j.streams if len(j.aps) == 1
                     else 16 * len(j.rows) for j in groups if j is not g)
         total += cols * (own + hears)
@@ -159,11 +188,10 @@ def _realization_bytes(groups: list[_Group]) -> int:
 
 
 def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
-             r: int, sums: list[np.ndarray]) -> int:
+             r: int, sums: list[np.ndarray]) -> None:
     """Draw r realizations of one job's groups and add each scored user's
-    rate and its square into its group's [2, users] sums. Returns the
-    number of singular pooled ZF draws redrawn."""
-    picks, signals, beams, resamples = [], [], [], 0
+    rate and its square into its group's [2, users] sums."""
+    picks, signals, beams = [], [], []
     heard = len(groups) > 1
     for g in groups:
         k = len(g.users)
@@ -188,16 +216,11 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
         else:
             link = gains.ap_to_ut[g.rows[:, None, None], g.users[picks[-1]]]
             # Precode on columns normalized to unit mean gain, so a user
-            # without any gain (outside every sector) keeps a finite beam and
-            # an invertible Gram matrix.
+            # without any gain (outside every sector) keeps a finite beam.
             scale = link.mean(axis=0)
             link /= np.where(scale > 0, scale, 1.0)
             link += scale == 0
-            try:
-                v, xi = _zf_precoders(_draw(rng, link), heard)
-            except np.linalg.LinAlgError:
-                resamples += 1
-                v, xi = _zf_precoders(_draw(rng, link), heard)
+            v, xi = _zf_precoders(_draw(rng, link), heard)
         signals.append(xi * scale * (g.power / g.streams))
         beams.append(v)
     for i, g in enumerate(groups):
@@ -226,7 +249,6 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
         x /= len(g.users) if g.streams == 1 else 1
         for row, y in zip(sums[i], (x, x**2)):
             row += np.bincount(picks[i].ravel(), y.ravel(), len(row))
-    return resamples
 
 
 def _simulate(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGroups],
@@ -242,12 +264,13 @@ def _simulate(scenario: Scenario, gains: GainMatrix, channels: dict[int, Channel
     one realization per chunk).
     """
     mean, var, spread = (np.zeros(scenario.n_users) for _ in range(3))
-    resamples = 0
+    drawn = 0
     for weight, draws, sampled, rng, groups in _jobs(scenario, gains, channels,
                                                      technology, config, seed):
         sums = [np.zeros((2, len(g.users))) for g in groups]
         for chunk in rates.row_blocks(draws, _realization_bytes(groups)):
-            resamples += _realize(rng, gains, groups, chunk.stop - chunk.start, sums)
+            _realize(rng, gains, groups, chunk.stop - chunk.start, sums)
+        drawn += draws
         for g, (total, total_sq) in zip(groups, sums):
             m = total / draws
             mean[g.users] += weight * m
@@ -257,7 +280,7 @@ def _simulate(scenario: Scenario, gains: GainMatrix, channels: dict[int, Channel
     # Sampled state counts are random too: add the spread of the per-state
     # means (none for enumerated chains, whose spread 0 is below mean^2).
     var += np.maximum(spread - mean**2, 0.0) / config.n_realizations
-    return OracleReport(mean, np.sqrt(var), config.n_realizations, resamples)
+    return OracleReport(mean, np.sqrt(var), config.n_realizations, drawn)
 
 
 def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGroups],
@@ -272,6 +295,8 @@ def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGrou
         words, weights, draws, sampled = _state_jobs(
             channel.chain, config.n_realizations, state_rng)
         streams = rates._state_rates(gains, aps, channel, tech, words)[1]
+        if not sampled:
+            draws = _draw_counts(weights, streams > 0, config.n_realizations)
         for idx, (weight, n, row) in enumerate(zip(weights.tolist(), draws.tolist(), streams)):
             groups = [_group(aps, ap_ids, cell, s)
                       for ap_ids, cell, s in zip(channel.groups, channel.cells, row) if s > 0]

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import numbers
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -56,15 +56,15 @@ class Setting(NamedTuple):
     def parse(self, value):
         """The one parser for constructor arguments, JSON values, CLI flag
         literals and sweep points: a string is never a number, a number is
-        never truncated, and NaN, infinities and values below the minimum are
-        refused."""
+        never truncated, and NaN, infinities, integers beyond the float range
+        and values below the minimum are refused."""
         if value in self.nulls:
             return None
         if isinstance(self.kind, tuple):
             if value in self.kind:
                 return value
         elif isinstance(value, numbers.Integral if self.kind is int else numbers.Real) \
-                and not isinstance(value, bool) and math.isfinite(value) \
+                and not isinstance(value, bool) and abs(value) <= sys.float_info.max \
                 and (self.minimum is None or value >= self.minimum):
             return self.kind(value)
         raise ValueError(f"{self.at or self.name} cannot be {value!r}")
@@ -130,6 +130,13 @@ class RunConfig:
             parent, key = setting.slot(tree)
             if key in parent:
                 parent[key] = setting.parse(parent[key])
+        # A generator input given in the scenario dict parses as the setting
+        # it overrides.
+        for key, name in (("power_db", "power_db"), ("antennas", "antennas"),
+                          ("seed", "seed_topology")):
+            if key in tree["scenario"]:
+                tree["scenario"][key] = SETTING[name]._replace(
+                    at=f"scenario.{key}").parse(tree["scenario"][key])
         tree["seeds"] = Seeds(**tree["seeds"])
         tree["oracle"] = oracle.OracleConfig(**tree["oracle"])
         vars(self).update(tree)
@@ -523,6 +530,7 @@ def write_validation(result: ValidationResult, out_dir: str | Path) -> dict[str,
         "max_abs_error": float(np.max(result.abs_error)),
         **result.z_summary(),
         "n_realizations": result.oracle_report.n_realizations,
+        "realizations_drawn": result.oracle_report.realizations_drawn,
         "resample_events": result.oracle_report.resample_events,
     })
     return _write(out_dir, echo, files)

@@ -2,10 +2,12 @@
 
 import argparse
 import json
+import math
 import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -68,9 +70,27 @@ def test_constructor_arguments_are_parsed_too():
     assert isinstance(cfg.power_db, float)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("power_db", math.inf, "scenario.power_db cannot be inf"),
+    ("antennas", 2.5, "scenario.antennas cannot be 2.5"),
+    ("seed", -1, "scenario.seed cannot be -1"),
+])
+def test_generator_inputs_in_the_scenario_are_parsed(key, value, message):
+    # A generator input in the scenario dict overrides a top-level setting
+    # and goes through that setting's parser.
+    hall = {"generator": "conference_hall", "n_aps": 4, "n_users": 12}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(scenario={**hall, key: value})
+    cfg = RunConfig(scenario={**hall, "power_db": 80, "antennas": 2, "seed": 5})
+    assert cfg.scenario == {**hall, "power_db": 80.0, "antennas": 2, "seed": 5}
+    assert isinstance(cfg.scenario["power_db"], float)
+    assert np.isfinite(pipeline.evaluate(cfg).report.spectral_efficiency).all()
+
+
 @pytest.mark.parametrize("flag, text", [
     ("--antennas", "4.7"), ("--n-aps", "4.5"), ("--cca-db", "none"),
     ("--power-db", "loud"), ("--technology", "laser"), ("--power-db", "inf"),
+    pytest.param("--n-aps", "1" + "0" * 400, id="--n-aps-beyond-float-range"),
 ])
 def test_bad_flag_values_are_usage_errors(flag, text, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:

@@ -74,12 +74,25 @@ def test_zfbf_mean_matches_array_surplus():
         assert xi.mean() == pytest.approx(m - s + 1, rel=0.05)
 
 
-def test_zfbf_rejects_wide_or_singular():
-    with pytest.raises(np.linalg.LinAlgError):
-        _zf_precoders(np.ones((2, 3), dtype=complex))  # more streams than antennas
-    h = np.ones((4, 2), dtype=complex)  # duplicate columns: rank 1
-    with pytest.raises(np.linalg.LinAlgError):
-        _zf_precoders(h)
+def test_zfbf_gives_inseparable_streams_no_gain():
+    # The ridged Cholesky inverse matches the plain inverse at full rank.
+    # Streams ZF cannot separate get xi of the ridge's order, not a
+    # singular-matrix error, and a stream independent of them keeps its
+    # least-squares distance to the span of the others.
+    rng = np.random.default_rng(3)
+    h = _rayleigh(rng, (200, 8, 5))
+    inv = np.linalg.inv(np.swapaxes(h.conj(), -1, -2) @ h)
+    want = 1.0 / np.real(np.einsum("...ss->...s", inv))
+    assert np.allclose(_zf_precoders(h, beams=False)[1], want, rtol=1e-10, atol=0.0)
+    v, xi = _zf_precoders(np.ones((2, 3), dtype=complex))  # more streams than antennas
+    assert np.all(np.isfinite(v)) and np.all(xi <= 2e-9)
+    h = _rayleigh(rng, (6, 3))
+    h[:, 1] = 2j * h[:, 0]  # streams 0 and 1 are one direction
+    v, xi = _zf_precoders(h)
+    assert np.all(np.isfinite(v)) and xi[:2].max() <= 2e-9 * np.sum(np.abs(h) ** 2)
+    others = h[:, :2]
+    rest = h[:, 2] - others @ np.linalg.lstsq(others, h[:, 2], rcond=None)[0]
+    assert xi[2] == pytest.approx(np.sum(np.abs(rest) ** 2), rel=1e-9)
 
 
 def test_zf_precoder_nulls_intra_cell_interference():
@@ -383,6 +396,21 @@ def test_mc_validate_with_users_outside_every_sector(technology):
     assert np.all(val.mc_rates[silent] == 0)
 
 
+def test_pooled_cluster_with_inseparable_users_validates():
+    # With 120-degree sectors the cluster on channel 2 serves 7 users from
+    # 8 antennas, 4 of them seen by one AP only: their Gram matrices are
+    # singular, so the ridged inverse gives those streams no gain instead
+    # of failing.
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "conference_hall", "n_aps": 8, "n_users": 60},
+        technology="distributed_mu_mimo", sector_width_deg=120.0, n_clusters=4,
+        oracle=OracleConfig(n_realizations=200))
+    val = pipeline.mc_validate(cfg)
+    assert np.all(np.isfinite(val.mc_rates))
+    assert np.all(np.isfinite(val.oracle_report.std_error))
+    assert val.oracle_report.resample_events == 0
+
+
 def test_pooled_validation_stays_under_the_byte_budget():
     # Four pooled clusters of 64 antennas on two channels (S about 25): each
     # job draws its realizations in chunks sized by rates.BLOCK_BYTES, so the
@@ -652,3 +680,74 @@ def test_mu_validation_stays_under_the_byte_budget(monkeypatch):
         tracemalloc.stop()
     assert len(chunks) > 1
     assert peak < 4 * rates.BLOCK_BYTES
+
+
+def _all_n(weights, on, n):
+    """The allocation before proportional allocation: n for every state."""
+    return np.full(len(weights), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda states: st.tuples(
+           st.lists(st.floats(1e-6, 1.0), min_size=states, max_size=states),
+           st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
+                    min_size=states, max_size=states))),
+       st.integers(1, 5000))
+def test_draw_counts_are_proportional_and_bounded(weights_on, n):
+    # Every count lies in [1, n]; each group's heaviest on-state keeps n;
+    # equal weights give n wherever some group is on; and for each group the
+    # variance of its pi-weighted mean (equal per-state variances) grows by
+    # at most pi*_g sum(pi) / sum(pi^2) over its states.
+    weights, on = np.array(weights_on[0]), np.array(weights_on[1])
+    counts = oracle._draw_counts(weights, on, n)
+    assert counts.dtype.kind == "i" and np.all((1 <= counts) & (counts <= n))
+    for g in range(on.shape[1]):
+        pi, c = weights[on[:, g]], counts[on[:, g]]
+        if not pi.size:
+            continue
+        assert np.all(c[pi == pi.max()] == n)
+        bound = pi.max() * pi.sum() / np.sum(pi**2)
+        assert np.sum(pi**2 / c) <= bound * np.sum(pi**2 / n) * (1 + 1e-12)
+    equal = oracle._draw_counts(np.full(len(weights), weights[0]), on, n)
+    assert np.all(equal[on.any(axis=1)] == n)
+
+
+@pytest.mark.parametrize("place", [
+    # A 30 dB threshold leaves the hall's two channels 8- and 32-state chains.
+    dict(scenario={"generator": "conference_hall", "n_aps": 8, "n_users": 60},
+         channelization="2x40", cca_db=30.0),
+    dict(scenario={"generator": "open_floor", "n_aps": 12, "n_users": 90})])
+@pytest.mark.parametrize("technology", ["su_beamforming", "concentrated_mu_mimo"])
+def test_proportional_allocation_keeps_the_law(monkeypatch, place, technology):
+    # At rho = 100 the chain's weight sits on a few states, so far fewer
+    # realizations are drawn than n per state, and the per-user means agree
+    # with the all-n allocation's at a mean std error at most 5% larger.
+    cfg = pipeline.RunConfig(**place, technology=technology, rho=100.0)
+    got = pipeline.mc_validate(cfg).oracle_report
+    monkeypatch.setattr(oracle, "_draw_counts", _all_n)
+    want = pipeline.mc_validate(cfg).oracle_report
+    assert got.n_realizations == want.n_realizations == 2000
+    assert got.realizations_drawn < 0.5 * want.realizations_drawn
+    tol = 4 * np.hypot(got.std_error, want.std_error)
+    assert np.all(np.abs(got.mean_rate - want.mean_rate) <= tol)
+    assert got.std_error.mean() <= 1.05 * want.std_error.mean()
+
+
+@pytest.mark.parametrize("technology", ["su_beamforming", "concentrated_mu_mimo"])
+def test_equal_weight_chains_draw_as_before(monkeypatch, tmp_path, technology):
+    # At rho = 1 every state is equally heavy and draws n realizations, so
+    # the validation files are byte-identical to the all-n allocation's.
+    cfg = pipeline.RunConfig(
+        scenario={"generator": "open_floor", "n_aps": 12, "n_users": 90},
+        technology=technology, rho=1.0, oracle=OracleConfig(n_realizations=300))
+    files = {}
+    for label in ("proportional", "all_n"):
+        if label == "all_n":
+            monkeypatch.setattr(oracle, "_draw_counts", _all_n)
+        val = pipeline.mc_validate(cfg)
+        paths = pipeline.write_validation(val, tmp_path / label)
+        files[label] = {k: p.read_bytes() for k, p in paths.items()}
+    assert files["proportional"] == files["all_n"]
+    summary = json.loads(files["proportional"]["summary"])
+    assert summary["realizations_drawn"] % 300 == 0
+    assert summary["realizations_drawn"] > summary["n_realizations"] == 300

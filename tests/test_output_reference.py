@@ -176,6 +176,7 @@ def ref_write_validation(result, out_dir):
             "max_abs_z": float(np.max(abs_z)),
             "share_abs_z_above_3": float(np.mean(abs_z > 3.0)),
             "n_realizations": result.oracle_report.n_realizations,
+            "realizations_drawn": result.oracle_report.realizations_drawn,
             "resample_events": result.oracle_report.resample_events,
         }, fh, indent=2, sort_keys=True, default=str)
     return paths
