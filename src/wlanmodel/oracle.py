@@ -31,9 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csma import ChannelCtmc, CtmcModel
+from .csma import CtmcModel
 from .propagation import GainMatrix
-from .radio_plan import AssociationMap, ChannelPlan, ClusterPlan
 from . import rates
 from .rates import ChannelGroups, TechConfig, Technology
 from .scenario import ApNode, Scenario
@@ -305,33 +304,25 @@ def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGrou
                        np.random.default_rng([seed, ch_id, idx]), groups)
 
 
-def mc_su_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
-               assoc: AssociationMap, mac: dict[int, ChannelCtmc],
+def mc_su_rate(scenario: Scenario, gains: GainMatrix, groups: dict[int, ChannelGroups],
                config: OracleConfig, seed: int = 0) -> OracleReport:
-    """Monte Carlo single-user beamforming rates: each active AP with users
-    is a one-stream group, its beam conjugate to one of its users."""
-    return _simulate(scenario, gains, rates.ap_groups(assoc, mac),
-                     Technology.SU_BEAMFORMING, config, seed)
+    """Monte Carlo single-user beamforming rates: each active group with
+    users is one stream, its beam conjugate to one of its users."""
+    return _simulate(scenario, gains, groups, Technology.SU_BEAMFORMING, config, seed)
 
 
-def mc_mu_rate(scenario: Scenario, gains: GainMatrix, plan: ChannelPlan,
-               assoc: AssociationMap, mac: dict[int, ChannelCtmc],
+def mc_mu_rate(scenario: Scenario, gains: GainMatrix, groups: dict[int, ChannelGroups],
                config: OracleConfig, seed: int = 0) -> OracleReport:
     """Monte Carlo concentrated MU-MIMO rates: each active AP zero-forces to
     a uniformly random subset of its users, sized by the deterministic
     stream optimizer for that contention state."""
-    return _simulate(scenario, gains, rates.ap_groups(assoc, mac),
-                     Technology.CONCENTRATED_MU_MIMO, config, seed)
+    return _simulate(scenario, gains, groups, Technology.CONCENTRATED_MU_MIMO, config, seed)
 
 
-def mc_dist_rate(scenario: Scenario, gains: GainMatrix, plan: ClusterPlan,
+def mc_dist_rate(scenario: Scenario, gains: GainMatrix, groups: dict[int, ChannelGroups],
                  config: OracleConfig, seed: int = 0) -> OracleReport:
-    """Monte Carlo pooled-array (distributed MU-MIMO) rates.
-
-    Per realization each cluster with users zero-forces from its composite
-    array to a uniformly random user subset sized by the deterministic
-    optimizer, and clusters sharing a channel interfere through their ZF
-    beams. One job per channel holds all of its clusters.
-    """
-    return _simulate(scenario, gains, rates.cluster_groups(plan),
-                     Technology.DISTRIBUTED_MU_MIMO, config, seed)
+    """Monte Carlo pooled-array (distributed MU-MIMO) rates: each cluster with
+    users zero-forces from its composite array to a uniformly random user
+    subset sized by the deterministic optimizer, and clusters sharing a
+    channel interfere through their ZF beams."""
+    return _simulate(scenario, gains, groups, Technology.DISTRIBUTED_MU_MIMO, config, seed)

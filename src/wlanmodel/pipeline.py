@@ -73,18 +73,18 @@ class Setting(NamedTuple):
 SETTINGS = (
     Setting("generator", tuple(sorted(GENERATORS)), "scenario.generator",
             generator=True, help="scenario generator name"),
-    Setting("n_aps", int, "scenario.n_aps", sweep=True, generator=True),
-    Setting("n_users", int, "scenario.n_users", sweep=True, generator=True),
+    Setting("n_aps", int, "scenario.n_aps", sweep=True, generator=True, minimum=1),
+    Setting("n_users", int, "scenario.n_users", sweep=True, generator=True, minimum=1),
     Setting("n_rooms", int, "scenario.n_rooms", generator=True, help="walled_office only"),
     Setting("technology", tuple(t.value for t in rates.Technology)),
     Setting("channelization", tuple(radio_plan.CHANNELIZATIONS), sweep=True),
     Setting("cca_db", float, nulls=(None, "disabled"), sweep=True,
             help="clear-channel threshold in dB, or 'disabled'"),
     Setting("power_db", float, sweep=True, generator=True),
-    Setting("antennas", int, sweep=True, generator=True),
+    Setting("antennas", int, sweep=True, generator=True, minimum=1),
     Setting("rho", float, sweep=True),
     Setting("rate_mode", tuple(m.value for m in rates.RateMode)),
-    Setting("n_clusters", int, sweep=True),
+    Setting("n_clusters", int, sweep=True, minimum=1),
     Setting("overhead_discount", float),
     Setting("sector_width_deg", float, nulls=(None,),
             help="sectorize every AP to this beamwidth"),
@@ -92,7 +92,8 @@ SETTINGS = (
     Setting("outage_threshold_bps", float),
     Setting("state_cap", int, flag=False, minimum=1),
     *(Setting(f"seed_{f.name}", int, f"seeds.{f.name}", minimum=0) for f in fields(Seeds)),
-    Setting("realizations", int, "oracle.n_realizations", help="oracle realization count"),
+    Setting("realizations", int, "oracle.n_realizations", help="oracle realization count",
+            minimum=1),
 )
 SETTING = {s.name: s for s in SETTINGS}
 SWEEP_AXES = tuple(s.name for s in SETTINGS if s.sweep)
@@ -215,10 +216,10 @@ class EvaluationResult:
     scenario: Scenario
     gains: GainMatrix
     tech: rates.TechConfig
+    groups: dict[int, rates.ChannelGroups]  # by channel: every technology's groups and chain
     plan: radio_plan.ChannelPlan | None = None
     assoc: radio_plan.AssociationMap | None = None
     graph: csma.ContentionGraph | None = None
-    mac: dict[int, csma.ChannelCtmc] | None = None
     cluster_plan: radio_plan.ClusterPlan | None = None
     # MU-MIMO: channel -> {S: (state, active group with users) pairs that
     # chose S}; a pooled channel has one state, so S counts its clusters.
@@ -253,7 +254,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     tech = _tech_config(config, extras)
     channels = radio_plan.channel_preset(config.channelization)
     aps, n_users = scenario.aps, scenario.n_users
-    plan = assoc = graph = mac = cluster_plan = None
+    plan = assoc = graph = cluster_plan = None
     notes = []
     if tech.technology == rates.Technology.DISTRIBUTED_MU_MIMO:
         with _stage("clusters"):
@@ -281,12 +282,11 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         zero_rate, attached = assoc.zero_rate_users, "by raw SNR"
         with _stage("contention"):
             graph = csma.build_contention_graph(gains, plan, aps, config.cca_db)
-            mac = csma.channel_ctmcs(graph, config.rho, cap=config.state_cap)
-            groups = rates.ap_groups(assoc, mac)
+            groups = rates.ap_groups(
+                assoc, csma.channel_ctmcs(graph, config.rho, cap=config.state_cap))
         notes += [f"channel {ch}: more than {config.state_cap} independent sets; "
-                  f"chain uses its {c.model.n_states} maximal independent sets only"
-                  for ch, c in sorted(mac.items())
-                  if c.model.mode == csma.CtmcMode.MAXIMAL_ONLY]
+                  f"chain uses its {c.chain.n_states} maximal independent sets only"
+                  for ch, c in groups.items() if c.chain.mode == csma.CtmcMode.MAXIMAL_ONLY]
     if zero_rate:
         notes.append(f"{len(zero_rate)} zero-rate users attached {attached}")
     stream_choice: dict = {}
@@ -310,8 +310,8 @@ def evaluate(config: RunConfig) -> EvaluationResult:
             overhead_discount=config.overhead_discount, config=echo,
             outage_threshold=config.outage_threshold_bps)
     return EvaluationResult(
-        report=report, scenario=scenario, gains=gains, tech=tech, plan=plan,
-        assoc=assoc, graph=graph, mac=mac, cluster_plan=cluster_plan,
+        report=report, scenario=scenario, gains=gains, tech=tech, groups=groups,
+        plan=plan, assoc=assoc, graph=graph, cluster_plan=cluster_plan,
         stream_choice=stream_choice, notes=notes)
 
 
@@ -350,11 +350,11 @@ def write_report(result: EvaluationResult, out_dir: str | Path) -> dict[str, Pat
     })
 
 
-def _state_rows(mac: dict[int, csma.ChannelCtmc]):
+def _state_rows(groups: dict[int, rates.ChannelGroups]):
     """(channel, member bitmask, probability) of every chain state, one row
     block at a time: a state row plus ord("0") is its mask's ASCII bytes."""
-    for ch_id in sorted(mac):
-        model = mac[ch_id].model
+    for ch_id in sorted(groups):
+        model = groups[ch_id].chain
         width = model.n_members
         for block in rates.row_blocks(model.n_states, width):
             masks = (model.rows(block) + ord("0")).view(f"S{width}").ravel()
@@ -381,7 +381,7 @@ def dump_artifacts(result: EvaluationResult, out_dir: str | Path) -> None:
         files["contention_edges"] = ("contention_edges.csv", (
             ["ap_i", "ap_j"], result.graph.edges()))
         files["ctmc_states"] = ("ctmc_states.csv", (
-            ["channel_id", "state_bitmask", "probability"], _state_rows(result.mac)))
+            ["channel_id", "state_bitmask", "probability"], _state_rows(result.groups)))
     if clusters is not None:
         files["clusters"] = ("clusters.csv", (
             ["cluster", "channel_id", "ap_ids"],
@@ -483,22 +483,18 @@ class ValidationResult:
 
 
 def mc_validate(config: RunConfig) -> ValidationResult:
-    """Run the fading oracle next to the deterministic model on one plan.
+    """Run the fading oracle on the deterministic evaluation's own groups.
 
-    The comparison is in Gaussian rates (the oracle's native domain); the
-    requested rate mode is restored in the echo for traceability.
+    The comparison is in Gaussian rates (the oracle's native domain), and
+    the echo records that Gaussian run: a quantized request is echoed with
+    rate_mode "gaussian", the mode that was compared.
     """
     det = evaluate(replace(config, rate_mode="gaussian"))
-    ocfg, seed = config.oracle, config.seeds.oracle
-    tech = det.tech.technology
-    if tech == rates.Technology.SU_BEAMFORMING:
-        orep = oracle.mc_su_rate(det.scenario, det.gains, det.plan, det.assoc,
-                                 det.mac, ocfg, seed)
-    elif tech == rates.Technology.CONCENTRATED_MU_MIMO:
-        orep = oracle.mc_mu_rate(det.scenario, det.gains, det.plan, det.assoc,
-                                 det.mac, ocfg, seed)
-    else:
-        orep = oracle.mc_dist_rate(det.scenario, det.gains, det.cluster_plan, ocfg, seed)
+    # Looked up at call time, so a caller that rebinds oracle.mc_* sees it.
+    simulate = {rates.Technology.SU_BEAMFORMING: oracle.mc_su_rate,
+                rates.Technology.CONCENTRATED_MU_MIMO: oracle.mc_mu_rate,
+                rates.Technology.DISTRIBUTED_MU_MIMO: oracle.mc_dist_rate}[det.tech.technology]
+    orep = simulate(det.scenario, det.gains, det.groups, config.oracle, config.seeds.oracle)
     det_rates = det.report.spectral_efficiency
     diff = orep.mean_rate - det_rates
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -221,15 +221,16 @@ def _uniform_grid_points(rng: np.random.Generator, n: int, width: float, height:
     return [(float(x * step), float(y * step)) for x, y in zip(xi, yi)]
 
 
-def _make_aps(positions: list[Point], antennas: int, power_db: float) -> tuple[ApNode, ...]:
-    return tuple(
-        ApNode(id=i, position=p, antennas=antennas, power_db=power_db)
-        for i, p in enumerate(positions)
-    )
-
-
-def _make_users(positions: list[Point]) -> tuple[UtNode, ...]:
-    return tuple(UtNode(id=i, position=p) for i, p in enumerate(positions))
+def _generated(scenario_class: ScenarioClass, width: float, height: float, step: float,
+               ap_pos: list[Point], user_pos: list[Point], antennas: int,
+               power_db: float, walls: tuple[WallSegment, ...] = ()) -> Scenario:
+    """A generator's scenario: identical APs and users, numbered in order."""
+    return Scenario(
+        width_m=width, height_m=height, grid_step_m=step, walls=walls,
+        aps=tuple(ApNode(id=i, position=p, antennas=antennas, power_db=power_db)
+                  for i, p in enumerate(ap_pos)),
+        users=tuple(UtNode(id=i, position=p) for i, p in enumerate(user_pos)),
+        scenario_class=scenario_class)
 
 
 def _user_rng(seed: int) -> np.random.Generator:
@@ -264,12 +265,8 @@ def build_conference_hall(n_aps: int, n_users: int, seed: int, *,
     width = height = 20.0
     ap_pos = _lattice_positions(n_aps, width, height, grid_step_m)
     user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height, grid_step_m)
-    return Scenario(
-        width_m=width, height_m=height, grid_step_m=grid_step_m,
-        aps=_make_aps(ap_pos, antennas, power_db),
-        users=_make_users(user_pos),
-        scenario_class=ScenarioClass.CONFERENCE_HALL,
-    )
+    return _generated(ScenarioClass.CONFERENCE_HALL, width, height, grid_step_m,
+                      ap_pos, user_pos, antennas, power_db)
 
 
 def _two_row_positions(n: int, width: float, y_rows: tuple[float, float],
@@ -295,12 +292,8 @@ def build_open_floor(n_aps: int, n_users: int, seed: int, *,
     width, height = 160.0, 23.0
     ap_pos = _two_row_positions(n_aps, width, (height / 4, 3 * height / 4), grid_step_m)
     user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height, grid_step_m)
-    return Scenario(
-        width_m=width, height_m=height, grid_step_m=grid_step_m,
-        aps=_make_aps(ap_pos, antennas, power_db),
-        users=_make_users(user_pos),
-        scenario_class=ScenarioClass.OPEN_FLOOR,
-    )
+    return _generated(ScenarioClass.OPEN_FLOOR, width, height, grid_step_m,
+                      ap_pos, user_pos, antennas, power_db)
 
 
 def build_walled_office(n_rooms: int, n_aps: int, n_users: int, seed: int, *,
@@ -336,13 +329,8 @@ def build_walled_office(n_rooms: int, n_aps: int, n_users: int, seed: int, *,
     y_rows = (room_depth / 2, room_depth + corridor + room_depth / 2)
     ap_pos = _two_row_positions(n_aps, width, y_rows, grid_step_m)
     user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height, grid_step_m)
-    return Scenario(
-        width_m=width, height_m=height, grid_step_m=grid_step_m,
-        walls=tuple(walls),
-        aps=_make_aps(ap_pos, antennas, power_db),
-        users=_make_users(user_pos),
-        scenario_class=ScenarioClass.WALLED_OFFICE,
-    )
+    return _generated(ScenarioClass.WALLED_OFFICE, width, height, grid_step_m,
+                      ap_pos, user_pos, antennas, power_db, tuple(walls))
 
 
 # Stadium layout constants: seating annulus for users, AP rings inside it,
@@ -389,12 +377,8 @@ def build_stadium(n_aps: int, n_users: int, seed: int, *,
                 user_pos.append((x, y))
                 if len(user_pos) == n_users:
                     break
-    return Scenario(
-        width_m=side, height_m=side, grid_step_m=grid_step_m,
-        aps=_make_aps(ap_pos, antennas, power_db),
-        users=_make_users(user_pos),
-        scenario_class=ScenarioClass.STADIUM,
-    )
+    return _generated(ScenarioClass.STADIUM, side, side, grid_step_m,
+                      ap_pos, user_pos, antennas, power_db)
 
 
 GENERATORS = {

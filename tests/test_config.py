@@ -91,6 +91,8 @@ def test_generator_inputs_in_the_scenario_are_parsed(key, value, message):
     ("--antennas", "4.7"), ("--n-aps", "4.5"), ("--cca-db", "none"),
     ("--power-db", "loud"), ("--technology", "laser"), ("--power-db", "inf"),
     pytest.param("--n-aps", "1" + "0" * 400, id="--n-aps-beyond-float-range"),
+    ("--n-aps", "0"), ("--n-users", "-3"), ("--antennas", "0"), ("--n-clusters", "0"),
+    ("--realizations", "0"),
 ])
 def test_bad_flag_values_are_usage_errors(flag, text, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:

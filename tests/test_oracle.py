@@ -36,6 +36,8 @@ from wlanmodel.radio_plan import (
 )
 from wlanmodel.rates import (
     TechConfig,
+    ap_groups,
+    cluster_groups,
     dist_mu_rate,
     mu_channel_state_rates,
     peak_rate_matrix,
@@ -116,8 +118,7 @@ def _single_ap_setup(m_antennas, g, power_db=90.0, n_users=1):
     scenario = Scenario(width_m=10, height_m=max(10.0, float(n_users)),
                         aps=aps, users=users)
     graph = build_contention_graph(gains, plan, aps, cca_db=10.0)
-    mac = channel_ctmcs(graph, rho=100.0)
-    return scenario, gains, plan, assoc, mac
+    return scenario, gains, assoc, ap_groups(assoc, channel_ctmcs(graph, rho=100.0))
 
 
 def _det_single_ap(kernel, gains, assoc, scenario):
@@ -129,9 +130,9 @@ def _det_single_ap(kernel, gains, assoc, scenario):
 def test_mc_su_matches_quadrature_at_single_antenna():
     # M=1, no interferers: E[log2(1 + gP |h|^2)] with |h|^2 ~ Exp(1).
     g, p_db = 1e-7, 90.0
-    scenario, gains, plan, assoc, mac = _single_ap_setup(1, g, p_db)
+    scenario, gains, assoc, groups = _single_ap_setup(1, g, p_db)
     cfg = OracleConfig(n_realizations=40_000)
-    rep = mc_su_rate(scenario, gains, plan, assoc, mac, cfg, seed=3)
+    rep = mc_su_rate(scenario, gains, groups, cfg, seed=3)
     gp = g * 10 ** (p_db / 10)
     expected, _ = integrate.quad(
         lambda t: math.log2(1 + gp * t) * math.exp(-t), 0, 60)
@@ -140,47 +141,45 @@ def test_mc_su_matches_quadrature_at_single_antenna():
 
 
 def test_mc_su_zero_power():
-    scenario, gains, plan, assoc, mac = _single_ap_setup(4, 1e-7,
-                                                         power_db=-math.inf)
-    rep = mc_su_rate(scenario, gains, plan, assoc, mac,
-                     OracleConfig(n_realizations=200), seed=0)
+    scenario, gains, assoc, groups = _single_ap_setup(4, 1e-7, power_db=-math.inf)
+    rep = mc_su_rate(scenario, gains, groups, OracleConfig(n_realizations=200), seed=0)
     assert rep.mean_rate[0] == 0.0
 
 
 def test_mc_su_isolated_large_array_close_to_deterministic():
-    scenario, gains, plan, assoc, mac = _single_ap_setup(10, 1e-7)
+    scenario, gains, assoc, groups = _single_ap_setup(10, 1e-7)
     cfg = OracleConfig(n_realizations=20_000)
-    rep = mc_su_rate(scenario, gains, plan, assoc, mac, cfg, seed=4)
+    rep = mc_su_rate(scenario, gains, groups, cfg, seed=4)
     det = _det_single_ap(su_channel_state_rates, gains, assoc, scenario)[0, 0]
     det_avg = det * 100.0 / 101.0
     assert abs(rep.mean_rate[0] - det_avg) / det_avg < 0.03
 
 
 def test_mc_su_reproducible():
-    scenario, gains, plan, assoc, mac = _single_ap_setup(4, 1e-7, n_users=3)
+    scenario, gains, assoc, groups = _single_ap_setup(4, 1e-7, n_users=3)
     cfg = OracleConfig(n_realizations=500)
-    a = mc_su_rate(scenario, gains, plan, assoc, mac, cfg, seed=11)
-    b = mc_su_rate(scenario, gains, plan, assoc, mac, cfg, seed=11)
+    a = mc_su_rate(scenario, gains, groups, cfg, seed=11)
+    b = mc_su_rate(scenario, gains, groups, cfg, seed=11)
     assert np.array_equal(a.mean_rate, b.mean_rate)
-    c = mc_su_rate(scenario, gains, plan, assoc, mac, cfg, seed=12)
+    c = mc_su_rate(scenario, gains, groups, cfg, seed=12)
     assert not np.array_equal(a.mean_rate, c.mean_rate)
 
 
 def test_mc_mu_single_stream_matches_su_distribution():
     # A single-user cell forces S=1, where the ZF pipeline degenerates to
     # conjugate beamforming: means must agree within Monte Carlo error.
-    scenario, gains, plan, assoc, mac = _single_ap_setup(6, 1e-7)
+    scenario, gains, assoc, groups = _single_ap_setup(6, 1e-7)
     cfg = OracleConfig(n_realizations=20_000)
-    su = mc_su_rate(scenario, gains, plan, assoc, mac, cfg, seed=5)
-    mu = mc_mu_rate(scenario, gains, plan, assoc, mac, cfg, seed=5)
+    su = mc_su_rate(scenario, gains, groups, cfg, seed=5)
+    mu = mc_mu_rate(scenario, gains, groups, cfg, seed=5)
     tol = 4 * math.sqrt(su.std_error[0] ** 2 + mu.std_error[0] ** 2)
     assert abs(su.mean_rate[0] - mu.mean_rate[0]) < max(tol, 0.02)
 
 
 def test_mc_mu_two_streams_close_to_deterministic():
-    scenario, gains, plan, assoc, mac = _single_ap_setup(10, 1e-7, n_users=2)
+    scenario, gains, assoc, groups = _single_ap_setup(10, 1e-7, n_users=2)
     cfg = OracleConfig(n_realizations=20_000)
-    rep = mc_mu_rate(scenario, gains, plan, assoc, mac, cfg, seed=6)
+    rep = mc_mu_rate(scenario, gains, groups, cfg, seed=6)
     det, streams = _det_single_ap(mu_channel_state_rates, gains, assoc, scenario)
     assert streams[0, 0] == 2
     det = det[0]
@@ -205,14 +204,12 @@ def _cluster_setup(b_aps, m_antennas, n_users, g=1e-7, power_db=90.0):
 def test_mc_dist_single_ap_matches_mu():
     scenario, gains, plan = _cluster_setup(1, 6, 2)
     cfg = OracleConfig(n_realizations=20_000)
-    dist = mc_dist_rate(scenario, gains, plan, cfg, seed=7)
+    dist = mc_dist_rate(scenario, gains, cluster_groups(plan), cfg, seed=7)
 
-    ch_plan = ChannelPlan({0: 0})
     assoc = AssociationMap(sets={0: (0, 1)})
-    graph = build_contention_graph(gains, ch_plan, scenario.aps, None)
     mac = {0: ChannelCtmc((0,), stationary_distribution(
         np.array([[1]]), rho=100.0, mode=CtmcMode.NO_CSMA))}
-    mu = mc_mu_rate(scenario, gains, ch_plan, assoc, mac, cfg, seed=7)
+    mu = mc_mu_rate(scenario, gains, ap_groups(assoc, mac), cfg, seed=7)
     rel = np.abs(dist.mean_rate - mu.mean_rate) / mu.mean_rate
     assert np.all(rel < 0.05)
 
@@ -220,7 +217,7 @@ def test_mc_dist_single_ap_matches_mu():
 def test_mc_dist_symmetric_close_to_deterministic():
     scenario, gains, plan = _cluster_setup(5, 4, 10)
     cfg = OracleConfig(n_realizations=4000)
-    rep = mc_dist_rate(scenario, gains, plan, cfg, seed=8)
+    rep = mc_dist_rate(scenario, gains, cluster_groups(plan), cfg, seed=8)
     det, s_star = dist_mu_rate(plan.clusters[0], gains, scenario.aps,
                                list(range(10)))
     rel = np.abs(rep.mean_rate - det) / det
@@ -233,7 +230,7 @@ def test_mc_dist_full_rank_square_case():
     det, s_star = dist_mu_rate(plan.clusters[0], gains, scenario.aps,
                                list(range(4)))
     cfg = OracleConfig(n_realizations=2000)
-    rep = mc_dist_rate(scenario, gains, plan, cfg, seed=9)
+    rep = mc_dist_rate(scenario, gains, cluster_groups(plan), cfg, seed=9)
     assert rep.resample_events == 0
     assert np.all(rep.mean_rate > 0)
 
@@ -244,10 +241,9 @@ def test_deterministic_error_shrinks_with_antennas():
     for m in (2, 10):
         rel_sum = 0.0
         for seed in (0, 1, 2):
-            scenario, gains, plan, assoc, mac = _single_ap_setup(m, 1e-7,
-                                                                 n_users=4)
+            scenario, gains, assoc, groups = _single_ap_setup(m, 1e-7, n_users=4)
             cfg = OracleConfig(n_realizations=4000)
-            rep = mc_su_rate(scenario, gains, plan, assoc, mac, cfg, seed=seed)
+            rep = mc_su_rate(scenario, gains, groups, cfg, seed=seed)
             det = _det_single_ap(su_channel_state_rates, gains, assoc,
                                  scenario)[0] * 100.0 / 101.0
             rel_sum += float(np.mean(np.abs(rep.mean_rate - det) / det))
@@ -266,7 +262,7 @@ def test_mc_pipeline_on_generated_hall():
     graph = build_contention_graph(gains, plan, scenario.aps, cca_db=10.0)
     mac = channel_ctmcs(graph, rho=100.0)
     cfg = OracleConfig(n_realizations=6000)
-    rep = mc_su_rate(scenario, gains, plan, assoc, mac, cfg, seed=5)
+    rep = mc_su_rate(scenario, gains, ap_groups(assoc, mac), cfg, seed=5)
     assert np.all(rep.mean_rate > 0)
     assert np.all(np.isfinite(rep.std_error))
     # coarse agreement with the deterministic chain average
@@ -292,8 +288,8 @@ def test_mc_dist_co_channel_clusters_converge_with_antennas():
             technology="distributed_mu_mimo", channelization="2x40",
             n_clusters=4, antennas=m)
         det = pipeline.evaluate(cfg)
-        rep = mc_dist_rate(det.scenario, det.gains, det.cluster_plan,
-                           cfg.oracle, seed=cfg.seeds.oracle)
+        rep = mc_dist_rate(det.scenario, det.gains, det.groups, cfg.oracle,
+                           seed=cfg.seeds.oracle)
         model = float(det.report.spectral_efficiency.mean())
         gaps[m] = (float(rep.mean_rate.mean()) - model) / model
     assert abs(gaps[16]) <= 0.05
@@ -309,7 +305,7 @@ def test_oracle_jobs_choose_the_streams_of_the_chain_average():
         scenario={"generator": "stadium", "n_aps": 12, "n_users": 40},
         technology="concentrated_mu_mimo", channelization="1x80")
     det = pipeline.evaluate(cfg)
-    channels = rates.ap_groups(det.assoc, det.mac)
+    channels = det.groups
     assert max(c.chain.n_states for c in channels.values()) <= oracle.STATE_ENUM_THRESHOLD
     want: dict = {}
     for histogram in det.stream_choice.values():
@@ -340,9 +336,10 @@ def test_sampled_chain_states_match_enumeration(monkeypatch, kernel):
     mac = channel_ctmcs(graph, rho=2.0)
     assert max(c.model.n_states for c in mac.values()) > 2
     cfg = OracleConfig(n_realizations=4000)
-    enumerated = kernel(scenario, gains, plan, assoc, mac, cfg, seed=1)
+    groups = ap_groups(assoc, mac)
+    enumerated = kernel(scenario, gains, groups, cfg, seed=1)
     monkeypatch.setattr(oracle, "STATE_ENUM_THRESHOLD", 2)
-    sampled = kernel(scenario, gains, plan, assoc, mac, cfg, seed=1)
+    sampled = kernel(scenario, gains, groups, cfg, seed=1)
     tol = 4 * np.hypot(enumerated.std_error, sampled.std_error)
     assert np.all(np.abs(sampled.mean_rate - enumerated.mean_rate) <= tol)
     assert np.all(sampled.std_error > enumerated.std_error)
@@ -539,12 +536,11 @@ def test_mu_single_user_cells_match_explicit_draws(monkeypatch):
     for ap, cell in cells.items():
         g[ap, list(cell)] = 1e-7
     gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((3, 3)))
-    plan = ChannelPlan({0: 0, 1: 0, 2: 0})
-    assoc = AssociationMap(sets=cells)
     mac = {0: ChannelCtmc((0, 1, 2), stationary_distribution(
         np.ones((1, 3)), rho=100.0, mode=CtmcMode.NO_CSMA))}
+    groups = ap_groups(AssociationMap(sets=cells), mac)
     seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_mu_rate(
-        scenario, gains, plan, assoc, mac, OracleConfig(n_realizations=4000), seed=3))
+        scenario, gains, groups, OracleConfig(n_realizations=4000), seed=3))
     assert [grp.streams for grp in seen[0]][::2] == [1, 1]
     assert seen[0][1].streams > 1
 
@@ -568,7 +564,7 @@ def test_pooled_one_stream_clusters_match_explicit_draws(monkeypatch):
     clusters = tuple(Cluster(ids, 0) for ids in ((0, 1), (2, 3), (4,)))
     plan = ClusterPlan(clusters=clusters, user_cluster={0: 0, 5: 0, 1: 1, 2: 2, 3: 2, 4: 2})
     seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_dist_rate(
-        scenario, gains, plan, OracleConfig(n_realizations=4000), seed=4))
+        scenario, gains, cluster_groups(plan), OracleConfig(n_realizations=4000), seed=4))
     assert [grp.streams for grp in seen[0]][:2] == [1, 1]
     assert seen[0][2].streams > 1
 
@@ -651,12 +647,11 @@ def test_mu_cells_at_full_rank_match_explicit_draws(monkeypatch):
     for ap, cell in cells.items():
         g[ap, list(cell)] = [1e-6, 3e-6, 1e-5][:len(cell)]
     gains = GainMatrix(ap_to_ut=g, ap_to_ap=np.zeros((2, 2)))
-    plan = ChannelPlan({0: 0, 1: 0})
-    assoc = AssociationMap(sets=cells)
     mac = {0: ChannelCtmc((0, 1), stationary_distribution(
         np.array([[1, 0], [0, 1], [1, 1]]), rho=1.0))}
+    channels = ap_groups(AssociationMap(sets=cells), mac)
     seen = _assert_matches_explicit_draws(monkeypatch, lambda: mc_mu_rate(
-        scenario, gains, plan, assoc, mac, OracleConfig(n_realizations=4000), seed=5))
+        scenario, gains, channels, OracleConfig(n_realizations=4000), seed=5))
     assert sorted(len(groups) for groups in seen) == [1, 1, 2]
     assert all(grp.streams == grp.antennas[0] for groups in seen for grp in groups)
 

@@ -101,10 +101,10 @@ def ref_dump_artifacts(result, out_dir):
         ref_write_csv(out / "contention_edges.csv", echo, ["ap_i", "ap_j"],
                       result.graph.edges())
         rows = []
-        for ch_id in sorted(result.mac):
-            ctmc = result.mac[ch_id]
-            states, pi = ctmc.model.rows(), ctmc.model.pi()
-            for s in range(ctmc.model.n_states):
+        for ch_id in sorted(result.groups):
+            chain = result.groups[ch_id].chain
+            states, pi = chain.rows(), chain.pi()
+            for s in range(chain.n_states):
                 mask = "".join(str(int(b)) for b in states[s])
                 rows.append((ch_id, mask, float(pi[s])))
         ref_write_csv(out / "ctmc_states.csv", echo,
@@ -245,8 +245,8 @@ def test_state_dump_streams(tmp_path):
     # their masks, but must not hold a row for every state.
     result = pipeline.evaluate(pipeline.RunConfig(
         scenario={"generator": "stadium", "n_aps": 100, "n_users": 100}, cca_db=10.0))
-    state_bytes = sum(c.model.n_states * c.model.n_members for c in result.mac.values())
-    assert sum(c.model.n_states for c in result.mac.values()) == 43_344
+    state_bytes = sum(c.chain.n_states * c.chain.n_members for c in result.groups.values())
+    assert sum(c.chain.n_states for c in result.groups.values()) == 43_344
     tracemalloc.start()
     try:
         pipeline.dump_artifacts(result, tmp_path)

@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from wlanmodel import cli, pipeline, radio_plan, rates
+from wlanmodel import cli, oracle, pipeline, radio_plan, rates
 from wlanmodel.metrics import DEFAULT_MCS_TABLE
 from wlanmodel.oracle import OracleConfig
 from wlanmodel.pipeline import RunConfig, Seeds
@@ -73,7 +73,7 @@ def test_evaluate_reproducible():
 def test_distributed_single_cluster_skips_contention():
     cfg = desk_config(technology="distributed_mu_mimo", channelization="1x80")
     res = pipeline.evaluate(cfg)
-    assert res.graph is None and res.mac is None
+    assert res.graph is None and all(g.chain.n_states == 1 for g in res.groups.values())
     assert len(res.cluster_plan.clusters) == 1
     assert np.all(res.report.throughput_bps > 0)
 
@@ -226,9 +226,9 @@ def test_maximal_only_channels_are_noted(tmp_path):
     # Four mutually sensing APs: 5 independent sets, 4 of them maximal.
     cfg = desk_config(channelization="1x80", state_cap=4)
     res = pipeline.evaluate(cfg)
-    assert res.mac[0].model.mode.value == "maximal_only"
+    assert res.groups[0].chain.mode.value == "maximal_only"
     note = (f"channel 0: more than 4 independent sets; chain uses its "
-            f"{res.mac[0].model.n_states} maximal independent sets only")
+            f"{res.groups[0].chain.n_states} maximal independent sets only")
     assert res.notes == [note]
     paths = pipeline.write_report(res, tmp_path)
     assert json.loads(paths["summary"].read_text())["notes"] == [note]
@@ -283,6 +283,31 @@ def test_mc_validate_outputs(tmp_path):
         power_db=-4000.0, oracle=OracleConfig(n_realizations=50)))
     assert np.all(silent.oracle_report.std_error == 0)
     assert np.array_equal(silent.z, np.zeros(silent.z.size))
+
+
+def test_validation_echo_records_the_gaussian_run_compared(tmp_path):
+    # A quantized request is compared in Gaussian rates, and its files say so.
+    val = pipeline.mc_validate(desk_config(rate_mode="quantized",
+                                           oracle=OracleConfig(n_realizations=20)))
+    paths = pipeline.write_validation(val, tmp_path)
+    summary = json.loads(paths["summary"].read_text())
+    config_line = paths["comparison"].read_text().splitlines()[0]
+    echoed = json.loads(config_line.removeprefix("# config="))
+    assert summary["config"]["rate_mode"] == echoed["rate_mode"] == "gaussian"
+
+
+@pytest.mark.parametrize("technology, entry", [
+    ("su_beamforming", "mc_su_rate"), ("concentrated_mu_mimo", "mc_mu_rate"),
+    ("distributed_mu_mimo", "mc_dist_rate")])
+def test_oracle_receives_the_evaluations_own_groups(monkeypatch, technology, entry):
+    # mc_validate looks its oracle entry point up when called, so a rebound
+    # oracle.mc_* (as a tracer rebinds it) sees the call and its groups.
+    calls, run = [], getattr(oracle, entry)
+    monkeypatch.setattr(oracle, entry, lambda scenario, gains, groups, *rest: (
+        calls.append(groups) or run(scenario, gains, groups, *rest)))
+    val = pipeline.mc_validate(desk_config(technology=technology,
+                                           oracle=OracleConfig(n_realizations=20)))
+    assert len(calls) == 1 and calls[0] is val.deterministic.groups
 
 
 def test_scenario_file_roundtrip_through_pipeline(tmp_path):
@@ -386,7 +411,7 @@ def test_cca_sweep_axis_includes_disabled():
                       sweep_values=[0.0, 10.0, 30.0, "disabled"])
     res = pipeline.sweep(cfg)
     assert not res.errors
-    assert res.point_results["disabled"].mac[0].model.mode.value == "no_csma"
+    assert res.point_results["disabled"].groups[0].chain.mode.value == "no_csma"
     means = [res.summaries[v]["mean"] for v in cfg.sweep_values]
     assert all(m > 0 for m in means)
 
@@ -423,6 +448,6 @@ def test_contended_rates_stage_streams_own_user_blocks(monkeypatch, budget):
             cca_db=300.0))
     finally:
         tracemalloc.stop()
-    model = result.mac[0].model
+    model = result.groups[0].chain
     assert (model.n_states, model.n_members) == (2 ** n_loud, n_loud)
     assert peaks["rates"] < rates.BLOCK_BYTES + model.n_states * model.n_members
