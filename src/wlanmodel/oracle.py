@@ -5,9 +5,9 @@ zero-forcing transmitter at different sizes (see `rates.zf_rates`). A group
 is a set of APs pooling their antennas, with AP block b of its composite
 channel to user k scaled by sqrt(g_bk); it zero-forces S streams, splits
 its pooled power P evenly over them, and another co-channel group's user
-k' hears (P/S) * sum_s |v_s^H h|^2. Each job draws from its own
-counter-derived stream, so everything is reproducible per seed. A group
-draws one of three laws:
+k' hears (P/S) * sum_s |v_s^H h|^2. Each job draws from its own SFC64
+stream keyed [seed, channel, job index] (_stream), so everything is
+reproducible per seed. A group draws one of three laws:
 
 - One stream (conjugate beam): user k gets P * sum_b g_bk E_bk, E_bk ~
   Gamma(M_b), and the beam to a uniform user u* leaks P * sum_b w_b g_bk'
@@ -17,7 +17,9 @@ draws one of three laws:
   independent of R. Stream s gets (gP/S) xi_s, xi_s = 1 / ||row s of R^-1||^2
   (Gamma(N - S + 1), drawn so if nobody hears it), and k' hears
   (P/S) g_k' ||W z||^2, W the unit rows of R^-1 and z ~ CN(0, I_S) fresh.
-- Pooled ZF (B >= 2): explicit channels, precoders and beams.
+- Pooled ZF (B >= 2): explicit channels, precoders and beams. Its own
+  channel and its leakage to k' are drawn per AP block: one amplitude per
+  block and user, repeated over the block's M_b antennas (_draw).
 
 The states of an enumerated chain are strata of known weight pi, and each
 draws realizations in proportion to it (_draw_counts): each group's
@@ -106,11 +108,15 @@ def _upper_inverse(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r^H r by back-substitution: returns r^-1 and its squared row norms, the
     diagonal of (r^H r)^-1, so that stream s's ZF gain is 1 / norm_s."""
     inv = np.zeros_like(r)
-    for i in range(r.shape[-1] - 1, -1, -1):  # one row of r^-1 a step
-        inv[..., i, i] = 1.0 / r[..., i, i]
-        inv[..., i, i + 1:] = -(r[..., i, None, i + 1:] @ inv[..., i + 1:, i + 1:])[..., 0, :] \
-            * inv[..., i, i, None]
-    return inv, np.einsum("...ij,...ij->...i", inv.view(np.float64), inv.view(np.float64))
+    diag = np.einsum("...ii->...i", inv)
+    diag[...] = 1.0 / np.einsum("...ii->...i", r)
+    norm = diag.real**2 + diag.imag**2
+    for i in range(r.shape[-1] - 2, -1, -1):  # one row of r^-1 a step
+        row = (r[..., i, None, i + 1:] @ inv[..., i + 1:, i + 1:])[..., 0, :]
+        row *= -diag[..., i, None]
+        inv[..., i, i + 1:] = row
+        norm[..., i] += np.einsum("...j,...j->...", row.view(np.float64), row.view(np.float64))
+    return inv, norm
 
 
 def _zf_precoders(h_cols: np.ndarray, beams: bool = True):
@@ -124,8 +130,8 @@ def _zf_precoders(h_cols: np.ndarray, beams: bool = True):
     V is None when `beams` is false.
     """
     gram = np.swapaxes(h_cols.conj(), -1, -2) @ h_cols
-    s = gram.shape[-1]
-    gram[..., range(s), range(s)] += 1e-13 / s * np.einsum("...ss->...", gram).real[..., None]
+    diag = np.einsum("...ii->...i", gram)
+    diag += 1e-13 / diag.shape[-1] * diag.real.sum(axis=-1, keepdims=True)
     inv, norm = _upper_inverse(np.linalg.cholesky(gram, upper=True))
     xi = 1.0 / norm
     if not beams:
@@ -141,11 +147,13 @@ def _zf_factor(rng: np.random.Generator, n: int, s: int, shape: tuple):
     xi = 1 / ||row s of R^-1||^2 [*shape, s] and the beams in the frame of
     the channel, the unit rows W of R^-1, so W R = diag(sqrt(xi))."""
     r = np.zeros(shape + (s, s), dtype=np.complex128)
-    upper = np.triu_indices(s, 1)
-    r[..., upper[0], upper[1]] = np.sqrt(0.5) * _gauss(rng, shape + (len(upper[0]),))
+    r[..., np.triu(np.ones((s, s), dtype=bool), 1)] = np.sqrt(0.5) * _gauss(
+        rng, shape + (s * (s - 1) // 2,))
     r[..., range(s), range(s)] = np.sqrt(rng.standard_gamma(n - np.arange(s), shape + (s,)))
     inv, norm = _upper_inverse(r)
-    return r, 1.0 / norm, inv / np.sqrt(norm)[..., None]
+    xi = 1.0 / norm
+    inv *= np.sqrt(xi)[..., None]
+    return r, xi, inv
 
 
 def _random_subsets(rng: np.random.Generator, n_draws: int, pool: int,
@@ -160,12 +168,19 @@ def _gauss(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
 
 
-def _draw(rng: np.random.Generator, power: np.ndarray) -> np.ndarray:
-    """Rayleigh channels [r, N, c] with per-entry power[N, r, c]."""
-    amp = np.sqrt(0.5 * np.moveaxis(power, 0, -2))
-    h = rng.standard_normal(amp.shape + (2,))
-    h *= amp[..., None]
-    return h.view(np.complex128)[..., 0]
+def _draw(rng: np.random.Generator, power: np.ndarray, antennas: np.ndarray) -> np.ndarray:
+    """Rayleigh channels [r, N, c] whose AP block b holds antennas[b] rows of
+    per-entry power[r, b, c]."""
+    amp = np.repeat(np.sqrt(0.5 * power), antennas, axis=1)
+    h = _gauss(rng, amp.shape)
+    h *= amp
+    return h
+
+
+def _stream(seed: int, channel: int, index: int) -> np.random.Generator:
+    """The stream of one job, or (index 2^20) of a channel's sampled chain
+    states: SFC64 keyed [seed, channel, index] through its seed sequence."""
+    return np.random.Generator(np.random.SFC64([seed, channel, index]))
 
 
 def _realization_bytes(groups: list[_Group]) -> int:
@@ -190,62 +205,73 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
              r: int, sums: list[np.ndarray]) -> None:
     """Draw r realizations of one job's groups and add each scored user's
     rate and its square into its group's [2, users] sums."""
-    picks, signals, beams = [], [], []
+    picks, cols, signals, beams = [], [], [], []
     heard = len(groups) > 1
     for g in groups:
         k = len(g.users)
-        if g.streams == 1:
-            picks.append(np.broadcast_to(np.arange(k), (r, k)))
+        if g.streams == 1:  # every user scored in every realization
+            picks.append(None)
+            cols.append(np.broadcast_to(g.users, (r, k)))
             gain = gains.ap_to_ut[g.aps[:, None], g.users]
-            energy = rng.standard_gamma(g.antennas[:, None], (r,) + gain.shape)
+            # Equal arrays draw from a scalar shape: the same draws, faster.
+            m = float(g.antennas[0]) if np.ptp(g.antennas) == 0 else g.antennas[:, None]
+            energy = rng.standard_gamma(m, (r,) + gain.shape)
             signals.append(g.power * np.einsum("rbk,bk->rk", energy, gain))
             # A lead user outside every sector gets the unit-gain beam E_b / sum E.
             lead = rng.integers(k, size=r)
             share = np.where(gain[:, lead].any(axis=0), gain[:, lead], 1.0).T
             share = share * energy[np.arange(r), :, lead]
-            beams.append((share / share.sum(axis=1, keepdims=True))[:, None])
+            beams.append(share / share.sum(axis=1, keepdims=True))
             continue
         picks.append(_random_subsets(rng, r, k, g.streams))
+        cols.append(g.users[picks[-1]])
         if len(g.aps) == 1:
             # One AP's unit-gain columns are iid CN(0, 1), sectors or not:
             # draw their Bartlett factor, or only xi if nobody hears the beams.
-            n, scale = len(g.rows), gains.ap_to_ut[g.aps[0], g.users[picks[-1]]]
+            n, scale = len(g.rows), gains.ap_to_ut[g.aps[0], cols[-1]]
             xi, v = (_zf_factor(rng, n, g.streams, (r,))[1:] if heard else
                      (rng.standard_gamma(n - g.streams + 1, (r, g.streams)), None))
         else:
-            link = gains.ap_to_ut[g.rows[:, None, None], g.users[picks[-1]]]
-            # Precode on columns normalized to unit mean gain, so a user
-            # without any gain (outside every sector) keeps a finite beam.
-            scale = link.mean(axis=0)
-            link /= np.where(scale > 0, scale, 1.0)
-            link += scale == 0
-            v, xi = _zf_precoders(_draw(rng, link), heard)
+            link = gains.ap_to_ut[g.aps[:, None], cols[-1][:, None]]
+            # Precode on columns normalized to unit mean gain over the N
+            # antennas, so a user outside every sector keeps a finite beam.
+            scale = g.antennas @ link / len(g.rows)
+            link /= np.where(scale > 0, scale, 1.0)[:, None]
+            link += (scale == 0)[:, None]
+            v, xi = _zf_precoders(_draw(rng, link, g.antennas), heard)
         signals.append(xi * scale * (g.power / g.streams))
         beams.append(v)
     for i, g in enumerate(groups):
-        cols = g.users[picks[i]]
         interf = 0.0
         for j, other in enumerate(groups):
             if j == i:
                 continue
             if other.streams == 1:
-                power = np.moveaxis(gains.ap_to_ut[other.aps[:, None, None], cols], 0, -2)
-                leak = (beams[j] @ power)[:, 0] * rng.standard_exponential(cols.shape)
+                # A one-stream victim's users are the same in every realization.
+                power = (beams[j] @ gains.ap_to_ut[other.aps[:, None], g.users]
+                         if picks[i] is None else np.einsum(
+                             "rb,rbc->rc", beams[j],
+                             gains.ap_to_ut[other.aps[:, None], cols[i][:, None]]))
+                leak = power * rng.standard_exponential(cols[i].shape)
             elif len(other.aps) == 1:
                 # A fresh channel seen in the frame of the AP's served
                 # columns is z ~ CN(0, g I_S); there the beams are W's rows.
-                y = beams[j] @ _gauss(rng, (r, other.streams, cols.shape[1]))
-                leak = 0.5 * gains.ap_to_ut[other.aps[0], cols] * (
+                y = beams[j] @ _gauss(rng, (r, other.streams, cols[i].shape[1]))
+                leak = 0.5 * gains.ap_to_ut[other.aps[0], cols[i]] * (
                     np.einsum("rsc,rsc->rc", y.real, y.real)
                     + np.einsum("rsc,rsc->rc", y.imag, y.imag))
             else:
                 # A fresh circularly symmetric h makes h^T v as distributed
                 # as v^H h, without conjugating the beams.
-                h = _draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols])
+                h = _draw(rng, gains.ap_to_ut[other.aps[:, None], cols[i][:, None]],
+                          other.antennas)
                 leak = np.sum(np.abs(np.swapaxes(h, 1, 2) @ beams[j]) ** 2, axis=2)
             interf = interf + other.power / other.streams * leak
         x = np.log2(1.0 + signals[i] / (1.0 + interf))
-        x /= len(g.users) if g.streams == 1 else 1
+        if picks[i] is None:
+            x /= len(g.users)
+            sums[i] += (x.sum(axis=0), np.einsum("rk,rk->k", x, x))
+            continue
         for row, y in zip(sums[i], (x, x**2)):
             row += np.bincount(picks[i].ravel(), y.ravel(), len(row))
 
@@ -290,9 +316,8 @@ def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGrou
     aps = scenario.aps
     tech = TechConfig(technology=technology)
     for ch_id, channel in channels.items():
-        state_rng = np.random.default_rng([seed, ch_id, 1 << 20])
         words, weights, draws, sampled = _state_jobs(
-            channel.chain, config.n_realizations, state_rng)
+            channel.chain, config.n_realizations, _stream(seed, ch_id, 1 << 20))
         streams = rates._state_rates(gains, aps, channel, tech, words)[1]
         if not sampled:
             draws = _draw_counts(weights, streams > 0, config.n_realizations)
@@ -301,13 +326,15 @@ def _jobs(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGrou
                       for ap_ids, cell, s in zip(channel.groups, channel.cells, row) if s > 0]
             if groups:
                 yield (weight, n, sampled,
-                       np.random.default_rng([seed, ch_id, idx]), groups)
+                       _stream(seed, ch_id, idx), groups)
 
 
 def mc_su_rate(scenario: Scenario, gains: GainMatrix, groups: dict[int, ChannelGroups],
                config: OracleConfig, seed: int = 0) -> OracleReport:
     """Monte Carlo single-user beamforming rates: each active group with
-    users is one stream, its beam conjugate to one of its users."""
+    users is one stream, its beam conjugate to one of its users. Each
+    (channel, chain state) job draws from its own SFC64 stream keyed
+    [seed, channel, index], so a seed repeats its numbers exactly."""
     return _simulate(scenario, gains, groups, Technology.SU_BEAMFORMING, config, seed)
 
 
@@ -315,7 +342,8 @@ def mc_mu_rate(scenario: Scenario, gains: GainMatrix, groups: dict[int, ChannelG
                config: OracleConfig, seed: int = 0) -> OracleReport:
     """Monte Carlo concentrated MU-MIMO rates: each active AP zero-forces to
     a uniformly random subset of its users, sized by the deterministic
-    stream optimizer for that contention state."""
+    stream optimizer for that contention state, drawing from the job's
+    SFC64 stream as in mc_su_rate."""
     return _simulate(scenario, gains, groups, Technology.CONCENTRATED_MU_MIMO, config, seed)
 
 
@@ -324,5 +352,7 @@ def mc_dist_rate(scenario: Scenario, gains: GainMatrix, groups: dict[int, Channe
     """Monte Carlo pooled-array (distributed MU-MIMO) rates: each cluster with
     users zero-forces from its composite array to a uniformly random user
     subset sized by the deterministic optimizer, and clusters sharing a
-    channel interfere through their ZF beams."""
+    channel interfere through their ZF beams. The composite channels are
+    drawn per AP block, one amplitude repeated over each AP's antennas, from
+    the job's SFC64 stream as in mc_su_rate."""
     return _simulate(scenario, gains, groups, Technology.DISTRIBUTED_MU_MIMO, config, seed)

@@ -337,7 +337,7 @@ def test_sectorized_gain_matrix_zeroes_back_lobe():
 
 def _rayleigh(rng, n_draws, antennas=1):
     """The oracle's channel draw at unit power: [n_draws, antennas]."""
-    return _draw(rng, np.ones((antennas, n_draws, 1)))[:, :, 0]
+    return _draw(rng, np.ones((n_draws, 1, 1)), np.array([antennas]))[:, :, 0]
 
 
 def test_sample_fading_moments():
