@@ -28,6 +28,8 @@ heaviest state keeps the full n.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,7 +66,7 @@ class OracleReport:
 class _Group(NamedTuple):
     aps: np.ndarray       # AP ids, one block of the pooled array each
     antennas: np.ndarray  # M_b of each block
-    rows: np.ndarray      # AP id of each antenna of the pooled array
+    n_antennas: int       # N = sum_b M_b, antennas of the pooled array
     users: np.ndarray
     streams: int          # S
     power: float          # pooled power P
@@ -72,7 +74,7 @@ class _Group(NamedTuple):
 
 def _group(aps: tuple[ApNode, ...], ap_ids, users, streams: int) -> _Group:
     m = np.array([aps[a].antennas for a in ap_ids])
-    return _Group(np.asarray(ap_ids), m, np.repeat(ap_ids, m), np.asarray(users),
+    return _Group(np.asarray(ap_ids), m, int(m.sum()), np.asarray(users),
                   int(streams), sum(aps[a].power_linear for a in ap_ids))
 
 
@@ -194,9 +196,9 @@ def _realization_bytes(groups: list[_Group]) -> int:
     for g in groups:
         cols = len(g.users) if g.streams == 1 else g.streams
         own = (8 * len(g.aps) if g.streams == 1 else 8 + 32 * cols * heard
-               if len(g.aps) == 1 else 16 * ((1 + 2 * heard) * len(g.rows) + 3 * cols))
+               if len(g.aps) == 1 else 16 * ((1 + 2 * heard) * g.n_antennas + 3 * cols))
         hears = sum(8 if j.streams == 1 else 32 * j.streams if len(j.aps) == 1
-                    else 16 * len(j.rows) for j in groups if j is not g)
+                    else 16 * j.n_antennas for j in groups if j is not g)
         total += cols * (own + hears)
     return total
 
@@ -228,14 +230,14 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
         if len(g.aps) == 1:
             # One AP's unit-gain columns are iid CN(0, 1), sectors or not:
             # draw their Bartlett factor, or only xi if nobody hears the beams.
-            n, scale = len(g.rows), gains.ap_to_ut[g.aps[0], cols[-1]]
+            n, scale = g.n_antennas, gains.ap_to_ut[g.aps[0], cols[-1]]
             xi, v = (_zf_factor(rng, n, g.streams, (r,))[1:] if heard else
                      (rng.standard_gamma(n - g.streams + 1, (r, g.streams)), None))
         else:
             link = gains.ap_to_ut[g.aps[:, None], cols[-1][:, None]]
             # Precode on columns normalized to unit mean gain over the N
             # antennas, so a user outside every sector keeps a finite beam.
-            scale = g.antennas @ link / len(g.rows)
+            scale = g.antennas @ link / g.n_antennas
             link /= np.where(scale > 0, scale, 1.0)[:, None]
             link += (scale == 0)[:, None]
             v, xi = _zf_precoders(_draw(rng, link, g.antennas), heard)
@@ -276,6 +278,27 @@ def _realize(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
             row += np.bincount(picks[i].ravel(), y.ravel(), len(row))
 
 
+def _pool_size() -> int:
+    """The CPUs this process may use (an affinity mask such as taskset's
+    limits them): the oracle's thread pool has one worker each."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _job_sums(rng: np.random.Generator, gains: GainMatrix, groups: list[_Group],
+              draws: int) -> list[np.ndarray]:
+    """One job's [2, users] rate and squared-rate sums per group over its
+    draws, in chunks whose arrays fit half of rates.BLOCK_BYTES (at least
+    one realization per chunk)."""
+    sums = [np.zeros((2, len(g.users))) for g in groups]
+    for chunk in rates.row_blocks(draws, _realization_bytes(groups), rates.BLOCK_BYTES // 2):
+        _realize(rng, gains, groups, chunk.stop - chunk.start, sums)
+    return sums
+
+
 def _simulate(scenario: Scenario, gains: GainMatrix, channels: dict[int, ChannelGroups],
               technology: Technology, config: OracleConfig, seed: int) -> OracleReport:
     """Fading-average the per-user rates of the channels' weighted jobs.
@@ -284,24 +307,53 @@ def _simulate(scenario: Scenario, gains: GainMatrix, channels: dict[int, Channel
     ones active together on one channel. A one-stream group evaluates every
     user as if served, at weight 1/|U|. A multi-stream group evaluates its
     uniformly drawn served S-subset at weight 1, so that the service
-    frequency S/|U| realizes the equal-air-time share. Each job draws its
-    realizations in chunks whose arrays fit rates.BLOCK_BYTES (at least
-    one realization per chunk).
+    frequency S/|U| realizes the equal-air-time share.
+
+    The jobs are built on the calling thread (the chain walk holds the GIL)
+    and drawn on a thread pool of _pool_size() workers, whose normal and
+    gamma fills, batched products and Cholesky factors release it. Each job
+    has its own stream and chunk sizes that do not depend on the pool, and
+    its sums are added in job order, so the estimates are the same bits for
+    any pool size. A worker draws one chunk at a time, fitting half of
+    rates.BLOCK_BYTES. A failing job cancels those not yet started and
+    raises.
     """
+    from concurrent.futures import ThreadPoolExecutor  # on use: keeps the import light
+
     mean, var, spread = (np.zeros(scenario.n_users) for _ in range(3))
     drawn = 0
-    for weight, draws, sampled, rng, groups in _jobs(scenario, gains, channels,
-                                                     technology, config, seed):
-        sums = [np.zeros((2, len(g.users))) for g in groups]
-        for chunk in rates.row_blocks(draws, _realization_bytes(groups)):
-            _realize(rng, gains, groups, chunk.stop - chunk.start, sums)
-        drawn += draws
-        for g, (total, total_sq) in zip(groups, sums):
+
+    def add(weight, draws, sampled, groups, future):
+        for g, (total, total_sq) in zip(groups, future.result()):
             m = total / draws
             mean[g.users] += weight * m
             var[g.users] += weight**2 * np.maximum(total_sq / draws - m**2, 0.0) / draws
             if sampled:
                 spread[g.users] += weight * m**2
+
+    workers = _pool_size()
+    pending, queued = deque(), 0  # jobs in flight and their draws
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for weight, draws, sampled, rng, groups in _jobs(scenario, gains, channels,
+                                                             technology, config, seed):
+                pending.append((weight, draws, sampled, groups,
+                                pool.submit(_job_sums, rng, gains, groups, draws)))
+                drawn += draws
+                queued += draws
+                # Add finished jobs in job order. Wait for the oldest only
+                # once the jobs behind it hold more draws than the other
+                # workers need to stay busy while it runs (a job draws at
+                # most n), which also bounds the jobs held.
+                while pending and (pending[0][-1].done()
+                                   or queued > 2 * workers * config.n_realizations):
+                    queued -= pending[0][1]
+                    add(*pending.popleft())
+            while pending:
+                add(*pending.popleft())
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     # Sampled state counts are random too: add the spread of the per-state
     # means (none for enumerated chains, whose spread 0 is below mean^2).
     var += np.maximum(spread - mean**2, 0.0) / config.n_realizations

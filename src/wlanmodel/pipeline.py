@@ -421,7 +421,7 @@ def sweep(config: RunConfig) -> SweepResult:
         threads = 0
     if threads < 1:
         raise ValueError(f"{THREADS_ENV} must be an integer of at least 1, got {raw!r}")
-    from concurrent.futures import ThreadPoolExecutor  # only sweep runs a thread pool
+    from concurrent.futures import ThreadPoolExecutor  # on use: keeps the import light
     errors, results = {}, {}
 
     def _run(value):

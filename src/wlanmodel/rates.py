@@ -24,10 +24,12 @@ from .scenario import ApNode
 
 
 #: Bytes the temporaries of one row block may take together (see
-#: row_blocks): a chunk of oracle realizations, a block of the gain
-#: matrix's transmitter rows, or the chain walk's tables and block of
-#: states, half of it each (_group_walk). Larger blocks leave cache and
-#: gain nothing; much smaller ones pay the per-block overhead.
+#: row_blocks): a block of the gain matrix's transmitter rows, the chain
+#: walk's tables and block of states, half of it each (_group_walk), or
+#: two oracle jobs' chunks of realizations, half of it each (a job's chunk
+#: fits half whatever the oracle's pool size, so the estimates do not
+#: depend on it). Larger blocks leave cache and gain nothing; much smaller
+#: ones pay the per-block overhead.
 BLOCK_BYTES = 4 << 20
 
 

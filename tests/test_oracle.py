@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -347,20 +348,32 @@ def test_sampled_chain_states_match_enumeration(monkeypatch, kernel):
 
 @pytest.mark.parametrize("technology", ["su_beamforming", "concentrated_mu_mimo"])
 def test_users_no_sampled_state_reaches_get_no_z(monkeypatch, tmp_path, technology):
-    # Twenty realizations sampled from a 7-state chain leave some APs off in
-    # every drawn state: the oracle measured none of their users (mean and
-    # std error 0 against a positive model rate), so they get no z, the |z|
-    # summary leaves them out, and the summary says how many they are.
-    # Oracle seed 19 is one whose twenty draws leave some APs off.
-    cfg = pipeline.RunConfig(
-        scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 24},
-        technology=technology, channelization="1x80", seeds=pipeline.Seeds(oracle=19),
-        oracle=OracleConfig(n_realizations=20))
-    enumerated = pipeline.mc_validate(cfg)
+    # Twenty realizations sampled from a 7-state chain can leave some APs
+    # off in every drawn state: the oracle then measured none of their users
+    # (mean and std error 0 against a positive model rate), so they get no
+    # z, the |z| summary leaves them out, and the summary says how many they
+    # are. The oracle seed is the first whose sampled states reach some of
+    # the users but not all.
+    def config(seed):
+        return pipeline.RunConfig(
+            scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 24},
+            technology=technology, channelization="1x80",
+            seeds=pipeline.Seeds(oracle=seed), oracle=OracleConfig(n_realizations=20))
+
+    enumerated = pipeline.mc_validate(config(0))
     assert not np.isnan(enumerated.z).any()
     assert "users_without_z" not in enumerated.z_summary()
     monkeypatch.setattr(oracle, "STATE_ENUM_THRESHOLD", 2)
-    val = pipeline.mc_validate(cfg)
+    det = enumerated.deterministic
+
+    def reached(seed):
+        return {int(u) for *_, groups in oracle._jobs(
+                    det.scenario, det.gains, det.groups, rates.Technology(technology),
+                    config(seed).oracle, seed) for g in groups for u in g.users}
+    seed = next((s for s in range(200)
+                 if 0 < len(reached(s)) < det.scenario.n_users), None)
+    assert seed is not None
+    val = pipeline.mc_validate(config(seed))
     missing = np.isnan(val.z)
     assert 0 < missing.sum() < missing.size
     assert np.all(val.oracle_report.std_error[missing] == 0)
@@ -432,10 +445,11 @@ def test_pooled_validation_stays_under_the_byte_budget():
                                         "distributed_mu_mimo"])
 def test_chunk_budget_leaves_the_estimates_unchanged(monkeypatch, technology):
     # Without carrier sensing every AP of the one channel transmits (one job
-    # of six co-channel groups; pooled: two co-channel clusters). Chunks of
-    # one realization, then of seven (600 = 85 * 7 + 5), must estimate the
-    # same per-user means, and a mean std error no larger than 1.25 times
-    # the default budget's (one user's std error is itself noisy).
+    # of six co-channel groups; pooled: two co-channel clusters). A job's
+    # chunks fit half the budget. Chunks of one realization, then of seven
+    # (600 = 85 * 7 + 5), must estimate the same per-user means, and a mean
+    # std error no larger than 1.25 times the default budget's (one user's
+    # std error is itself noisy).
     cfg = pipeline.RunConfig(
         scenario={"generator": "conference_hall", "n_aps": 6, "n_users": 30},
         technology=technology, channelization="1x80", cca_db=None,
@@ -448,7 +462,7 @@ def test_chunk_budget_leaves_the_estimates_unchanged(monkeypatch, technology):
         chunks.append(r) or realize(rng, gains, groups, r, *rest)))
     default = pipeline.mc_validate(cfg).oracle_report
     assert len(per_realization) == 1
-    for budget, sizes in ((1, {1}), (7 * per_realization[0], {7, 5})):
+    for budget, sizes in ((1, {1}), (14 * per_realization[0], {7, 5})):
         chunks.clear()
         monkeypatch.setattr(rates, "BLOCK_BYTES", budget)
         got = pipeline.mc_validate(cfg).oracle_report
@@ -456,6 +470,75 @@ def test_chunk_budget_leaves_the_estimates_unchanged(monkeypatch, technology):
         tol = 4 * np.hypot(default.std_error, got.std_error)
         assert np.all(np.abs(got.mean_rate - default.mean_rate) <= tol)
         assert got.std_error.mean() <= 1.25 * default.std_error.mean()
+
+
+def _two_channel_evaluation(technology, **fields):
+    """Open floor 8/40 on two channels (pooled: clusters sharing each)."""
+    return pipeline.evaluate(pipeline.RunConfig(
+        scenario={"generator": "open_floor", "n_aps": 8, "n_users": 40},
+        technology=technology, channelization="2x40", **fields))
+
+
+@pytest.mark.parametrize("setting", ["enumerated", "sampled", "co_channel"])
+@pytest.mark.parametrize("kernel", [mc_su_rate, mc_mu_rate, mc_dist_rate])
+def test_estimates_do_not_depend_on_the_pool_size(monkeypatch, kernel, setting):
+    # Each job draws from its own stream, in chunks sized without regard to
+    # the pool, and the caller adds the sums in job order: pools of one, two
+    # and three workers give the same bits. Two channels of contending APs
+    # (pooled: two co-channel clusters each), the same sampled from pi (a
+    # threshold of 0 samples even a pooled channel's one state), and two
+    # channels without carrier sensing (pooled: three clusters each). A
+    # small budget splits jobs into several chunks.
+    technology = {mc_su_rate: "su_beamforming", mc_mu_rate: "concentrated_mu_mimo",
+                  mc_dist_rate: "distributed_mu_mimo"}[kernel]
+    fields = ({"cca_db": None, "n_clusters": 6} if setting == "co_channel"
+              else {"n_clusters": 4})
+    if setting == "sampled":
+        monkeypatch.setattr(oracle, "STATE_ENUM_THRESHOLD", 0)
+    det = _two_channel_evaluation(technology, **fields)
+    monkeypatch.setattr(rates, "BLOCK_BYTES", 1 << 16)
+    chunks, realize = [], oracle._realize
+    monkeypatch.setattr(oracle, "_realize", lambda rng, gains, groups, *rest: (
+        chunks.append(groups) or realize(rng, gains, groups, *rest)))
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(oracle, "_pool_size", lambda n=workers: n)
+        reports.append(kernel(det.scenario, det.gains, det.groups,
+                              OracleConfig(n_realizations=200), seed=7))
+    jobs = {id(groups) for groups in chunks}
+    assert len(chunks) > len(jobs) >= 3 * 2
+    first = reports[0]
+    for rep in reports[1:]:
+        assert rep.mean_rate.tobytes() == first.mean_rate.tobytes()
+        assert rep.std_error.tobytes() == first.std_error.tobytes()
+        assert (rep.n_realizations, rep.realizations_drawn) == (
+            first.n_realizations, first.realizations_drawn)
+
+
+def test_a_failing_job_raises_and_leaves_no_threads(monkeypatch):
+    # The third job's draws fail: the error reaches the caller before every
+    # job is drawn (the queue bound stops the walk), and the pool's threads
+    # are joined.
+    det = _two_channel_evaluation("su_beamforming")
+    config = OracleConfig(n_realizations=200)
+    total = sum(1 for _ in oracle._jobs(det.scenario, det.gains, det.groups,
+                                        rates.Technology.SU_BEAMFORMING, config, 0))
+    made, drawn, jobs, realize = [], set(), oracle._jobs, oracle._realize
+
+    def failing(rng, gains, groups, *rest):
+        drawn.add(id(groups))
+        if len(made) > 2 and groups is made[2]:
+            raise RuntimeError("job 2 failed")
+        return realize(rng, gains, groups, *rest)
+    monkeypatch.setattr(oracle, "_jobs", lambda *a: (
+        made.append(job[4]) or job for job in jobs(*a)))
+    monkeypatch.setattr(oracle, "_realize", failing)
+    monkeypatch.setattr(oracle, "_pool_size", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="job 2 failed"):
+        mc_su_rate(det.scenario, det.gains, det.groups, config)
+    assert threading.active_count() == before
+    assert len(drawn) < total
 
 
 def _explicit_realize(rng, gains, groups, r, sums):
@@ -471,7 +554,7 @@ def _explicit_realize(rng, gains, groups, r, sums):
         k = len(g.users)
         pick = oracle._random_subsets(rng, r, k, k if g.streams == 1 else g.streams)
         link = gains.ap_to_ut[g.aps[:, None], g.users[pick][:, None]]
-        scale = g.antennas @ link / len(g.rows)
+        scale = g.antennas @ link / g.antennas.sum()
         link /= np.where(scale > 0, scale, 1.0)[:, None]
         link += (scale == 0)[:, None]
         h = oracle._draw(rng, link, g.antennas)
@@ -502,11 +585,13 @@ def _explicit_realize(rng, gains, groups, r, sums):
 def _assert_matches_explicit_draws(monkeypatch, run):
     """`run()` gives the same per-user law with exact one-stream draws as
     with explicit ones: |z| <= 4 per user and a mean std error within
-    0.8-1.25 times the reference's. Returns the groups of every job."""
-    seen, realize = [], oracle._realize
-    monkeypatch.setattr(oracle, "_realize", lambda rng, gains, groups, *rest: (
-        seen.append(groups) or realize(rng, gains, groups, *rest)))
+    0.8-1.25 times the reference's. Returns the groups of every job of the
+    exact run, in job order."""
+    seen, jobs = [], oracle._jobs
+    monkeypatch.setattr(oracle, "_jobs", lambda *args: (
+        seen.append(job[4]) or job for job in jobs(*args)))
     exact = run()
+    monkeypatch.setattr(oracle, "_jobs", jobs)
     monkeypatch.setattr(oracle, "_realize", _explicit_realize)
     explicit = run()
     se = np.hypot(exact.std_error, explicit.std_error)
@@ -823,7 +908,8 @@ def _per_antenna_realize(rng, gains, groups, r, sums):
             continue
         assert len(g.aps) > 1
         picks.append(oracle._random_subsets(rng, r, k, g.streams))
-        link = gains.ap_to_ut[g.rows[:, None, None], g.users[picks[-1]]]
+        rows = np.repeat(g.aps, g.antennas)  # AP id of each antenna
+        link = gains.ap_to_ut[rows[:, None, None], g.users[picks[-1]]]
         scale = link.mean(axis=0)
         link /= np.where(scale > 0, scale, 1.0)
         link += scale == 0
@@ -840,7 +926,8 @@ def _per_antenna_realize(rng, gains, groups, r, sums):
                 power = np.moveaxis(gains.ap_to_ut[other.aps[:, None, None], cols], 0, -2)
                 leak = (beams[j] @ power)[:, 0] * rng.standard_exponential(cols.shape)
             else:
-                h = _per_antenna_draw(rng, gains.ap_to_ut[other.rows[:, None, None], cols])
+                rows = np.repeat(other.aps, other.antennas)
+                h = _per_antenna_draw(rng, gains.ap_to_ut[rows[:, None, None], cols])
                 leak = np.sum(np.abs(np.swapaxes(h, 1, 2) @ beams[j]) ** 2, axis=2)
             interf = interf + other.power / other.streams * leak
         x = np.log2(1.0 + signals[i] / (1.0 + interf))
