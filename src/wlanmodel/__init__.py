@@ -13,7 +13,7 @@ _EXPORTS = {
     "metrics": "DEFAULT_MCS_TABLE McsRow McsTable mcs_quantize ofdm_efficiency summarize",
     "oracle": "OracleConfig OracleReport mc_dist_rate mc_mu_rate mc_su_rate",
     "pipeline": "RunConfig Seeds evaluate mc_validate sweep",
-    "propagation": "GainMatrix PathlossParams ShadowMap gain_matrix",
+    "propagation": "GainMatrix PathlossParams gain_matrix",
     "radio_plan": "AssociationMap Channel ChannelPlan Cluster ClusterPlan assign_channels "
                   "associate_users associate_users_to_clusters build_clusters channel_preset",
     "rates": "RateMode RateReport TechConfig Technology chain_average_rates dist_mu_rate "

@@ -11,7 +11,6 @@ import csv
 import itertools
 import json
 import numbers
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -23,8 +22,6 @@ import numpy as np
 from . import csma, oracle, radio_plan, rates
 from .propagation import GainMatrix, PathlossParams, gain_matrix
 from .scenario import GENERATORS, Scenario, Sector, from_tree
-
-THREADS_ENV = "WLANMODEL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -97,6 +94,9 @@ SETTINGS = (
 )
 SETTING = {s.name: s for s in SETTINGS}
 SWEEP_AXES = tuple(s.name for s in SETTINGS if s.sweep)
+# What a scenario dict may hold: a saved scenario file, or the scenario.*
+# settings. Every other quantity is set at the top level only.
+SCENARIO_KEYS = ("file", *(s.name for s in SETTINGS if s.at.startswith("scenario.")))
 
 
 @dataclass
@@ -131,13 +131,10 @@ class RunConfig:
             parent, key = setting.slot(tree)
             if key in parent:
                 parent[key] = setting.parse(parent[key])
-        # A generator input given in the scenario dict parses as the setting
-        # it overrides.
-        for key, name in (("power_db", "power_db"), ("antennas", "antennas"),
-                          ("seed", "seed_topology")):
-            if key in tree["scenario"]:
-                tree["scenario"][key] = SETTING[name]._replace(
-                    at=f"scenario.{key}").parse(tree["scenario"][key])
+        for key, value in tree["scenario"].items():
+            if key not in SCENARIO_KEYS:
+                raise ValueError(f"scenario.{key} cannot be {value!r}: the scenario "
+                                 f"dict holds only {', '.join(SCENARIO_KEYS)}")
         tree["seeds"] = Seeds(**tree["seeds"])
         tree["oracle"] = oracle.OracleConfig(**tree["oracle"])
         vars(self).update(tree)
@@ -181,10 +178,9 @@ def build_scenario(config: RunConfig) -> tuple[Scenario, dict]:
     name = spec.pop("generator")
     if name == "walled_office" and "n_rooms" not in spec:
         raise ValueError("walled_office needs n_rooms (--n-rooms)")
-    spec.setdefault("seed", config.seeds.topology)
-    spec.setdefault("antennas", config.antennas)
-    spec.setdefault("power_db", config.power_db)
-    return _apply_sector(GENERATORS[name](**spec), config), {}
+    scenario = GENERATORS[name](**spec, seed=config.seeds.topology,
+                                antennas=config.antennas, power_db=config.power_db)
+    return _apply_sector(scenario, config), {}
 
 
 def _apply_sector(scenario: Scenario, config: RunConfig) -> Scenario:
@@ -410,30 +406,16 @@ class SweepResult:
 
 
 def sweep(config: RunConfig) -> SweepResult:
-    """Evaluate each sweep point (seeds shared), collecting failures."""
+    """Evaluate each sweep point in turn (seeds shared), collecting failures."""
     if config.sweep_axis is None:
         raise ValueError("sweep needs a sweep_axis")
     values = list(config.sweep_values)
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{THREADS_ENV} must be an integer of at least 1, got {raw!r}")
-    from concurrent.futures import ThreadPoolExecutor  # on use: keeps the import light
     errors, results = {}, {}
-
-    def _run(value):
-        return evaluate(resolve_sweep_point(config, value))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {v: pool.submit(_run, v) for v in values}
-        for v in values:
-            try:
-                results[v] = futures[v].result()
-            except Exception as exc:  # per-point failures recorded
-                errors[v] = str(exc)
+    for v in values:
+        try:
+            results[v] = evaluate(resolve_sweep_point(config, v))
+        except Exception as exc:  # per-point failures recorded
+            errors[v] = str(exc)
     summaries = {v: res.report.summary for v, res in results.items()}
     return SweepResult(axis=config.sweep_axis, values=values,
                        summaries=summaries, errors=errors, point_results=results)

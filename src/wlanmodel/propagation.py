@@ -152,17 +152,6 @@ def _normalize_pairs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(swap[:, None], second, first)
 
 
-class ShadowMap:
-    """Frozen shadowing landscape: one sample per unordered position pair."""
-
-    def __init__(self, sigma_db: float, seed: int):
-        self.sigma_db = float(sigma_db)
-        self.seed = int(seed)
-
-    def sample_many(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return _pair_normal(self.seed, _normalize_pairs(p, q), self.sigma_db)
-
-
 @dataclass
 class GainMatrix:
     """Linear power gains: ap_to_ut[i, k] and ap_to_ap[i, j], transmitter first.
@@ -203,7 +192,7 @@ def _orient(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
            (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
 
 
-def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, shadows: ShadowMap,
+def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, seed: int,
                       rx: np.ndarray) -> np.ndarray:
     """Pathloss in dB from every AP to every receiver, [n_aps, n_rx]; +inf
     where the receiver lies outside the AP's sector.
@@ -223,8 +212,9 @@ def _pair_pathloss_db(scenario: Scenario, params: PathlossParams, shadows: Shado
         out[:] = params.a_db + params.b_db_per_decade * np.log10(d)
         out += _wall_attenuation_matrix(scenario, t, rx)
         if params.shadowing_sigma_db > 0:
-            out += shadows.sample_many(np.repeat(t, rx.shape[0], axis=0),
-                                       np.tile(rx, (t.shape[0], 1))).reshape(out.shape)
+            pairs = _normalize_pairs(np.repeat(t, rx.shape[0], axis=0),
+                                     np.tile(rx, (t.shape[0], 1)))
+            out += _pair_normal(seed, pairs, params.shadowing_sigma_db).reshape(out.shape)
         out[~_sector_mask(scenario.aps[block], rx)] = np.inf
     return pl
 
@@ -249,9 +239,8 @@ def _sector_mask(aps: tuple[ApNode, ...], targets: np.ndarray) -> np.ndarray:
 
 def gain_matrix(scenario: Scenario, params: PathlossParams, seed: int) -> GainMatrix:
     """Compute all AP->UT and AP->AP linear gains for one shadowing draw."""
-    shadows = ShadowMap(params.shadowing_sigma_db, seed)
-    pl_ut = _pair_pathloss_db(scenario, params, shadows, scenario.user_positions())
-    pl_ap = _pair_pathloss_db(scenario, params, shadows, scenario.ap_positions())
+    pl_ut = _pair_pathloss_db(scenario, params, seed, scenario.user_positions())
+    pl_ap = _pair_pathloss_db(scenario, params, seed, scenario.ap_positions())
     off_diag = ~np.eye(scenario.n_aps, dtype=bool)
     if np.any(pl_ut < 0) or np.any(pl_ap[off_diag] < 0):
         raise ValueError(

@@ -203,17 +203,18 @@ def _converter(tp):
     return leaf
 
 
-def snap(value: float, step: float) -> float:
-    """Snap a coordinate to the nearest grid multiple."""
-    return round(value / step) * step
+def snap(value: float) -> float:
+    """Snap a coordinate to the nearest multiple of the generators' grid step."""
+    return round(value / DEFAULT_GRID_STEP_M) * DEFAULT_GRID_STEP_M
 
 
-def _clip_snap(value: float, step: float, upper: float) -> float:
-    return min(max(snap(value, step), 0.0), snap(upper, step))
+def _clip_snap(value: float, upper: float) -> float:
+    return min(max(snap(value), 0.0), snap(upper))
 
 
-def _uniform_grid_points(rng: np.random.Generator, n: int, width: float, height: float,
-                         step: float) -> list[Point]:
+def _uniform_grid_points(rng: np.random.Generator, n: int, width: float,
+                         height: float) -> list[Point]:
+    step = DEFAULT_GRID_STEP_M
     nx = int(round(width / step))
     ny = int(round(height / step))
     xi = rng.integers(0, nx + 1, size=n)
@@ -221,12 +222,13 @@ def _uniform_grid_points(rng: np.random.Generator, n: int, width: float, height:
     return [(float(x * step), float(y * step)) for x, y in zip(xi, yi)]
 
 
-def _generated(scenario_class: ScenarioClass, width: float, height: float, step: float,
+def _generated(scenario_class: ScenarioClass, width: float, height: float,
                ap_pos: list[Point], user_pos: list[Point], antennas: int,
                power_db: float, walls: tuple[WallSegment, ...] = ()) -> Scenario:
-    """A generator's scenario: identical APs and users, numbered in order."""
+    """A generator's scenario on the default grid: identical APs and users,
+    numbered in order."""
     return Scenario(
-        width_m=width, height_m=height, grid_step_m=step, walls=walls,
+        width_m=width, height_m=height, walls=walls,
         aps=tuple(ApNode(id=i, position=p, antennas=antennas, power_db=power_db)
                   for i, p in enumerate(ap_pos)),
         users=tuple(UtNode(id=i, position=p) for i, p in enumerate(user_pos)),
@@ -239,7 +241,7 @@ def _user_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, 1])
 
 
-def _lattice_positions(n: int, width: float, height: float, step: float) -> list[Point]:
+def _lattice_positions(n: int, width: float, height: float) -> list[Point]:
     # Near-square lattice: rows = round(sqrt(n)), columns = ceil(n / rows),
     # APs at cell centers of the rows x cols partition, row-major, first n.
     rows = max(1, round(math.sqrt(n)))
@@ -249,62 +251,58 @@ def _lattice_positions(n: int, width: float, height: float, step: float) -> list
         for c in range(cols):
             if len(pts) == n:
                 break
-            x = _clip_snap((c + 0.5) * width / cols, step, width)
-            y = _clip_snap((r + 0.5) * height / rows, step, height)
+            x = _clip_snap((c + 0.5) * width / cols, width)
+            y = _clip_snap((r + 0.5) * height / rows, height)
             pts.append((x, y))
     return pts
 
 
 def build_conference_hall(n_aps: int, n_users: int, seed: int, *,
                           antennas: int = DEFAULT_ANTENNAS,
-                          power_db: float = DEFAULT_POWER_DB,
-                          grid_step_m: float = DEFAULT_GRID_STEP_M) -> Scenario:
+                          power_db: float = DEFAULT_POWER_DB) -> Scenario:
     """20 m x 20 m open hall: APs on a near-square lattice, users uniform."""
     if n_aps < 1 or n_users < 1:
         raise ValueError("need at least one AP and one user")
     width = height = 20.0
-    ap_pos = _lattice_positions(n_aps, width, height, grid_step_m)
-    user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height, grid_step_m)
-    return _generated(ScenarioClass.CONFERENCE_HALL, width, height, grid_step_m,
+    ap_pos = _lattice_positions(n_aps, width, height)
+    user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height)
+    return _generated(ScenarioClass.CONFERENCE_HALL, width, height,
                       ap_pos, user_pos, antennas, power_db)
 
 
-def _two_row_positions(n: int, width: float, y_rows: tuple[float, float],
-                       step: float) -> list[Point]:
+def _two_row_positions(n: int, width: float, y_rows: tuple[float, float]) -> list[Point]:
     # Equally spaced in two rows; odd counts put the extra AP in the bottom row.
     n_bottom = math.ceil(n / 2)
     n_top = n - n_bottom
     pts = []
     for count, y in ((n_bottom, y_rows[0]), (n_top, y_rows[1])):
         for j in range(count):
-            x = _clip_snap((j + 0.5) * width / count, step, width)
-            pts.append((x, snap(y, step)))
+            x = _clip_snap((j + 0.5) * width / count, width)
+            pts.append((x, snap(y)))
     return pts
 
 
 def build_open_floor(n_aps: int, n_users: int, seed: int, *,
                      antennas: int = DEFAULT_ANTENNAS,
-                     power_db: float = DEFAULT_POWER_DB,
-                     grid_step_m: float = DEFAULT_GRID_STEP_M) -> Scenario:
+                     power_db: float = DEFAULT_POWER_DB) -> Scenario:
     """160 m x 23 m open office floor: APs equally spaced in two rows."""
     if n_aps < 1 or n_users < 1:
         raise ValueError("need at least one AP and one user")
     width, height = 160.0, 23.0
-    ap_pos = _two_row_positions(n_aps, width, (height / 4, 3 * height / 4), grid_step_m)
-    user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height, grid_step_m)
-    return _generated(ScenarioClass.OPEN_FLOOR, width, height, grid_step_m,
+    ap_pos = _two_row_positions(n_aps, width, (height / 4, 3 * height / 4))
+    user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height)
+    return _generated(ScenarioClass.OPEN_FLOOR, width, height,
                       ap_pos, user_pos, antennas, power_db)
 
 
 def build_walled_office(n_rooms: int, n_aps: int, n_users: int, seed: int, *,
                         antennas: int = DEFAULT_ANTENNAS,
-                        power_db: float = DEFAULT_POWER_DB,
-                        wall_attenuation_db: float = DEFAULT_WALL_ATTENUATION_DB,
-                        grid_step_m: float = DEFAULT_GRID_STEP_M) -> Scenario:
+                        power_db: float = DEFAULT_POWER_DB) -> Scenario:
     """160 m office floor: two rows of rooms (10 m deep) around a 3 m corridor.
 
-    Walls emitted: one full-length wall on each room-row/corridor boundary,
-    plus the vertical partitions between adjacent rooms within each row.
+    Walls emitted, each of the default attenuation: one full-length wall on
+    each room-row/corridor boundary, plus the vertical partitions between
+    adjacent rooms within each row.
     """
     if n_rooms < 2 or n_rooms % 2 != 0:
         raise ValueError("n_rooms must be even and >= 2")
@@ -315,21 +313,17 @@ def build_walled_office(n_rooms: int, n_aps: int, n_users: int, seed: int, *,
     rooms_per_row = n_rooms // 2
     room_len = width / rooms_per_row
 
-    walls = [
-        WallSegment((0.0, room_depth), (width, room_depth), wall_attenuation_db),
-        WallSegment((0.0, room_depth + corridor), (width, room_depth + corridor),
-                    wall_attenuation_db),
-    ]
+    walls = [WallSegment((0.0, room_depth), (width, room_depth)),
+             WallSegment((0.0, room_depth + corridor), (width, room_depth + corridor))]
     for k in range(1, rooms_per_row):
-        x = snap(k * room_len, grid_step_m)
-        walls.append(WallSegment((x, 0.0), (x, room_depth), wall_attenuation_db))
-        walls.append(WallSegment((x, room_depth + corridor), (x, height),
-                                 wall_attenuation_db))
+        x = snap(k * room_len)
+        walls.append(WallSegment((x, 0.0), (x, room_depth)))
+        walls.append(WallSegment((x, room_depth + corridor), (x, height)))
 
     y_rows = (room_depth / 2, room_depth + corridor + room_depth / 2)
-    ap_pos = _two_row_positions(n_aps, width, y_rows, grid_step_m)
-    user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height, grid_step_m)
-    return _generated(ScenarioClass.WALLED_OFFICE, width, height, grid_step_m,
+    ap_pos = _two_row_positions(n_aps, width, y_rows)
+    user_pos = _uniform_grid_points(_user_rng(seed), n_users, width, height)
+    return _generated(ScenarioClass.WALLED_OFFICE, width, height,
                       ap_pos, user_pos, antennas, power_db, tuple(walls))
 
 
@@ -345,8 +339,7 @@ STADIUM_APS_PER_RING = 4
 
 def build_stadium(n_aps: int, n_users: int, seed: int, *,
                   antennas: int = DEFAULT_ANTENNAS,
-                  power_db: float = DEFAULT_POWER_DB,
-                  grid_step_m: float = DEFAULT_GRID_STEP_M) -> Scenario:
+                  power_db: float = DEFAULT_POWER_DB) -> Scenario:
     """200 m x 200 m stadium bowl: APs on concentric rings, users in the stands."""
     if n_aps < 1 or n_users < 1:
         raise ValueError("need at least one AP and one user")
@@ -362,22 +355,21 @@ def build_stadium(n_aps: int, n_users: int, seed: int, *,
             if len(ap_pos) == n_aps:
                 break
             theta = 2 * math.pi * (slot + offset) / STADIUM_APS_PER_RING
-            x = _clip_snap(cx + r * math.cos(theta), grid_step_m, side)
-            y = _clip_snap(cy + r * math.sin(theta), grid_step_m, side)
+            x = _clip_snap(cx + r * math.cos(theta), side)
+            y = _clip_snap(cy + r * math.sin(theta), side)
             ap_pos.append((x, y))
 
     rng = _user_rng(seed)
     user_pos: list[Point] = []
     while len(user_pos) < n_users:
-        batch = _uniform_grid_points(rng, 2 * (n_users - len(user_pos)) + 8, side, side,
-                                     grid_step_m)
+        batch = _uniform_grid_points(rng, 2 * (n_users - len(user_pos)) + 8, side, side)
         for x, y in batch:
             d = math.hypot(x - cx, y - cy)
             if STADIUM_SEAT_INNER_M <= d <= STADIUM_SEAT_OUTER_M:
                 user_pos.append((x, y))
                 if len(user_pos) == n_users:
                     break
-    return _generated(ScenarioClass.STADIUM, side, side, grid_step_m,
+    return _generated(ScenarioClass.STADIUM, side, side,
                       ap_pos, user_pos, antennas, power_db)
 
 

@@ -7,7 +7,6 @@ import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -74,17 +73,27 @@ def test_constructor_arguments_are_parsed_too():
     ("power_db", math.inf, "scenario.power_db cannot be inf"),
     ("antennas", 2.5, "scenario.antennas cannot be 2.5"),
     ("seed", -1, "scenario.seed cannot be -1"),
+    ("power_db", 60.0, "scenario.power_db cannot be 60.0"),
+    ("antennas", 2, "scenario.antennas cannot be 2"),
+    ("seed", 5, "scenario.seed cannot be 5"),
+    ("grid_step_m", 0.25, "scenario.grid_step_m cannot be 0.25"),
+    ("wall_attenuation_db", math.inf, "scenario.wall_attenuation_db cannot be inf"),
+    ("foo", 1, "scenario.foo cannot be 1"),
 ])
-def test_generator_inputs_in_the_scenario_are_parsed(key, value, message):
-    # A generator input in the scenario dict overrides a top-level setting
-    # and goes through that setting's parser.
-    hall = {"generator": "conference_hall", "n_aps": 4, "n_users": 12}
+def test_generator_inputs_in_the_scenario_are_parsed(key, value, message, tmp_path, capsys):
+    # The scenario dict holds the scenario.* settings only: power, antennas
+    # and the topology seed are top-level settings, and any other key is
+    # refused by name when the config is built, whatever its value.
+    office = {"generator": "walled_office", "n_rooms": 4, "n_aps": 4, "n_users": 12}
     with pytest.raises(ValueError, match=re.escape(message)):
-        RunConfig(scenario={**hall, key: value})
-    cfg = RunConfig(scenario={**hall, "power_db": 80, "antennas": 2, "seed": 5})
-    assert cfg.scenario == {**hall, "power_db": 80.0, "antennas": 2, "seed": 5}
-    assert isinstance(cfg.scenario["power_db"], float)
-    assert np.isfinite(pipeline.evaluate(cfg).report.spectral_efficiency).all()
+        RunConfig(scenario={**office, key: value})
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"scenario": {**office, key: value}}))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["evaluate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert f"scenario.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, text", [

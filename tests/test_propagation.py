@@ -10,7 +10,6 @@ from wlanmodel import rates
 from wlanmodel.oracle import _draw
 from wlanmodel.propagation import (
     PathlossParams,
-    ShadowMap,
     _normalize_pairs,
     _pair_normal,
     _sector_mask,
@@ -41,20 +40,20 @@ def _flat_scenario(aps, users, walls=(), size=40.0):
                     aps=tuple(aps), users=tuple(users))
 
 
-def shadow_sample(shadows, p1, p2):
-    """Scalar reference for ShadowMap.sample_many: the draw for one pair."""
+def shadow_sample(sigma, seed, p1, p2):
+    """Scalar reference for the frozen shadow: the draw for one pair."""
     coords = _normalize_pairs(np.array([p1], dtype=float), np.array([p2], dtype=float))
-    return float(_pair_normal(shadows.seed, coords, shadows.sigma_db)[0])
+    return float(_pair_normal(seed, coords, sigma)[0])
 
 
-def pathloss_db(params, scenario, p1, p2, shadow_map=None):
+def pathloss_db(params, scenario, p1, p2, seed=None):
     """Scalar reference for the gain matrix: intercept + slope*log10(d),
-    walls, frozen shadow."""
+    walls, and the frozen shadow of the params' sigma when a seed is given."""
     d = max(math.dist(p1, p2), params.reference_distance_m)
     pl = params.a_db + params.b_db_per_decade * math.log10(d)
     pl += wall_crossings(scenario, p1, p2)
-    if shadow_map is not None:
-        pl += shadow_sample(shadow_map, p1, p2)
+    if seed is not None:
+        pl += shadow_sample(params.shadowing_sigma_db, seed, p1, p2)
     return pl
 
 
@@ -84,20 +83,18 @@ def test_pathloss_at_ten_meters():
 def test_pathloss_frozen_shadowing():
     s = _flat_scenario([ApNode(0, (0.0, 0.0))], [UtNode(0, (10.0, 0.0))])
     params = PathlossParams(shadowing_sigma_db=3.0)
-    shadows = ShadowMap(params.shadowing_sigma_db, seed=5)
-    a = pathloss_db(params, s, (0.0, 0.0), (10.0, 0.0), shadows)
-    b = pathloss_db(params, s, (0.0, 0.0), (10.0, 0.0), shadows)
-    c = pathloss_db(params, s, (10.0, 0.0), (0.0, 0.0), shadows)
+    a = pathloss_db(params, s, (0.0, 0.0), (10.0, 0.0), seed=5)
+    b = pathloss_db(params, s, (0.0, 0.0), (10.0, 0.0), seed=5)
+    c = pathloss_db(params, s, (10.0, 0.0), (0.0, 0.0), seed=5)
     assert a == b == c
     assert a != pytest.approx(65.5)  # shadow actually applied
 
 
 def test_shadow_map_statistics():
-    shadows = ShadowMap(3.0, seed=9)
     rng = np.random.default_rng(0)
     p = rng.uniform(0, 100, size=(4000, 2))
     q = rng.uniform(0, 100, size=(4000, 2))
-    draws = shadows.sample_many(p, q)
+    draws = _pair_normal(9, _normalize_pairs(p, q), 3.0)
     assert abs(draws.mean()) < 0.2
     assert draws.std() == pytest.approx(3.0, rel=0.05)
 
@@ -198,16 +195,15 @@ def test_gain_matrix_matches_scalar_reference_per_pair():
     params = PathlossParams()
     assert params.shadowing_sigma_db > 0
     g = gain_matrix(s, params, seed=11)
-    shadows = ShadowMap(params.shadowing_sigma_db, seed=11)
     assert any(wall_crossings(s, ap.position, ut.position) > 0
                for ap in s.aps for ut in s.users)
     for i, ap in enumerate(s.aps):
         for k, ut in enumerate(s.users):
-            pl = pathloss_db(params, s, ap.position, ut.position, shadows)
+            pl = pathloss_db(params, s, ap.position, ut.position, seed=11)
             assert g.ap_to_ut[i, k] == pytest.approx(10 ** (-pl / 10), rel=1e-12)
         for j, other in enumerate(s.aps):
             if j != i:
-                pl = pathloss_db(params, s, ap.position, other.position, shadows)
+                pl = pathloss_db(params, s, ap.position, other.position, seed=11)
                 assert g.ap_to_ap[i, j] == pytest.approx(10 ** (-pl / 10), rel=1e-12)
 
 
