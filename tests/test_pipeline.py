@@ -212,6 +212,21 @@ def test_sweep_records_failures_and_continues():
     assert list(res.summaries) == [1, 2, 3]
 
 
+def test_sweep_results_do_not_depend_on_thread_count():
+    # The sweep keeps no state between calls: two sweeps run at once on two
+    # threads give what one sweep gives on the calling thread.
+    from concurrent.futures import ThreadPoolExecutor
+    cfg = desk_config(technology="distributed_mu_mimo", sweep_axis="n_clusters",
+                      sweep_values=[1, 2, 3, 99])
+    alone = pipeline.sweep(cfg)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        both = list(pool.map(lambda _: pipeline.sweep(cfg), range(2)))
+    assert set(alone.errors) == {99}  # more clusters than APs
+    for run in both:
+        assert run.errors == alone.errors
+        assert run.summaries == alone.summaries
+
+
 def test_maximal_only_channels_are_noted(tmp_path):
     # Four mutually sensing APs: 5 independent sets, 4 of them maximal.
     cfg = desk_config(channelization="1x80", state_cap=4)
