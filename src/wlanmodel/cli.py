@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     try:
         config = _build_config(args)
         if args.command == "generate":
-            scenario, _ = pipeline.build_scenario(config)
+            scenario = pipeline.build_scenario(config)
     except (TypeError, ValueError) as exc:  # unknown keys, refused values
         parser.error(str(exc))
 

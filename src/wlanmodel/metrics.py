@@ -44,7 +44,7 @@ class McsTable:
 
 
 #: The nine mandatory 802.11ac modulation/coding pairs. Vendor tables vary;
-#: this is the default and can be overridden from the scenario config.
+#: this is the default and can be overridden from the run config.
 DEFAULT_MCS_TABLE = McsTable(rows=(
     McsRow(0, "BPSK", 1, Fraction(1, 2), 2.0),
     McsRow(1, "QPSK", 2, Fraction(1, 2), 5.0),

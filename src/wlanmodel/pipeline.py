@@ -21,7 +21,7 @@ import numpy as np
 
 from . import csma, oracle, radio_plan, rates
 from .propagation import GainMatrix, PathlossParams, gain_matrix
-from .scenario import GENERATORS, Scenario, Sector, from_tree
+from .scenario import DEFAULT_ANTENNAS, DEFAULT_POWER_DB, GENERATORS, Scenario, Sector, from_tree
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,9 @@ SETTINGS = (
     Setting("rate_mode", tuple(m.value for m in rates.RateMode)),
     Setting("n_clusters", int, sweep=True, minimum=1),
     Setting("overhead_discount", float),
-    Setting("sector_width_deg", float, nulls=(None,),
+    Setting("sector_width_deg", float, nulls=(None,), generator=True,
             help="sectorize every AP to this beamwidth"),
-    Setting("sector_orientation_deg", float),
+    Setting("sector_orientation_deg", float, generator=True),
     Setting("outage_threshold_bps", float),
     Setting("state_cap", int, flag=False, minimum=1),
     *(Setting(f"seed_{f.name}", int, f"seeds.{f.name}", minimum=0) for f in fields(Seeds)),
@@ -106,13 +106,13 @@ class RunConfig:
     technology: str = "su_beamforming"
     channelization: str = "4x20"
     cca_db: float | None = 10.0
-    power_db: float = 90.0
-    antennas: int = 4
+    power_db: float = DEFAULT_POWER_DB
+    antennas: int = DEFAULT_ANTENNAS
     rho: float = csma.DEFAULT_RHO
     rate_mode: str = "gaussian"
     n_clusters: int = 1
     overhead_discount: float = 1.0
-    sector_width_deg: float | None = None   # sectorize every AP when set
+    sector_width_deg: float | None = None   # sectorize every generated AP
     sector_orientation_deg: float = 0.0     # same bearing for all APs
     pathloss: dict | None = None
     mcs_table: dict | None = None
@@ -135,6 +135,8 @@ class RunConfig:
             if key not in SCENARIO_KEYS:
                 raise ValueError(f"scenario.{key} cannot be {value!r}: the scenario "
                                  f"dict holds only {', '.join(SCENARIO_KEYS)}")
+        if not tree["scenario"].keys() & {"file", "generator"}:
+            raise ValueError("scenario.generator is missing (or give scenario.file)")
         tree["seeds"] = Seeds(**tree["seeds"])
         tree["oracle"] = oracle.OracleConfig(**tree["oracle"])
         vars(self).update(tree)
@@ -156,6 +158,10 @@ class RunConfig:
             points.append(value)
         if not 0.0 < self.overhead_discount <= 1.0:
             raise ValueError("overhead_discount must be in (0, 1]")
+        # The overrides parse now. Each pathloss rule reads one field, so a
+        # check over the defaults holds for every scenario class's profile.
+        _tech_config(self)
+        from_tree(PathlossParams, self.pathloss or {})
         if "file" in self.scenario:  # a saved scenario fixes every node
             default = {f.name: f.default for f in fields(self)}
             ignored = [k for k in self.scenario if k != "file"] + [
@@ -167,43 +173,33 @@ class RunConfig:
                                  f"file {self.scenario['file']!r}")
 
 
-def build_scenario(config: RunConfig) -> tuple[Scenario, dict]:
-    """Materialize the scenario and any extras carried by a scenario file."""
+def build_scenario(config: RunConfig) -> Scenario:
+    """The scenario file, which fixes every node, or the generated scenario."""
     spec = dict(config.scenario)
     if "file" in spec:
         with open(spec["file"]) as fh:
-            raw = json.load(fh)
-        extras = {k: raw.pop(k) for k in ("pathloss", "mcs_table") if k in raw}
-        return _apply_sector(from_tree(Scenario, raw), config), extras
+            return from_tree(Scenario, json.load(fh))
     name = spec.pop("generator")
     if name == "walled_office" and "n_rooms" not in spec:
         raise ValueError("walled_office needs n_rooms (--n-rooms)")
     scenario = GENERATORS[name](**spec, seed=config.seeds.topology,
                                 antennas=config.antennas, power_db=config.power_db)
-    return _apply_sector(scenario, config), {}
+    if config.sector_width_deg is not None:
+        sector = Sector(config.sector_orientation_deg, config.sector_width_deg)
+        scenario = replace(scenario, aps=tuple(replace(ap, sector=sector) for ap in scenario.aps))
+    return scenario
 
 
-def _apply_sector(scenario: Scenario, config: RunConfig) -> Scenario:
-    if config.sector_width_deg is None:
-        return scenario
-    sector = Sector(orientation_deg=config.sector_orientation_deg,
-                    width_deg=config.sector_width_deg)
-    aps = tuple(replace(ap, sector=sector) for ap in scenario.aps)
-    return replace(scenario, aps=aps)
-
-
-def _tech_config(config: RunConfig, extras: dict) -> rates.TechConfig:
+def _tech_config(config: RunConfig) -> rates.TechConfig:
     tree = {"technology": config.technology, "rate_mode": config.rate_mode}
-    if table := config.mcs_table or extras.get("mcs_table"):
-        tree["mcs_table"] = table
+    if config.mcs_table:
+        tree["mcs_table"] = config.mcs_table
     return from_tree(rates.TechConfig, tree)
 
 
-def _pathloss_params(config: RunConfig, scenario: Scenario,
-                     extras: dict) -> PathlossParams:
+def _pathloss_params(config: RunConfig, scenario: Scenario) -> PathlossParams:
     base = asdict(PathlossParams.for_scenario(scenario.scenario_class))
-    overrides = config.pathloss or extras.get("pathloss") or {}
-    return from_tree(PathlossParams, {**base, **overrides})
+    return from_tree(PathlossParams, {**base, **(config.pathloss or {})})
 
 
 @dataclass
@@ -242,12 +238,12 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     """Full pipeline: scenario -> gains -> plan -> MAC -> rates -> report."""
     echo = asdict(config)
     with _stage("scenario"):
-        scenario, extras = build_scenario(config)
+        scenario = build_scenario(config)
     with _stage("pathloss"):
-        pl_params = _pathloss_params(config, scenario, extras)
+        pl_params = _pathloss_params(config, scenario)
         echo["resolved_pathloss"] = asdict(pl_params)
         gains = gain_matrix(scenario, pl_params, config.seeds.shadowing)
-    tech = _tech_config(config, extras)
+    tech = _tech_config(config)
     channels = radio_plan.channel_preset(config.channelization)
     aps, n_users = scenario.aps, scenario.n_users
     plan = assoc = graph = cluster_plan = None

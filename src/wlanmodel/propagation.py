@@ -131,8 +131,6 @@ def _pair_normal(seed: int, coords: np.ndarray, sigma: float) -> np.ndarray:
     order. The key is mixed through splitmix64 and inverted through the
     normal CDF (AS241).
     """
-    if sigma == 0.0:
-        return np.zeros(coords.shape[0])
     h = _splitmix(np.full(coords.shape[0], np.uint64(seed) if seed >= 0
                           else np.uint64(2**64 + seed)))
     words = coords.astype(np.float64).view(np.uint64).reshape(coords.shape[0], 4)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
@@ -140,8 +141,8 @@ def from_tree(cls, tree):
     """Build a record (a frozen dataclass) from its JSON tree, the layout
     `dataclasses.asdict` writes. A missing key keeps its default; a missing
     required key, a key that is not a field, a value its field type cannot
-    hold, or a NaN or infinite number is refused, naming the record, the field
-    and the list item."""
+    hold, or a NaN, an infinity or an integer beyond the float range is
+    refused, naming the record, the field and the list item."""
     return _converter(cls)(tree)
 
 
@@ -193,7 +194,8 @@ def _converter(tp):
     kinds = (int, float) if tp is float else tp
 
     def leaf(v):
-        if isinstance(v, float) and not math.isfinite(v):  # json reads NaN and Infinity
+        # json reads NaN, Infinity and integers of any size
+        if isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max:
             raise ValueError(f"expected a finite number, got {v!r}")
         if isinstance(v, kinds) and not isinstance(v, bool):
             return v

@@ -78,15 +78,15 @@ def test_benchmark_scenario_files_read_back_exactly(workloads, tmp_path):
     for workload in workloads.WORKLOADS.values():
         workloads.make_inputs(workload, seed, "smoke", tmp_path)
         path = workloads.scenario_path(tmp_path, workload)
-        scenario, extras = pipeline.build_scenario(
+        scenario = pipeline.build_scenario(
             pipeline.RunConfig(scenario={"file": str(path)}))
         generated = GENERATORS[workload.generator](*workload.sizes("smoke"), seed)
         # repr also tells an int from a float and a tuple from a list
-        assert repr(scenario) == repr(generated) and extras == {}
+        assert repr(scenario) == repr(generated)
 
 
 # A scenario file as earlier versions wrote it: their key order, a null
-# sector, antennas and grid_step_m left at their defaults, a pathloss extra.
+# sector, antennas and grid_step_m left at their defaults.
 EARLIER_LAYOUT = """{
   "width_m": 20.0, "height_m": 10.0, "scenario_class": "custom",
   "walls": [{"p1": [5.0, 0.0], "p2": [5.0, 10.0], "attenuation_db": 5.0}],
@@ -94,15 +94,14 @@ EARLIER_LAYOUT = """{
     {"id": 0, "position": [2.5, 5.0], "power_db": 80.0, "sector": null},
     {"id": 1, "position": [7.5, 5.0], "antennas": 2, "power_db": 90.0,
      "sector": {"orientation_deg": 180.0, "width_deg": 90.0}}],
-  "users": [{"id": 0, "position": [1.0, 1.0]}, {"id": 1, "position": [9.5, 4.0]}],
-  "pathloss": {"a_db": 40.0}
+  "users": [{"id": 0, "position": [1.0, 1.0]}, {"id": 1, "position": [9.5, 4.0]}]
 }"""
 
 
 def test_scenario_files_of_the_earlier_layout_still_load(tmp_path):
     path = tmp_path / "earlier.json"
     path.write_text(EARLIER_LAYOUT)
-    scenario, extras = pipeline.build_scenario(
+    scenario = pipeline.build_scenario(
         pipeline.RunConfig(scenario={"file": str(path)}))
     assert scenario == Scenario(
         width_m=20.0, height_m=10.0,
@@ -111,4 +110,3 @@ def test_scenario_files_of_the_earlier_layout_still_load(tmp_path):
              ApNode(1, (7.5, 5.0), antennas=2, power_db=90.0,
                     sector=Sector(180.0, 90.0))),
         users=(UtNode(0, (1.0, 1.0)), UtNode(1, (9.5, 4.0))))
-    assert extras == {"pathloss": {"a_db": 40.0}}

@@ -163,18 +163,45 @@ def test_generator_inputs_on_a_scenario_file_are_refused(tmp_path):
         RunConfig(scenario={**on_file, "n_aps": 4})
     with pytest.raises(ValueError, match="antennas"):
         RunConfig(scenario=on_file, antennas=8)
-    for flags in (["--n-aps", "4"], ["--generator", "stadium"]):
+    # A file's APs carry their own sectors; a setting would replace them all.
+    for name, value in (("sector_width_deg", 90.0), ("sector_orientation_deg", 45.0)):
+        with pytest.raises(ValueError, match=f"{name} cannot change scenario file"):
+            RunConfig(scenario=on_file, **{name: value})
+    for flags in (["--n-aps", "4"], ["--generator", "stadium"],
+                  ["--sector-width-deg", "90"], ["--sector-orientation-deg", "45"]):
         with pytest.raises(SystemExit):
             cli.main(["evaluate", "--scenario-file", str(path), *flags,
                       "--out-dir", str(tmp_path / "out")])
-    # the file alone, with default antennas and power beside it, is accepted
+    # the file alone, with default antennas and power beside it, is accepted,
+    # and so is a topology seed: it is not a generator setting
     assert RunConfig(scenario=on_file).scenario == on_file
+    assert RunConfig(scenario=on_file, seeds=pipeline.Seeds(topology=7)).seeds.topology == 7
+
+
+def test_a_scenario_dict_needs_a_file_or_a_generator(tmp_path, capsys):
+    with pytest.raises(ValueError, match=re.escape("scenario.generator")):
+        RunConfig(scenario={"n_aps": 4, "n_users": 10})
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"scenario": {"n_aps": 4, "n_users": 10}}))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["evaluate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert "scenario.generator" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _readme_block(heading):
+    """The jsonc block under a README heading, its comments stripped."""
+    block = README.read_text().split(heading, 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"//[^\n]*", "", block))
 
 
 def test_readme_run_configuration_shows_the_defaults():
-    section = README.read_text().split("## Run configuration", 1)[1]
-    block = section.split("```jsonc", 1)[1].split("```", 1)[0]
-    assert json.loads(re.sub(r"//[^\n]*", "", block)) == asdict(RunConfig())
+    assert _readme_block("## Run configuration") == asdict(RunConfig())
+
+
+def test_readme_scenario_file_schema_loads():
+    assert from_tree(Scenario, _readme_block("## Scenario file schema")).n_aps == 1
 
 
 # The flags `evaluate`, `sweep` and `mc-validate` share, in `--help` order.
@@ -205,7 +232,7 @@ def test_generate_flags_are_the_generator_settings(tmp_path, capsys):
     assert cli.main(["generate", "--generator", "walled_office", "--n-rooms", "4",
                      "--n-aps", "4", "--n-users", "8", "--seed", "7",
                      "--antennas", "2", "--power-db", "80", "--out", str(path)]) == 0
-    expected, _ = pipeline.build_scenario(RunConfig(
+    expected = pipeline.build_scenario(RunConfig(
         scenario={"generator": "walled_office", "n_rooms": 4, "n_aps": 4, "n_users": 8},
         antennas=2, power_db=80.0, seeds=pipeline.Seeds(topology=7)))
     assert from_tree(Scenario, json.loads(path.read_text())) == expected

@@ -9,10 +9,18 @@ import numpy as np
 import pytest
 
 from wlanmodel import cli, oracle, pipeline, radio_plan, rates
-from wlanmodel.metrics import DEFAULT_MCS_TABLE
+from wlanmodel.metrics import DEFAULT_MCS_TABLE, McsTable
 from wlanmodel.oracle import OracleConfig
 from wlanmodel.pipeline import RunConfig, Seeds
 from wlanmodel.scenario import Scenario, from_tree
+
+
+# Two rows of the default table: no user can get more than QPSK 1/2.
+TWO_ROW_MCS = {"rows": [
+    {"index": 0, "modulation": "BPSK", "bits_per_symbol": 1, "code_rate": "1/2",
+     "min_snr_db": 2.0},
+    {"index": 1, "modulation": "QPSK", "bits_per_symbol": 2, "code_rate": "1/2",
+     "min_snr_db": 5.0}]}
 
 
 def desk_config(**overrides):
@@ -324,24 +332,39 @@ def test_scenario_file_roundtrip_through_pipeline(tmp_path):
     assert res.scenario == base.scenario
 
 
-def test_scenario_file_carries_pathloss_and_mcs(tmp_path):
-    base = pipeline.evaluate(desk_config())
-    raw = asdict(base.scenario)
-    raw["pathloss"] = {"a_db": 50.0, "b_db_per_decade": 20.0,
-                       "shadowing_sigma_db": 0.0}
-    path = tmp_path / "scen.json"
-    path.write_text(json.dumps(raw))
-    res = pipeline.evaluate(desk_config(scenario={"file": str(path)}))
-    assert res.report.config["resolved_pathloss"]["a_db"] == 50.0
+def test_scenario_file_carrying_model_inputs_is_refused(tmp_path):
+    # A scenario file is the deployment only; pathloss and the MCS table are
+    # run-config keys, so a file carrying one is refused by name rather than
+    # merged with (or overridden by) the run config.
+    for key, value in (("pathloss", {"a_db": 50.0}), ("mcs_table", TWO_ROW_MCS)):
+        raw = asdict(pipeline.build_scenario(desk_config()))
+        raw[key] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(RuntimeError,
+                           match=re.escape(f"[scenario] Scenario has no field {key}")):
+            pipeline.evaluate(desk_config(scenario={"file": str(path)}))
+
+
+def test_mcs_table_override_sets_the_quantized_rates():
+    default = pipeline.evaluate(RunConfig(rate_mode="quantized"))
+    capped = pipeline.evaluate(RunConfig(rate_mode="quantized", mcs_table=TWO_ROW_MCS))
+    assert default.report.spectral_efficiency.max() > 1.0
+    assert capped.report.spectral_efficiency.max() <= 1.0
+    assert capped.report.spectral_efficiency.max() > 0.0
+    assert capped.tech.mcs_table == from_tree(McsTable, TWO_ROW_MCS)
+    assert capped.report.config["mcs_table"] == TWO_ROW_MCS
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("antenas", 8, "Scenario.aps: ApNode has no field antenas"),
     ("antennas", 4.5, "Scenario.aps: ApNode.antennas: expected int, got 4.5"),
+    pytest.param("power_db", 10**400, "Scenario.aps: ApNode.power_db: expected a finite "
+                 f"number, got {10**400!r}", id="power_db-beyond-float-range"),
 ])
 def test_scenario_file_refuses_what_its_records_cannot_hold(tmp_path, key, value,
                                                           message):
-    raw = asdict(pipeline.build_scenario(desk_config())[0])
+    raw = asdict(pipeline.build_scenario(desk_config()))
     raw["aps"][0][key] = value
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(raw))
@@ -349,11 +372,24 @@ def test_scenario_file_refuses_what_its_records_cannot_hold(tmp_path, key, value
         pipeline.build_scenario(desk_config(scenario={"file": str(path)}))
 
 
-def test_pathloss_overrides_are_refused_by_field():
-    for pathloss, message in (({"a_db": "40"}, "PathlossParams.a_db: expected float"),
-                              ({"a_dB": 40.0}, "PathlossParams has no field a_dB")):
-        with pytest.raises(RuntimeError, match=re.escape(f"[pathloss] {message}")):
-            pipeline.evaluate(desk_config(pathloss=pathloss))
+def test_model_overrides_are_refused_when_the_config_is_built(tmp_path, capsys):
+    rows = TWO_ROW_MCS["rows"]
+    for key, value, message in (
+            ("pathloss", {"a_db": "40"}, "PathlossParams.a_db: expected float"),
+            ("pathloss", {"a_dB": 40.0}, "PathlossParams has no field a_dB"),
+            ("pathloss", {"a_db": 10**400}, "PathlossParams.a_db: expected a finite number"),
+            ("pathloss", {"shadowing_sigma_db": -1.0}, "shadowing sigma must be nonnegative"),
+            ("mcs_table", {"rows": rows[::-1]}, "thresholds must be strictly increasing"),
+            ("mcs_table", {"rows": [{**rows[0], "index": 0.5}]}, "McsRow.index: expected int")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            desk_config(**{key: value})
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["evaluate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_generate_evaluate_sweep(tmp_path, capsys):

@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from wlanmodel import pipeline
+from wlanmodel import cli, pipeline
 from wlanmodel.csma import build_contention_graph
 from wlanmodel.propagation import PathlossParams, gain_matrix
 from wlanmodel.radio_plan import ChannelPlan
@@ -65,5 +65,18 @@ def test_sector_config_roundtrip():
     cfg = pipeline.RunConfig(sector_width_deg=90.0, sector_orientation_deg=45.0)
     again = pipeline.RunConfig(**asdict(cfg))
     assert again == cfg
-    scen, _ = pipeline.build_scenario(cfg)
+    scen = pipeline.build_scenario(cfg)
     assert all(ap.sector == Sector(45.0, 90.0) for ap in scen.aps)
+
+
+def test_generated_sectors_are_written_to_the_scenario_file(tmp_path):
+    path = tmp_path / "hall.json"
+    assert cli.main(["generate", "--generator", "conference_hall", "--n-aps", "4",
+                     "--n-users", "20", "--sector-width-deg", "90",
+                     "--sector-orientation-deg", "45", "--out", str(path)]) == 0
+    generated = pipeline.evaluate(pipeline.RunConfig(sector_width_deg=90.0,
+                                                     sector_orientation_deg=45.0))
+    saved = pipeline.evaluate(pipeline.RunConfig(scenario={"file": str(path)}))
+    assert saved.scenario == generated.scenario
+    np.testing.assert_array_equal(saved.report.throughput_bps,
+                                  generated.report.throughput_bps)
