@@ -38,11 +38,11 @@ def _literal(text: str):
 
 
 def _build_config(args) -> pipeline.RunConfig:
-    config = pipeline.RunConfig()
+    # Checked once merged: a walled_office file may leave n_rooms to --n-rooms.
+    tree = asdict(pipeline.RunConfig())
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            config = pipeline.RunConfig(**json.load(fh))
-    tree = asdict(config)
+            tree.update(json.load(fh))
     if getattr(args, "scenario_file", None):
         tree["scenario"] = {"file": args.scenario_file}
     for name, text in vars(args).items():

@@ -162,6 +162,8 @@ class RunConfig:
         # check over the defaults holds for every scenario class's profile.
         _tech_config(self)
         from_tree(PathlossParams, self.pathloss or {})
+        if "profile" in (self.pathloss or {}):
+            raise ValueError("pathloss.profile cannot be set: the scenario class sets it")
         if "file" in self.scenario:  # a saved scenario fixes every node
             default = {f.name: f.default for f in fields(self)}
             ignored = [k for k in self.scenario if k != "file"] + [
@@ -171,6 +173,18 @@ class RunConfig:
             if ignored:
                 raise ValueError(f"{', '.join(ignored)} cannot change scenario "
                                  f"file {self.scenario['file']!r}")
+        rooms = self.scenario.get("n_rooms")
+        office = self.scenario.get("generator") == "walled_office"
+        if office != (rooms is not None) or office and (rooms < 2 or rooms % 2):
+            raise ValueError(f"scenario.n_rooms cannot be {rooms!r}: walled_office needs "
+                             "n_rooms (--n-rooms), even and >= 2; no other generator has rooms")
+        if self.sector_width_deg is not None:
+            try:  # the sector's own rule
+                Sector(self.sector_orientation_deg, self.sector_width_deg)
+            except ValueError as exc:
+                raise ValueError(f"sector_width_deg: {exc}") from None
+        elif self.sector_orientation_deg:
+            raise ValueError("sector_orientation_deg needs sector_width_deg")
 
 
 def build_scenario(config: RunConfig) -> Scenario:
@@ -179,11 +193,8 @@ def build_scenario(config: RunConfig) -> Scenario:
     if "file" in spec:
         with open(spec["file"]) as fh:
             return from_tree(Scenario, json.load(fh))
-    name = spec.pop("generator")
-    if name == "walled_office" and "n_rooms" not in spec:
-        raise ValueError("walled_office needs n_rooms (--n-rooms)")
-    scenario = GENERATORS[name](**spec, seed=config.seeds.topology,
-                                antennas=config.antennas, power_db=config.power_db)
+    scenario = GENERATORS[spec.pop("generator")](
+        **spec, seed=config.seeds.topology, antennas=config.antennas, power_db=config.power_db)
     if config.sector_width_deg is not None:
         sector = Sector(config.sector_orientation_deg, config.sector_width_deg)
         scenario = replace(scenario, aps=tuple(replace(ap, sector=sector) for ap in scenario.aps))
@@ -250,8 +261,8 @@ def evaluate(config: RunConfig) -> EvaluationResult:
     notes = []
     if tech.technology == rates.Technology.DISTRIBUTED_MU_MIMO:
         with _stage("clusters"):
-            cluster_plan = radio_plan.build_clusters(
-                aps, gains, config.n_clusters, channels, config.seeds.plan)
+            cluster_plan = radio_plan.build_clusters(aps, config.n_clusters, channels,
+                                                     config.seeds.plan)
             radio_plan.associate_users_to_clusters(gains, aps, cluster_plan,
                                                    config.seeds.plan)
             groups = rates.cluster_groups(cluster_plan)

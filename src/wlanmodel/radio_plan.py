@@ -173,7 +173,7 @@ def _balanced_assign(positions: np.ndarray, centers: np.ndarray,
     return assign
 
 
-def build_clusters(aps: tuple[ApNode, ...], gains: GainMatrix, n_clusters: int,
+def build_clusters(aps: tuple[ApNode, ...], n_clusters: int,
                    channels: tuple[Channel, ...], seed: int = 0) -> ClusterPlan:
     """Partition APs into geographically contiguous clusters of near-equal size.
 

@@ -76,55 +76,44 @@ def _zf_sinr(n_ant, n_pool, gp, streams, one_plus_i):
     return np.maximum(n_ant - streams + 1, 0) / n_pool * gp / streams / one_plus_i
 
 
-def _zf_search(gp: np.ndarray, group: np.ndarray, n_ant: np.ndarray,
-               n_pool: np.ndarray, cap: np.ndarray, tech: TechConfig):
-    """zf_rates for one fixed set of groups: the per-group constants once,
-    then the stream search for any interference.
+def _zf_coef(n_ant, n_pool, gp: np.ndarray, cap) -> list[np.ndarray]:
+    """A group's _zf_sinr at unit interference, S = 1..max(cap, 1): dividing by
+    1 + I is its own last step, so coef[S - 1] / (1 + I) is its SINR bit for bit."""
+    return [_zf_sinr(n_ant, n_pool, gp, s, 1.0) for s in range(1, max(int(cap), 1) + 1)]
 
-    Returns search(one_plus_i, overwrite=False), giving the rates before
-    the air-time share, the chosen S [..., n_groups] and the share S/|j|;
-    when every cap is at most 1, S = min(cap, 1) and the share are the same
-    in every state and given once, [n_groups]. With overwrite, the search
-    forms its last SINR and rates inside one_plus_i.
+
+def _zf_search(coef: list[np.ndarray], cap, one_plus_i: np.ndarray, tech: TechConfig):
+    """One group's stream search, given its _zf_coef [k] per S.
+
+    one_plus_i is [..., k] over any leading state axes, a fresh array: the
+    search forms its last SINR and rates in it. Returns the rates before the
+    air-time share [..., k], the chosen S [...] and the share S/k; when
+    cap <= 1, S = cap and the share are one value each.
     """
-    group = np.asarray(group)
-    cap = np.asarray(cap)
-    size = np.maximum(np.bincount(group, minlength=cap.size), 1)
-    n_ant_u, n_pool_u = np.asarray(n_ant)[group], np.asarray(n_pool)[group]
-    top = max(int(cap.max(initial=0)), 1)
-    # _zf_sinr at unit interference. Dividing by 1 + I is _zf_sinr's own last
-    # step, so coef[S - 1] / (1 + I) equals its SINR at S streams bit for bit.
-    coef = [_zf_sinr(n_ant_u, n_pool_u, gp, s, 1.0) for s in range(1, top + 1)]
-    one_stream = np.minimum(cap, 1)
-    fixed = one_stream / size if top == 1 else None
-    if top > 1:
-        member = np.zeros((group.size, cap.size))
-        member[np.arange(group.size), group] = 1.0
-        weight = [s / size for s in range(1, top + 1)]
+    k = max(one_plus_i.shape[-1], 1)  # a group without users shares nothing
+    top = len(coef)
 
-    def eff_at(s, one_plus_i, overwrite):
-        x = np.divide(coef[s - 1], one_plus_i, out=one_plus_i if overwrite and s == top else None)
+    def eff_at(s):
+        x = np.divide(coef[s - 1], one_plus_i, out=one_plus_i if s == top else None)
         if tech.rate_mode != RateMode.GAUSSIAN:
             return spectral_efficiency(x, tech)
         x += 1.0
         return np.log2(x, out=x)
 
-    def search(one_plus_i, overwrite=False):
-        eff = eff_at(1, one_plus_i, overwrite)
-        if fixed is not None:
-            return eff, one_stream, fixed
-        best_obj = weight[0] * (eff @ member)
-        best_s = np.broadcast_to(one_stream, best_obj.shape).copy()
-        for s in range(2, top + 1):
-            eff_s = eff_at(s, one_plus_i, overwrite)
-            obj = weight[s - 1] * (eff_s @ member)
-            better = (obj > best_obj) & (s <= cap)  # strict: ties keep smaller S
-            np.copyto(best_obj, obj, where=better)
-            best_s[better] = s
-            np.copyto(eff, eff_s, where=better[..., group])
-        return eff, best_s, best_s / size
-
-    return search
+    eff = eff_at(1)
+    if top == 1:
+        return eff, min(cap, 1), min(cap, 1) / k
+    ones = np.ones((one_plus_i.shape[-1], 1))
+    best_obj = (1 / k) * (eff @ ones)
+    best_s = np.ones(best_obj.shape, dtype=int)
+    for s in range(2, top + 1):
+        eff_s = eff_at(s)
+        obj = (s / k) * (eff_s @ ones)
+        better = obj > best_obj  # strict: ties keep smaller S
+        np.copyto(best_obj, obj, where=better)
+        best_s[better] = s
+        np.copyto(eff, eff_s, where=better)
+    return eff, best_s[..., 0], best_s[..., 0] / k
 
 
 def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
@@ -141,13 +130,19 @@ def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
 
     gp and group are per user, [n_u]; one_plus_i is [..., n_u] over any
     leading state axes; n_ant, n_pool and cap are per group. Returns the
-    rates [..., n_u] and the chosen S [..., n_groups] (0 where cap is 0;
-    a read-only view). It writes only into arrays it allocates: callers may
-    reuse gp and one_plus_i.
+    rates [..., n_u] and the chosen S [..., n_groups] (0 where cap is 0).
+    It writes only into arrays it allocates: callers may reuse gp and
+    one_plus_i.
     """
-    eff, best_s, share = _zf_search(gp, group, n_ant, n_pool, cap, tech)(one_plus_i)
-    eff *= share[..., group]
-    return eff, np.broadcast_to(best_s, eff.shape[:-1] + share.shape[-1:])
+    gp, group, one_plus_i = np.asarray(gp), np.asarray(group), np.asarray(one_plus_i, dtype=float)
+    out = np.zeros(one_plus_i.shape)
+    streams = np.zeros(one_plus_i.shape[:-1] + (len(cap),), dtype=int)
+    for j in range(len(cap)):
+        cols = np.flatnonzero(group == j)
+        eff, streams[..., j], share = _zf_search(
+            _zf_coef(n_ant[j], n_pool[j], gp[cols], cap[j]), cap[j], one_plus_i[..., cols], tech)
+        out[..., cols] = eff * np.asarray(share)[..., None]
+    return out, streams
 
 
 class ChannelGroups(NamedTuple):
@@ -219,10 +214,9 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
     cap = (np.minimum(n_ant, n_cell)
            if tech.technology != Technology.SU_BEAMFORMING else np.minimum(n_cell, 1))
     cols = [slice(a - k, a) for a, k in zip(np.cumsum(n_cell).tolist(), n_cell.tolist())]
-    search = {j: _zf_search(
-        gains.ap_to_ut[np.ix_(channel.groups[j], channel.cells[j])].sum(axis=0)
-        * power[starts[j]:starts[j] + n_pool[j]].sum(), np.zeros(n_cell[j], dtype=int),
-        n_ant[j:j + 1], n_pool[j:j + 1], cap[j:j + 1], tech)
+    coef = {j: _zf_coef(n_ant[j], n_pool[j], gains.ap_to_ut[
+        np.ix_(channel.groups[j], channel.cells[j])].sum(axis=0)
+        * power[starts[j]:starts[j] + n_pool[j]].sum(), cap[j])
         for j in np.flatnonzero(n_cell).tolist()}
     # Power each group with users radiates at each other group's users.
     n_planes, bits = -(-n_cell.size // 8), min(n_cell.size, 8)
@@ -244,7 +238,7 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
     budget = BLOCK_BYTES // 2
     width = max(1, budget // (8 * n_planes << bits))  # user columns of a batch's tables
     batches: list[list[int]] = []
-    for j in search:
+    for j in coef:
         if not batches or n_cell[batches[-1]].sum() + n_cell[j] > width:
             batches.append([])
         batches[-1].append(j)
@@ -272,8 +266,9 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
             for j in batch:
                 on = (planes[j >> 3] >> (j & 7) & 1).view(bool).nonzero()[0]
                 if on.size:
-                    eff, s, share = search[j](one_plus_i(j, on, planes, kept), overwrite=True)
-                    yield block, j, on, eff, share[..., 0], s[..., 0]
+                    eff, s, share = _zf_search(coef[j], cap[j],
+                                               one_plus_i(j, on, planes, kept), tech)
+                    yield block, j, on, eff, share, s
 
     # One batch's tables are freed before the next batch builds its own.
     return users, cols, (result for batch in batches for result in walk(batch))
@@ -372,28 +367,21 @@ def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
     its own).
     Returns (rates aligned with user_ids, chosen S).
     """
-    k_total = len(user_ids)
-    if k_total == 0:
-        return np.zeros(0), 0
-    members = list(cluster.ap_ids)
-    n_antennas = sum(aps[a].antennas for a in members)
-    g_sum = gains.ap_to_ut[np.ix_(members, user_ids)].sum(axis=0)
-    p_sum = sum(aps[a].power_linear for a in members)
-    interf = (np.zeros(k_total) if co_channel_interference is None
+    n_antennas = sum(aps[a].antennas for a in cluster.ap_ids)
+    g_sum = gains.ap_to_ut[np.ix_(cluster.ap_ids, user_ids)].sum(axis=0)
+    p_sum = sum(aps[a].power_linear for a in cluster.ap_ids)
+    interf = (np.zeros(len(user_ids)) if co_channel_interference is None
               else np.asarray(co_channel_interference, dtype=float))
-    rates, streams = zf_rates(
-        g_sum * p_sum, 1.0 + interf,
-        np.zeros(k_total, dtype=int), [n_antennas], [len(members)],
-        [min(k_total, n_antennas)], tech)
-    return rates, int(streams[0])
+    cap = min(len(user_ids), n_antennas)
+    rates, streams, share = _zf_search(
+        _zf_coef(n_antennas, len(cluster.ap_ids), g_sum * p_sum, cap), cap, 1.0 + interf, tech)
+    return rates * share, int(streams)
 
 
-def average_over_ctmc(state_rates: np.ndarray, ctmc: CtmcModel,
-                      rows: slice = slice(None)) -> np.ndarray:
-    """The chain states `rows`' share of the average, sum_m pi_m * R^m over
-    them: the whole chain average when `rows` covers every state."""
+def average_over_ctmc(state_rates: np.ndarray, ctmc: CtmcModel) -> np.ndarray:
+    """The chain average sum_m pi_m * R^m of the per-state rates R^m."""
     state_rates = np.asarray(state_rates)
-    pi = ctmc.pi(rows)
+    pi = ctmc.pi()
     if state_rates.shape[0] != pi.size:
         raise ValueError(
             f"state mismatch: {state_rates.shape[0]} rate rows vs "

@@ -96,6 +96,45 @@ def test_generator_inputs_in_the_scenario_are_parsed(key, value, message, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"sector_width_deg": 400.0}, "sector_width_deg: sector width must be in (0, 360]"),
+    ({"sector_width_deg": 0.0}, "sector_width_deg: sector width must be in (0, 360]"),
+    ({"sector_orientation_deg": 45.0}, "sector_orientation_deg needs sector_width_deg"),
+    ({"scenario": {"generator": "stadium", "n_aps": 4, "n_users": 12, "n_rooms": 4}},
+     "scenario.n_rooms cannot be 4"),
+    ({"scenario": {"generator": "walled_office", "n_aps": 4, "n_users": 12}},
+     "scenario.n_rooms cannot be None"),
+    ({"scenario": {"generator": "walled_office", "n_aps": 4, "n_users": 12, "n_rooms": 3}},
+     "scenario.n_rooms cannot be 3"),
+    ({"scenario": {"generator": "walled_office", "n_aps": 4, "n_users": 12, "n_rooms": 0}},
+     "scenario.n_rooms cannot be 0"),
+    ({"pathloss": {"profile": "outdoor"}}, "pathloss.profile cannot be set"),
+])
+def test_settings_that_would_fail_or_do_nothing_are_refused_when_built(
+        data, message, tmp_path, capsys):
+    # Each used to build and then fail at evaluate, or to change nothing.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(**data)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["evaluate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_and_its_flags_are_checked_once_merged(tmp_path):
+    # Each alone would be refused: the file lacks n_rooms and a sector width.
+    office = {"generator": "walled_office", "n_aps": 4, "n_users": 12}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"scenario": office, "sector_orientation_deg": 45.0}))
+    assert cli._build_config(argparse.Namespace(
+        config=str(cfg_path), scenario_file=None, n_rooms="4", sector_width_deg="90")) == \
+        RunConfig(scenario={**office, "n_rooms": 4}, sector_width_deg=90.0,
+                  sector_orientation_deg=45.0)
+
+
 @pytest.mark.parametrize("flag, text", [
     ("--antennas", "4.7"), ("--n-aps", "4.5"), ("--cca-db", "none"),
     ("--power-db", "loud"), ("--technology", "laser"), ("--power-db", "inf"),
@@ -248,12 +287,24 @@ def test_generate_flags_are_the_generator_settings(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+# Settings valid only beside another: the setting and value each needs.
+# walled_office is drawn only through n_rooms, which it needs.
+_BESIDE = {"n_rooms": ("generator", "walled_office"),
+           "sector_orientation_deg": ("sector_width_deg", 90.0)}
+
+
 def _value(setting):
-    """Values a setting accepts, as JSON carries them."""
-    if isinstance(setting.kind, tuple):
+    """Values a setting accepts, as JSON carries them (beside _BESIDE's)."""
+    if setting.name == "generator":
+        base = st.sampled_from([g for g in setting.kind if g != "walled_office"])
+    elif isinstance(setting.kind, tuple):
         base = st.sampled_from(setting.kind)
     elif setting.name == "overhead_discount":
         base = st.floats(0.0, 1.0, exclude_min=True)
+    elif setting.name == "n_rooms":
+        base = st.integers(1, 2**39).map(lambda n: 2 * n)
+    elif setting.name == "sector_width_deg":
+        base = st.one_of(st.integers(1, 360), st.floats(0.0, 360.0, exclude_min=True))
     elif setting.kind is int:
         base = st.integers(1, 2**40)
     else:
@@ -266,6 +317,11 @@ def _with(tree, setting, value):
     parent, key = setting.slot(tree)
     parent[key] = value
     return tree
+
+
+def _beside(values):
+    """The drawn values and the ones _BESIDE says they need."""
+    return {**values, **dict(_BESIDE[name] for name in values if name in _BESIDE)}
 
 
 def _cli_config(**flags):
@@ -281,7 +337,7 @@ def _spelled(value):
 @given(st.fixed_dictionaries({}, optional={s.name: _value(s) for s in SETTINGS}))
 def test_configs_survive_a_json_round_trip(values):
     tree = asdict(RunConfig())
-    for name, value in values.items():
+    for name, value in _beside(values).items():
         _with(tree, pipeline.SETTING[name], value)
     cfg = RunConfig(**tree)
     assert RunConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
@@ -292,9 +348,11 @@ def test_configs_survive_a_json_round_trip(values):
 def test_a_value_parses_alike_as_json_flag_and_sweep_point(drawn):
     setting, value = drawn
     assume(value is not None or "disabled" in setting.nulls)
-    as_json = RunConfig(**json.loads(json.dumps(
-        _with(asdict(RunConfig()), setting, value))))
-    assert _cli_config(**{setting.name: _spelled(value)}) == as_json
+    values, tree = _beside({setting.name: value}), asdict(RunConfig())
+    for name, v in values.items():
+        _with(tree, pipeline.SETTING[name], v)
+    as_json = RunConfig(**json.loads(json.dumps(tree)))
+    assert _cli_config(**{name: _spelled(v) for name, v in values.items()}) == as_json
     if setting.sweep:
         swept = RunConfig(sweep_axis=setting.name, sweep_values=[value])
         assert pipeline.resolve_sweep_point(swept, value) == as_json

@@ -147,20 +147,19 @@ def test_build_clusters_basic():
     aps = tuple(ApNode(i, (float(i), 0.0)) for i in range(6))
     gains = _fake_gains(6, 4)
     chans = channel_preset("4x20")
-    plan = build_clusters(aps, gains, 1, chans)
+    plan = build_clusters(aps, 1, chans)
     assert plan.clusters[0].ap_ids == tuple(range(6))
     # Pooled: 24 antennas over 6 APs, 6 x 1e-7 gain, 6 x 1e9 power.
     snr = isolated_snr(gains, aps, [plan.clusters[0].ap_ids])
     assert snr == pytest.approx(np.full((1, 4), 4 * 6e-7 * 6e9))
     with pytest.raises(ValueError):
-        build_clusters(aps, gains, 7, chans)
+        build_clusters(aps, 7, chans)
 
 
 def test_build_clusters_equal_sizes_20_into_4():
     from wlanmodel.scenario import build_conference_hall
     scen = build_conference_hall(20, 10, seed=1)
-    gains = gain_matrix(scen, NO_SHADOW, seed=0)
-    plan = build_clusters(scen.aps, gains, 4, channel_preset("4x20"))
+    plan = build_clusters(scen.aps, 4, channel_preset("4x20"))
     sizes = sorted(len(c.ap_ids) for c in plan.clusters)
     assert sizes == [5, 5, 5, 5]
     assert sorted(a for c in plan.clusters for a in c.ap_ids) == list(range(20))
@@ -169,8 +168,7 @@ def test_build_clusters_equal_sizes_20_into_4():
 def test_build_clusters_groups_by_proximity():
     aps = (ApNode(0, (0.0, 0.0)), ApNode(1, (1.0, 0.0)),
            ApNode(2, (100.0, 100.0)), ApNode(3, (101.0, 100.0)))
-    gains = _fake_gains(4, 2)
-    plan = build_clusters(aps, gains, 2, channel_preset("2x40"))
+    plan = build_clusters(aps, 2, channel_preset("2x40"))
     groups = {c.ap_ids for c in plan.clusters}
     assert groups == {(0, 1), (2, 3)}
     # distinct channels while clusters <= channels
@@ -179,8 +177,7 @@ def test_build_clusters_groups_by_proximity():
 
 def test_cluster_channel_cycling_and_co_channel():
     aps = tuple(ApNode(i, (float(10 * i), 0.0)) for i in range(6))
-    gains = _fake_gains(6, 2)
-    plan = build_clusters(aps, gains, 3, channel_preset("2x40"))
+    plan = build_clusters(aps, 3, channel_preset("2x40"))
     channels = [c.channel_id for c in plan.clusters]
     assert channels == [0, 1, 0]
     assert [g.ids for g in cluster_groups(plan).values()] == [(0, 2), (1,)]
@@ -197,7 +194,7 @@ def test_user_cluster_association():
         [1e-9, 1e-5],
     ])
     gains = _fake_gains(4, 2, ap_to_ut=g)
-    plan = build_clusters(aps, gains, 2, channel_preset("2x40"))
+    plan = build_clusters(aps, 2, channel_preset("2x40"))
     user_cluster = associate_users_to_clusters(gains, aps, plan, seed=0)
     near = {ci for ci, c in enumerate(plan.clusters) if 0 in c.ap_ids}.pop()
     assert user_cluster[0] == near
@@ -207,7 +204,7 @@ def test_user_cluster_association():
 def test_single_cluster_takes_all_users():
     aps = tuple(ApNode(i, (float(i), 0.0)) for i in range(3))
     gains = _fake_gains(3, 9)
-    plan = build_clusters(aps, gains, 1, channel_preset("1x80"))
+    plan = build_clusters(aps, 1, channel_preset("1x80"))
     user_cluster = associate_users_to_clusters(gains, aps, plan, seed=1)
     assert set(user_cluster.values()) == {0}
 
@@ -219,7 +216,7 @@ def test_symmetric_clusters_balanced_loads():
     n_users = 14
     g = np.full((2, n_users), 1e-6)
     gains = _fake_gains(2, n_users, ap_to_ut=g)
-    plan = build_clusters(aps, gains, 2, channel_preset("2x40"))
+    plan = build_clusters(aps, 2, channel_preset("2x40"))
     for seed in range(5):
         user_cluster = associate_users_to_clusters(gains, aps, plan, seed=seed)
         loads = np.bincount(list(user_cluster.values()), minlength=2)

@@ -237,6 +237,14 @@ def test_dist_rate_single_user():
     assert rates[0] == pytest.approx(math.log2(1 + 4 * 3e-7 * 3e9))
 
 
+@pytest.mark.parametrize("tech", [GAUSS, QUANT])
+def test_dist_rate_of_no_users_is_empty(tech):
+    cluster = Cluster(ap_ids=(0, 1), channel_id=0)
+    rates, s_star = dist_mu_rate(cluster, _gains(np.full((2, 3), 1e-7)), _aps(2), [], tech)
+    assert rates.shape == (0,) and rates.dtype == float
+    assert s_star == 0 and type(s_star) is int
+
+
 def test_dist_equals_concentrated_at_single_ap():
     rng = np.random.default_rng(9)
     for _ in range(100):
