@@ -17,7 +17,7 @@ _EXPORTS = {
     "radio_plan": "AssociationMap Channel ChannelPlan Cluster ClusterPlan assign_channels "
                   "associate_users associate_users_to_clusters build_clusters channel_preset",
     "rates": "RateMode RateReport TechConfig Technology chain_average_rates dist_mu_rate "
-             "peak_rate_matrix throughput_report zf_rates",
+             "peak_rate_matrix throughput_report",
     "scenario": "ApNode Scenario ScenarioClass Sector UtNode WallSegment build_conference_hall "
                 "build_open_floor build_stadium build_walled_office",
 }

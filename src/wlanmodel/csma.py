@@ -83,25 +83,33 @@ def _all_independent_states(nbr: list[int], cap: int) -> np.ndarray:
     Members join one at a time: the sets found so far stay, and each of them
     with no earlier neighbour of the new member on is appended with its bit
     set. Appended rows are the old rows plus 2^v, so the order holds, and the
-    row count only grows, so an overflow shows as soon as it happens. One
-    AND against the new member's earlier neighbours tests a row whatever
-    the width.
+    row count only grows, so an overflow shows as soon as it happens. Rows
+    are tested on the words holding an earlier neighbour, whatever the
+    width, in one buffer grown by half when full and cut in place at the end.
     """
     n = len(nbr)
     width = -(-n // 64)
     states = np.zeros((1, width), dtype="<u8")
+    count = 1
     for v in range(n):
-        if len(states) > cap:
+        if count > cap:
             break
         earlier = np.frombuffer((nbr[v] & ((1 << v) - 1)).to_bytes(8 * width, "little"),
                                 dtype="<u8")
-        new = states[~(states & earlier).any(axis=1)]
-        new[:, v // 64] |= np.uint64(1 << v % 64)
-        states = np.concatenate([states, new])
-    if len(states) > cap:
+        free = np.ones(count, dtype=bool)
+        for w in np.flatnonzero(earlier).tolist():
+            free &= (states[:count, w] & earlier[w]) == 0
+        new = count + int(np.count_nonzero(free))
+        if new > len(states):
+            states.resize((max(new, len(states) * 3 // 2), width), refcheck=False)
+        np.compress(free, states[:count], axis=0, out=states[count:new])
+        states[count:new, v // 64] |= np.uint64(1 << v % 64)
+        count = new
+    if count > cap:
         raise StateSpaceOverflow(
             f"more than {cap} independent sets in one channel; "
             "use MAXIMAL_ONLY mode")
+    states.resize((count, width), refcheck=False)
     return states
 
 
@@ -205,18 +213,21 @@ class CtmcModel:
         return self.weights[self.sizes[block]]
 
 
-def _packed_law(words: np.ndarray, n_members: int, rho: float,
-                mode: CtmcMode) -> CtmcModel:
-    """Normalize rho^|m| over packed states: w_j = rho^j / sum_i N_i rho^i,
-    N_i the number of states of size i, in log space."""
+def size_weights(counts: np.ndarray, rho: float) -> np.ndarray:
+    """The chain law by size, w_j = rho^j / sum_i N_i rho^i, from the number
+    N_i = counts[i] of states of each size i; normalized in log space."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    sizes = np.bitwise_count(words).sum(axis=1, dtype=np.uint16)
-    counts = np.bincount(sizes)
     logw = np.arange(counts.size) * np.log(rho)
     weights = np.exp(logw - logw[counts > 0].max())
-    weights /= counts @ weights
-    return CtmcModel(words, n_members, sizes, weights, mode)
+    return weights / (counts @ weights)
+
+
+def _packed_law(words: np.ndarray, n_members: int, rho: float,
+                mode: CtmcMode) -> CtmcModel:
+    """The law rho^|m| over packed states, one weight per size (size_weights)."""
+    sizes = np.bitwise_count(words).sum(axis=1, dtype=np.uint16)
+    return CtmcModel(words, n_members, sizes, size_weights(np.bincount(sizes), rho), mode)
 
 
 def stationary_distribution(states: np.ndarray, rho: float,

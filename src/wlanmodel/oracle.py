@@ -1,7 +1,7 @@
 """Monte Carlo fading simulator used to validate the deterministic formulas.
 
 The three technologies run through one realization loop, as they are one
-zero-forcing transmitter at different sizes (see `rates.zf_rates`). A group
+zero-forcing transmitter at different sizes (see `rates._zf_search`). A group
 is a set of APs pooling their antennas, with AP block b of its composite
 channel to user k scaled by sqrt(g_bk); it zero-forces S streams, splits
 its pooled power P evenly over them, and another co-channel group's user

@@ -247,12 +247,18 @@ def _stage(label: str):
 
 def evaluate(config: RunConfig) -> EvaluationResult:
     """Full pipeline: scenario -> gains -> plan -> MAC -> rates -> report."""
-    echo = asdict(config)
+    return _evaluate([config])[0]
+
+
+def _evaluate(points: list[RunConfig]) -> list[EvaluationResult]:
+    """points[0]'s pipeline, one result per point (configs that differ only
+    in rho): pi depends on a state only through its size, so one chain walk
+    averages under every point's law. A pooled chain's one state weighs 1."""
+    config = points[0]
     with _stage("scenario"):
         scenario = build_scenario(config)
     with _stage("pathloss"):
         pl_params = _pathloss_params(config, scenario)
-        echo["resolved_pathloss"] = asdict(pl_params)
         gains = gain_matrix(scenario, pl_params, config.seeds.shadowing)
     tech = _tech_config(config)
     channels = radio_plan.channel_preset(config.channelization)
@@ -266,6 +272,7 @@ def evaluate(config: RunConfig) -> EvaluationResult:
             radio_plan.associate_users_to_clusters(gains, aps, cluster_plan,
                                                    config.seeds.plan)
             groups = rates.cluster_groups(cluster_plan)
+            laws = [groups] * len(points)
         zero_rate, attached = cluster_plan.zero_rate_users, "to cluster 0"
         blind = [(c, int((gains.ap_to_ut[np.ix_(tx, cell)] == 0).any(axis=0).sum()))
                  for ch in groups.values() for c, tx, cell in zip(ch.ids, ch.groups, ch.cells)]
@@ -287,6 +294,8 @@ def evaluate(config: RunConfig) -> EvaluationResult:
             graph = csma.build_contention_graph(gains, plan, aps, config.cca_db)
             groups = rates.ap_groups(
                 assoc, csma.channel_ctmcs(graph, config.rho, cap=config.state_cap))
+            laws = [groups] + [{ch: c._replace(chain=replace(c.chain, weights=csma.size_weights(
+                np.bincount(c.chain.sizes), p.rho))) for ch, c in groups.items()} for p in points[1:]]
         notes += [f"channel {ch}: more than {config.state_cap} independent sets; "
                   f"chain uses its {c.chain.n_states} maximal independent sets only"
                   for ch, c in groups.items() if c.chain.mode == csma.CtmcMode.MAXIMAL_ONLY]
@@ -294,9 +303,10 @@ def evaluate(config: RunConfig) -> EvaluationResult:
         notes.append(f"{len(zero_rate)} zero-rate users attached {attached}")
     stream_choice: dict = {}
     with _stage("rates"):
-        avg = np.zeros(n_users)
+        avg = np.zeros((len(points), n_users))
         for ch_id, channel in groups.items():
-            ch_avg, streams = rates.chain_average_rates(gains, aps, channel, tech, n_users)
+            ch_avg, streams = rates.chain_average_rates(
+                gains, aps, channel, tech, n_users, np.array([g[ch_id].chain.weights for g in laws]))
             avg += ch_avg
             if tech.technology != rates.Technology.SU_BEAMFORMING:
                 stream_choice[ch_id] = streams
@@ -308,14 +318,14 @@ def evaluate(config: RunConfig) -> EvaluationResult:
             for label, cell in zip(channel.ids, channel.cells):
                 serving[list(cell)] = label
                 width[list(cell)] = width_of[ch_id]
-        report = rates.throughput_report(
-            avg, serving, width, tech,
-            overhead_discount=config.overhead_discount, config=echo,
-            outage_threshold=config.outage_threshold_bps)
-    return EvaluationResult(
-        report=report, scenario=scenario, gains=gains, tech=tech, groups=groups,
-        plan=plan, assoc=assoc, graph=graph, cluster_plan=cluster_plan,
-        stream_choice=stream_choice, notes=notes)
+        reports = [rates.throughput_report(
+            point_avg, serving, width, tech, overhead_discount=config.overhead_discount,
+            config={**asdict(point), "resolved_pathloss": asdict(pl_params)},
+            outage_threshold=config.outage_threshold_bps) for point, point_avg in zip(points, avg)]
+    return [EvaluationResult(
+        report=report, scenario=scenario, gains=gains, tech=tech, groups=law, plan=plan,
+        assoc=assoc, graph=graph, cluster_plan=cluster_plan, stream_choice=stream_choice,
+        notes=list(notes)) for report, law in zip(reports, laws)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +423,24 @@ class SweepResult:
 
 
 def sweep(config: RunConfig) -> SweepResult:
-    """Evaluate each sweep point in turn (seeds shared), collecting failures."""
+    """Evaluate each sweep point (seeds shared), collecting failures. The
+    points of a rho sweep share one chain walk, but for a non-positive rho."""
     if config.sweep_axis is None:
         raise ValueError("sweep needs a sweep_axis")
     values = list(config.sweep_values)
-    errors, results = {}, {}
+    errors, points, results = {}, {}, {}
     for v in values:
         try:
-            results[v] = evaluate(resolve_sweep_point(config, v))
+            points[v] = resolve_sweep_point(config, v)
         except Exception as exc:  # per-point failures recorded
             errors[v] = str(exc)
+    together = [v for v, p in points.items() if config.sweep_axis == "rho" and p.rho > 0]
+    for batch in [together] * bool(together) + [[v] for v in points if v not in together]:
+        try:
+            results.update(zip(batch, _evaluate([points[v] for v in batch])))
+        except Exception as exc:
+            errors.update(dict.fromkeys(batch, str(exc)))
+    results, errors = ({v: d[v] for v in values if v in d} for d in (results, errors))
     summaries = {v: res.report.summary for v, res in results.items()}
     return SweepResult(axis=config.sweep_axis, values=values,
                        summaries=summaries, errors=errors, point_results=results)

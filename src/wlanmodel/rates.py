@@ -25,11 +25,10 @@ from .scenario import ApNode
 
 #: Bytes the temporaries of one row block may take together (see
 #: row_blocks): a block of the gain matrix's transmitter rows, the chain
-#: walk's tables and block of states, half of it each (_group_walk), or
-#: two oracle jobs' chunks of realizations, half of it each (a job's chunk
-#: fits half whatever the oracle's pool size, so the estimates do not
-#: depend on it). Larger blocks leave cache and gain nothing; much smaller
-#: ones pay the per-block overhead.
+#: walk's range, group tables and chunk (_group_walk), or two oracle jobs'
+#: chunks of realizations, half of it each (a job's chunk fits half whatever
+#: the oracle's pool size, so the estimates do not depend on it). Larger
+#: blocks leave cache; much smaller ones pay the per-block overhead.
 BLOCK_BYTES = 4 << 20
 
 
@@ -85,6 +84,10 @@ def _zf_coef(n_ant, n_pool, gp: np.ndarray, cap) -> list[np.ndarray]:
 def _zf_search(coef: list[np.ndarray], cap, one_plus_i: np.ndarray, tech: TechConfig):
     """One group's stream search, given its _zf_coef [k] per S.
 
+    Of B transmitters with N antennas in all, serving S <= cap streams, user
+    u gets (S/k) * eff((N - S + 1)/B * gP_u / S / (1 + I_u)); the S kept
+    maximizes (S/k) * sum eff, so exact ties keep the smallest S.
+
     one_plus_i is [..., k] over any leading state axes, a fresh array: the
     search forms its last SINR and rates in it. Returns the rates before the
     air-time share [..., k], the chosen S [...] and the share S/k; when
@@ -116,37 +119,8 @@ def _zf_search(coef: list[np.ndarray], cap, one_plus_i: np.ndarray, tech: TechCo
     return eff, best_s[..., 0], best_s[..., 0] / k
 
 
-def zf_rates(gp: np.ndarray, one_plus_i: np.ndarray, group: np.ndarray,
-             n_ant: np.ndarray, n_pool: np.ndarray, cap: np.ndarray,
-             tech: TechConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-forcing rates of user groups, each choosing its stream count.
-
-    Group j pools n_pool[j] = B transmitters with n_ant[j] antennas in all
-    and serves S <= cap[j] streams; its user k then gets
-    (S/|j|) * eff((n_ant - S + 1)/B * gP_k / S / (1 + I_k)). Each group keeps
-    the S maximizing (S/|j|) * sum_k eff, summed before scaling so that exact
-    ties (quantized mode) keep the smallest S. SU beamforming is cap 1,
-    concentrated MU-MIMO is B = 1 and pooled MU-MIMO is one group of B APs.
-
-    gp and group are per user, [n_u]; one_plus_i is [..., n_u] over any
-    leading state axes; n_ant, n_pool and cap are per group. Returns the
-    rates [..., n_u] and the chosen S [..., n_groups] (0 where cap is 0).
-    It writes only into arrays it allocates: callers may reuse gp and
-    one_plus_i.
-    """
-    gp, group, one_plus_i = np.asarray(gp), np.asarray(group), np.asarray(one_plus_i, dtype=float)
-    out = np.zeros(one_plus_i.shape)
-    streams = np.zeros(one_plus_i.shape[:-1] + (len(cap),), dtype=int)
-    for j in range(len(cap)):
-        cols = np.flatnonzero(group == j)
-        eff, streams[..., j], share = _zf_search(
-            _zf_coef(n_ant[j], n_pool[j], gp[cols], cap[j]), cap[j], one_plus_i[..., cols], tech)
-        out[..., cols] = eff * np.asarray(share)[..., None]
-    return out, streams
-
-
 class ChannelGroups(NamedTuple):
-    """One channel's transmitters as zf_rates groups under its chain.
+    """One channel's transmitters as zero-forcing groups under its chain.
 
     A group pools the antennas, link gains and power of its APs: a single
     AP under contention, or a whole cluster for distributed MU-MIMO.
@@ -188,21 +162,21 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
                 channel: ChannelGroups, tech: TechConfig, words: np.ndarray):
     """One channel's users, each group's columns among them, and a walk over
     the packed states `words` (member g is bit g % 8 of byte g // 8 of a
-    row) yielding, per block of states and group with users on in some of
-    them: (block, group, its on rows in the block, its users' rates there
-    before the air-time share [on, |cell|], the share and the chosen S, per
-    on row or one value when the group's S is fixed).
+    row) yielding, group by group, chunks of the states where a group with
+    users is on: (group, the chunk's state indices, its users' rates there
+    before the air-time share [chunk, |cell|], the share and the chosen S,
+    per state or one value when the group's S is fixed).
 
     A group sums its APs' antennas, link gains and power; its users hear
-    every other active group with users. A user earns nothing where its
-    group is off, so a group is evaluated in its on rows only, picked by a
-    bit test on the block's byte planes; their 1 + I is read from tables,
-    per plane and user the 2^8 partial sums of eight groups' radiated power
-    (the method of four Russians). Tables and blocks take half of
-    BLOCK_BYTES each: groups are walked in batches whose tables fit (a
-    wider group alone, its tables rebuilt per column slice and block), and
-    a block counts its planes and the batch's widest group, and the one
-    walked before it, as on in every row.
+    every other active group with users, and earn nothing where their own
+    is off. The walk goes over ranges of BLOCK_BYTES/16 states. In a range
+    it copies one byte plane at a time, picks each of that plane's groups'
+    on states with one bit test, gathers their words with one take and
+    reads 1 + I from the group's tables: per plane and user, the 2^8 partial
+    sums of eight groups' radiated power (the method of four Russians).
+    Tables take up to half of BLOCK_BYTES (a wider cell's are built in
+    column slices per chunk), a chunk's arrays a quarter at the group's
+    own cell width.
     """
     users = [ut for cell in channel.cells for ut in cell]
     n_cell = np.array([len(cell) for cell in channel.cells])
@@ -227,51 +201,47 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
     radiated[np.repeat(np.arange(n_cell.size), n_cell), np.arange(len(users))] = 0.0
     radiated = radiated.reshape(n_planes, 8, -1)[:, :bits]
 
-    def tables(cs: slice) -> np.ndarray:
-        """1 + I at the users cs for each plane's bytes, [planes, 2^bits, users]."""
-        t = np.zeros((n_planes, 1 << bits, cs.stop - cs.start))
+    def tables(lo: int, hi: int) -> np.ndarray:
+        """1 + I at the users lo:hi for each plane's bytes, [planes, 2^bits, users]."""
+        t = np.zeros((n_planes, 1 << bits, hi - lo))
         t[0] = 1.0
         for k in range(bits):
-            t[:, 1 << k:2 << k] = t[:, :1 << k] + radiated[:, k, None, cs]
+            t[:, 1 << k:2 << k] = t[:, :1 << k] + radiated[:, k, None, lo:hi]
         return t
 
-    budget = BLOCK_BYTES // 2
-    width = max(1, budget // (8 * n_planes << bits))  # user columns of a batch's tables
-    batches: list[list[int]] = []
-    for j in coef:
-        if not batches or n_cell[batches[-1]].sum() + n_cell[j] > width:
-            batches.append([])
-        batches[-1].append(j)
-    # Bytes a row: its planes, bit test and pi; the on group's index, plane
-    # bytes and, per user, 1 + I and a gather (a stream search adds two stream
-    # counts' rates); the results of the group walked before.
-    row_cost = (50, 24) if cap.max(initial=0) <= 1 else (108, 41)
+    width = max(1, BLOCK_BYTES // 2 // (8 * n_planes << bits))  # table columns that fit
+    by_plane = [[j for j in coef if j >> 3 == p] for p in range(n_planes)]
 
-    def one_plus_i(j: int, on: np.ndarray, planes: np.ndarray, kept: dict) -> np.ndarray:
-        at = [plane.take(on) for plane in planes]
-        parts = []
-        for lo in range(cols[j].start, cols[j].stop, width):
-            slab = kept[j] if kept else tables(slice(lo, min(lo + width, cols[j].stop)))
-            parts.append(slab[0].take(at[0], axis=0))
-            for t, a in zip(slab[1:], at[1:]):
-                parts[-1] += t.take(a, axis=0)
-            del slab
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    def one_plus_i(j: int, at: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
+        """1 + I at group j's users in the states whose bytes are `at`."""
+        out, lo = np.empty((at.shape[0], n_cell[j])), cols[j].start
+        for c in range(0, n_cell[j], width):
+            t = tables(lo + c, min(lo + c + width, cols[j].stop)) if kept is None else kept
+            t[0].take(at[:, 0], axis=0, out=out[:, c:c + width])
+            for p in range(1, n_planes):
+                out[:, c:c + width] += t[p].take(at[:, p], axis=0)
+        return out
 
-    def walk(batch: list[int]):
-        kept = {j: tables(cols[j]) for j in batch} if n_cell[batch].sum() <= width else {}
-        row_bytes = 2 * n_planes + row_cost[0] + row_cost[1] * n_cell[batch].max()
-        for block in row_blocks(words.shape[0], row_bytes, budget):
-            planes = np.ascontiguousarray(words[block].view(np.uint8)[:, :n_planes].T)
-            for j in batch:
-                on = (planes[j >> 3] >> (j & 7) & 1).view(bool).nonzero()[0]
-                if on.size:
-                    eff, s, share = _zf_search(coef[j], cap[j],
-                                               one_plus_i(j, on, planes, kept), tech)
-                    yield block, j, on, eff, share, s
+    def walk():
+        span = max(1, BLOCK_BYTES // 16)
+        for start in range(0, words.shape[0], span):
+            rows = words[start:start + span]
+            for p, groups in enumerate(by_plane):
+                plane = np.ascontiguousarray(rows.view(np.uint8)[:, p])
+                for j in groups:
+                    on = (plane >> (j & 7) & 1).view(bool).nonzero()[0]
+                    kept = tables(cols[j].start, cols[j].stop) if n_cell[j] <= width else None
+                    # A chunk row: its words, index, size and weights (48 bytes), and per
+                    # user 1 + I, a gather and a stream search's two rates (32 bytes).
+                    step = max(1, BLOCK_BYTES // 4 // (8 * words.shape[1] + 48 + 32 * n_cell[j]))
+                    for lo in range(0, on.size, step):
+                        idx = on[lo:lo + step]
+                        at = rows.take(idx, axis=0).view(np.uint8)
+                        eff, s, share = _zf_search(coef[j], cap[j], one_plus_i(j, at, kept), tech)
+                        yield j, idx + start, eff, share, s
+                    del kept
 
-    # One batch's tables are freed before the next batch builds its own.
-    return users, cols, (result for batch in batches for result in walk(batch))
+    return users, cols, walk()
 
 
 def _state_rates(gains: GainMatrix, aps: tuple[ApNode, ...], channel: ChannelGroups,
@@ -281,10 +251,10 @@ def _state_rates(gains: GainMatrix, aps: tuple[ApNode, ...], channel: ChannelGro
     users, cols, walk = _group_walk(gains, aps, channel, tech, words)
     out = np.zeros((words.shape[0], n_users_total))
     streams = np.zeros((words.shape[0], len(channel.groups)), dtype=int)
-    for block, j, on, rates, share, chosen in walk:
+    for j, on, rates, share, chosen in walk:
         if n_users_total:
-            out[block.start + on[:, None], users[cols[j]]] = rates * share[..., None]
-        streams[block.start + on, j] = chosen
+            out[on[:, None], users[cols[j]]] = rates * share[..., None]
+        streams[on, j] = chosen
     return out, streams
 
 
@@ -295,7 +265,7 @@ def su_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
     """Single-user beamforming rates for every state of one channel.
 
     rate = (active / cell size) * eff(g*M*P / (1 + sum of active co-channel
-    interferers g*P)): zf_rates with one stream. Returns
+    interferers g*P)): the stream search with one stream. Returns
     [n_states, n_users_total]; users outside the channel stay zero.
     """
     tech = replace(tech, technology=Technology.SU_BEAMFORMING)
@@ -309,7 +279,7 @@ def mu_channel_state_rates(gains: GainMatrix, assoc: AssociationMap,
                            n_users_total: int) -> tuple[np.ndarray, np.ndarray]:
     """Concentrated MU-MIMO rates per state of one channel.
 
-    Each active AP serves S* <= min(M, |cell|) streams chosen by zf_rates;
+    Each active AP serves S* <= min(M, |cell|) streams chosen by _zf_search;
     all its cell users get rate (S*/|cell|) * eff. Returns the rate matrix
     [n_states, n_users_total] and the chosen streams [n_states, n_members],
     0 for inactive or user-less APs.
@@ -327,31 +297,32 @@ def row_blocks(n_rows: int, row_bytes: int, budget: int | None = None):
 
 
 def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
-                        channel: ChannelGroups, tech: TechConfig,
-                        n_users_total: int) -> tuple[np.ndarray, dict[int, int]]:
+                        channel: ChannelGroups, tech: TechConfig, n_users_total: int,
+                        weights: np.ndarray | None = None) -> tuple[np.ndarray, dict[int, int]]:
     """One channel's chain-averaged rates, R = sum_m pi_m * R^m, streamed.
 
-    Each group is evaluated only in the chain states where it is on, and pi
-    there, times each state's air-time share, weights its users' rates into
-    the average (_group_walk: tables and blocks take half of BLOCK_BYTES each,
-    no array over all states x users). Returns the rates [n_users_total], zero
-    outside the channel, and for MU-MIMO how many (state, active group with
-    users) pairs chose each stream count S ({} for SU).
+    pi_m is weights[|m|]: the chain's own weights, or a stack of them
+    [..., max size + 1] (one law each, say one per rho) averaged in one
+    walk. Each chunk of a group's on states (_group_walk) adds
+    (W[:, |m|] * share) @ rates to its users. Returns the rates
+    [..., n_users_total], zero outside the channel, and for MU-MIMO how many
+    (state, active group with users) pairs chose each S ({} for SU).
     """
+    weights = np.asarray(channel.chain.weights if weights is None else weights)
+    by_size = np.ascontiguousarray(weights.reshape(-1, weights.shape[-1]).T)  # [size, stack]
     users, cols, walk = _group_walk(gains, aps, channel, tech, channel.chain.words)
-    total = np.zeros(len(users))
+    total = np.zeros((by_size.shape[1], len(users)))
     counts: Counter = Counter()
-    seen = None
-    for block, j, on, rates, share, streams in walk:
-        if block is not seen:
-            pi, seen = channel.chain.pi(block), block
-        total[cols[j]] += (pi.take(on) * share) @ rates
+    for j, on, rates, share, streams in walk:
+        pi = by_size.take(channel.chain.sizes.take(on), axis=0)
+        pi *= np.reshape(share, (-1, 1))
+        total[:, cols[j]] += pi.T @ rates
         if tech.technology != Technology.SU_BEAMFORMING:
             chosen = np.bincount(np.broadcast_to(streams, on.shape))
             counts.update({s: int(n) for s, n in enumerate(chosen) if s and n})
-    avg = np.zeros(n_users_total)
-    avg[users] = total
-    return avg, dict(sorted(counts.items()))
+    avg = np.zeros((by_size.shape[1], n_users_total))
+    avg[:, users] = total
+    return avg.reshape(weights.shape[:-1] + (n_users_total,)), dict(sorted(counts.items()))
 
 
 def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
@@ -360,7 +331,7 @@ def dist_mu_rate(cluster: Cluster, gains: GainMatrix, aps: tuple[ApNode, ...],
                  ) -> tuple[np.ndarray, int]:
     """Pooled-array rates for one cluster's users, optimizing the group size.
 
-    The cluster is one zf_rates group of B APs with their summed antennas N,
+    The cluster is one _zf_search group of B APs with their summed antennas N,
     summed link gains and summed power, capped at min(K, N) streams:
     rate_k(S) = (S/K) * eff((N - S + 1)/B * sum_i g_ik * P_sum / S / (1+I_k)).
     I_k is the received power from co-channel clusters (zero on a channel of

@@ -50,7 +50,7 @@ def test_every_export_resolves_to_its_module_object(access):
     exports = wlanmodel._MODULE_OF
     assert set(exports) == set(wlanmodel.__all__)
     assert {m for m in exports.values() if m} == MODULES
-    assert len(exports) == 57 + len(MODULES)
+    assert len(exports) == 56 + len(MODULES)
     check = f"""
 import importlib, wlanmodel
 for name, module in wlanmodel._MODULE_OF.items():

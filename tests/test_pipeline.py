@@ -8,11 +8,13 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from wlanmodel import cli, oracle, pipeline, radio_plan, rates
+from wlanmodel import cli, csma, oracle, pipeline, radio_plan, rates
 from wlanmodel.metrics import DEFAULT_MCS_TABLE, McsTable
 from wlanmodel.oracle import OracleConfig
 from wlanmodel.pipeline import RunConfig, Seeds
 from wlanmodel.scenario import Scenario, from_tree
+
+from .test_golden import CASES as GOLDEN
 
 
 # Two rows of the default table: no user can get more than QPSK 1/2.
@@ -233,6 +235,72 @@ def test_sweep_results_do_not_depend_on_thread_count():
     for run in both:
         assert run.errors == alone.errors
         assert run.summaries == alone.summaries
+
+
+RHOS = [0.1, 1.0, 100.0, 1e4]
+# Every chain of this deployment is over its 50-state cap, so MAXIMAL_ONLY.
+CAPPED = dict(scenario={"generator": "stadium", "n_aps": 40, "n_users": 100}, state_cap=50)
+
+
+def _counted_walks(monkeypatch) -> list:
+    walks, real = [], rates.chain_average_rates
+    monkeypatch.setattr(rates, "chain_average_rates",
+                        lambda *args: walks.append(args[2]) or real(*args))
+    return walks
+
+
+def _assert_rho_sweep_is_each_points_evaluation(config, walks):
+    result = pipeline.sweep(config)
+    assert not result.errors and list(result.point_results) == RHOS
+    points = [result.point_results[rho] for rho in RHOS]
+    assert len(walks) == len(points[0].groups)  # one walk per channel for all points
+    for rho, point in zip(RHOS, points):
+        alone = pipeline.evaluate(pipeline.resolve_sweep_point(config, rho))
+        np.testing.assert_allclose(point.report.spectral_efficiency,
+                                   alone.report.spectral_efficiency, rtol=1e-12, atol=1e-12)
+        assert point.report.summary == pytest.approx(alone.report.summary, rel=1e-12, abs=1e-12)
+        assert result.summaries[rho] == point.report.summary
+        assert point.report.config == alone.report.config
+        assert (point.notes, point.stream_choice) == (alone.notes, alone.stream_choice)
+        for ch, channel in alone.groups.items():  # the point's chains carry its law
+            assert point.groups[ch].chain.mode == channel.chain.mode
+            assert point.groups[ch].chain.weights.tobytes() == channel.chain.weights.tobytes()
+    assert points[0].report.summary["mean"] != points[-1].report.summary["mean"]
+    return points
+
+
+@pytest.mark.parametrize("case", ["su_gaussian", "mu_gaussian"])
+def test_rho_sweep_walks_once_and_matches_each_evaluation(monkeypatch, case):
+    config = RunConfig(**GOLDEN[case], sweep_axis="rho", sweep_values=RHOS)
+    points = _assert_rho_sweep_is_each_points_evaluation(config, _counted_walks(monkeypatch))
+    assert all(p.stream_choice == points[0].stream_choice for p in points)
+    assert bool(points[0].stream_choice) == (case == "mu_gaussian")
+
+
+@pytest.mark.parametrize("technology", ["su_beamforming", "concentrated_mu_mimo"])
+def test_rho_sweep_over_maximal_only_chains(monkeypatch, technology):
+    config = RunConfig(**CAPPED, technology=technology, sweep_axis="rho", sweep_values=RHOS)
+    points = _assert_rho_sweep_is_each_points_evaluation(config, _counted_walks(monkeypatch))
+    assert {c.chain.mode for c in points[0].groups.values()} == {csma.CtmcMode.MAXIMAL_ONLY}
+
+
+def test_rho_sweep_point_that_is_not_positive_fails_alone(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    config = desk_config(sweep_axis="rho", sweep_values=[10.0, 0.0, "x", -1.0, 100.0])
+    result = pipeline.sweep(config)
+    assert result.errors == {0.0: "[contention] rho must be positive", "x": "rho cannot be 'x'",
+                             -1.0: "[contention] rho must be positive"}
+    assert list(result.point_results) == [10.0, 100.0]
+    assert len(walks) == len(result.point_results[10.0].groups)
+    for rho in (10.0, 100.0):
+        alone = pipeline.evaluate(pipeline.resolve_sweep_point(config, rho))
+        assert result.summaries[rho] == pytest.approx(alone.report.summary, rel=1e-12)
+    # Pooled chains have one state, weighed 1 at any rho, so no point fails.
+    config = desk_config(technology="distributed_mu_mimo", sweep_axis="rho",
+                         sweep_values=[10.0, 0.0])
+    result = pipeline.sweep(config)
+    assert not result.errors
+    assert result.summaries[0.0] == result.summaries[10.0]
 
 
 def test_maximal_only_channels_are_noted(tmp_path):

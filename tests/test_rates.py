@@ -15,6 +15,8 @@ from wlanmodel.rates import (
     RateMode,
     TechConfig,
     Technology,
+    _zf_coef,
+    _zf_search,
     _zf_sinr,
     ap_groups,
     average_over_ctmc,
@@ -26,7 +28,6 @@ from wlanmodel.rates import (
     su_channel_state_rates,
     throughput_cdf,
     throughput_report,
-    zf_rates,
 )
 from wlanmodel.scenario import ApNode
 
@@ -60,6 +61,23 @@ def _mu(gains, assoc, aps, state, tech=GAUSS):
         gains, assoc, aps, list(range(len(aps))), np.array([state]), tech,
         gains.ap_to_ut.shape[1])
     return rates[0], streams[0]
+
+
+def zf_rates(gp, one_plus_i, group, n_ant, n_pool, cap, tech):
+    """Dense reference over _zf_search: user groups, each choosing its
+    stream count. gp and group are per user, [n_u]; one_plus_i is
+    [..., n_u] over any leading state axes; n_ant, n_pool and cap are per
+    group. Returns the rates [..., n_u] and the chosen S [..., n_groups]
+    (0 where cap is 0), writing only into arrays it allocates."""
+    gp, group, one_plus_i = np.asarray(gp), np.asarray(group), np.asarray(one_plus_i, dtype=float)
+    out = np.zeros(one_plus_i.shape)
+    streams = np.zeros(one_plus_i.shape[:-1] + (len(cap),), dtype=int)
+    for j in range(len(cap)):
+        cols = np.flatnonzero(group == j)
+        eff, streams[..., j], share = _zf_search(
+            _zf_coef(n_ant[j], n_pool[j], gp[cols], cap[j]), cap[j], one_plus_i[..., cols], tech)
+        out[..., cols] = eff * np.asarray(share)[..., None]
+    return out, streams
 
 
 def _peak(gains, aps):
