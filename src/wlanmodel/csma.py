@@ -214,12 +214,12 @@ class CtmcModel:
 
 
 def size_weights(counts: np.ndarray, rho: float) -> np.ndarray:
-    """The chain law by size, w_j = rho^j / sum_i N_i rho^i, from the number
-    N_i = counts[i] of states of each size i; normalized in log space."""
+    """The chain law by size, w_j = rho^j / sum_i N_i rho^i (N_i = counts[i]
+    states of size i), in log space; a size that does not occur weighs 0."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    logw = np.arange(counts.size) * np.log(rho)
-    weights = np.exp(logw - logw[counts > 0].max())
+    logw = np.where(counts > 0, np.arange(counts.size) * np.log(rho), -np.inf)
+    weights = np.exp(logw - logw.max())
     return weights / (counts @ weights)
 
 

@@ -294,8 +294,9 @@ def _evaluate(points: list[RunConfig]) -> list[EvaluationResult]:
             graph = csma.build_contention_graph(gains, plan, aps, config.cca_db)
             groups = rates.ap_groups(
                 assoc, csma.channel_ctmcs(graph, config.rho, cap=config.state_cap))
+            counts = {ch: np.bincount(c.chain.sizes) for ch, c in groups.items()}
             laws = [groups] + [{ch: c._replace(chain=replace(c.chain, weights=csma.size_weights(
-                np.bincount(c.chain.sizes), p.rho))) for ch, c in groups.items()} for p in points[1:]]
+                counts[ch], p.rho))) for ch, c in groups.items()} for p in points[1:]]
         notes += [f"channel {ch}: more than {config.state_cap} independent sets; "
                   f"chain uses its {c.chain.n_states} maximal independent sets only"
                   for ch, c in groups.items() if c.chain.mode == csma.CtmcMode.MAXIMAL_ONLY]

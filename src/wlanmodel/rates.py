@@ -223,9 +223,8 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
         return out
 
     def walk():
-        span = max(1, BLOCK_BYTES // 16)
-        for start in range(0, words.shape[0], span):
-            rows = words[start:start + span]
+        for block in row_blocks(words.shape[0], 16):  # BLOCK_BYTES/16 states a range
+            rows = words[block]
             for p, groups in enumerate(by_plane):
                 plane = np.ascontiguousarray(rows.view(np.uint8)[:, p])
                 for j in groups:
@@ -238,7 +237,7 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
                         idx = on[lo:lo + step]
                         at = rows.take(idx, axis=0).view(np.uint8)
                         eff, s, share = _zf_search(coef[j], cap[j], one_plus_i(j, at, kept), tech)
-                        yield j, idx + start, eff, share, s
+                        yield j, idx + block.start, eff, share, s
                     del kept
 
     return users, cols, walk()

@@ -17,6 +17,7 @@ from wlanmodel.csma import (
     build_contention_graph,
     channel_ctmcs,
     enumerate_states,
+    size_weights,
     stationary_distribution,
 )
 from wlanmodel import pipeline
@@ -337,6 +338,17 @@ def test_stationary_prism_closed_form():
             k = int(model.rows()[s].sum())
             assert model.pi()[s] == pytest.approx(rho ** k / z, abs=1e-12)
         assert model.pi().sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e-100, 1.0, 1e300])
+def test_size_weights_stay_finite_without_the_small_sizes(rho):
+    # Maximal sets only, all of size 2 or 3: rho^0 and rho^1 never occur, and
+    # at tiny rho they must not overflow the normalization.
+    counts = np.array([0, 0, 3, 2])
+    weights = size_weights(counts, rho)
+    assert np.isfinite(weights).all() and (weights[:2] == 0).all()
+    assert counts @ weights == pytest.approx(1.0, abs=1e-12)
+    assert weights[3] / weights[2] == pytest.approx(rho, rel=1e-12)
 
 
 def test_stationary_single_ap_and_no_csma():
