@@ -23,12 +23,12 @@ from .radio_plan import AssociationMap, Cluster, ClusterPlan, isolated_snr
 from .scenario import ApNode
 
 
-#: Bytes the temporaries of one row block may take together (see
-#: row_blocks): a block of the gain matrix's transmitter rows, the chain
-#: walk's range, group tables and chunk (_group_walk), or two oracle jobs'
-#: chunks of realizations, half of it each (a job's chunk fits half whatever
-#: the oracle's pool size, so the estimates do not depend on it). Larger
-#: blocks leave cache; much smaller ones pay the per-block overhead.
+#: Bytes the temporaries of one block of rows may take together: a block of
+#: the gain matrix's transmitter rows (row_blocks), four chunks of the chain
+#: walk (_group_walk), or two oracle jobs' chunks of realizations, half of it
+#: each (a job's chunk fits half whatever the oracle's pool size, so the
+#: estimates do not depend on it). Larger blocks leave cache; much smaller
+#: ones pay the per-block overhead.
 BLOCK_BYTES = 4 << 20
 
 
@@ -158,25 +158,35 @@ def cluster_groups(plan: ClusterPlan) -> dict[int, ChannelGroups]:
             for ch, ids in sorted(by_channel.items())}
 
 
+def _tables(radiated: np.ndarray) -> np.ndarray:
+    """Per plane, byte value and user, the power `radiated` [planes, bits, users]
+    by the plane's groups set in the byte (the method of four Russians), plus 1
+    on plane 0: one entry a plane sums to 1 + I. Returns [planes, 2^bits, users]."""
+    t = np.zeros((radiated.shape[0], 1 << radiated.shape[1], radiated.shape[2]))
+    t[0] = 1.0
+    for k in range(radiated.shape[1]):
+        t[:, 1 << k:2 << k] = t[:, :1 << k] + radiated[:, k, None]
+    return t
+
+
 def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
                 channel: ChannelGroups, tech: TechConfig, words: np.ndarray):
     """One channel's users, each group's columns among them, and a walk over
     the packed states `words` (member g is bit g % 8 of byte g // 8 of a
     row) yielding, group by group, chunks of the states where a group with
     users is on: (group, the chunk's state indices, its users' rates there
-    before the air-time share [chunk, |cell|], the share and the chosen S,
-    per state or one value when the group's S is fixed).
+    before the air-time share [chunk, |cell|], then the chosen S and the
+    share, per state or one value when the group's S is fixed).
 
     A group sums its APs' antennas, link gains and power; its users hear
     every other active group with users, and earn nothing where their own
-    is off. The walk goes over ranges of BLOCK_BYTES/16 states. In a range
-    it copies one byte plane at a time, picks each of that plane's groups'
-    on states with one bit test, gathers their words with one take and
-    reads 1 + I from the group's tables: per plane and user, the 2^8 partial
-    sums of eight groups' radiated power (the method of four Russians).
-    Tables take up to half of BLOCK_BYTES (a wider cell's are built in
-    column slices per chunk), a chunk's arrays a quarter at the group's
-    own cell width.
+    is off. The walk copies the states into byte planes once, then walks
+    each group with users over the whole chain: one bit test finds its on
+    states, its tables (_tables) and _zf_coef are built once, and each chunk
+    gathers its words and reads 1 + I with one gather per plane. Beside the
+    chain it holds 8 + planes bytes a state (the on list and the planes),
+    one group's tables (8 * 2^8 bytes a plane per user, 14 KB at seven
+    planes) and one chunk, a quarter of BLOCK_BYTES at its cell width.
     """
     users = [ut for cell in channel.cells for ut in cell]
     n_cell = np.array([len(cell) for cell in channel.cells])
@@ -188,10 +198,6 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
     cap = (np.minimum(n_ant, n_cell)
            if tech.technology != Technology.SU_BEAMFORMING else np.minimum(n_cell, 1))
     cols = [slice(a - k, a) for a, k in zip(np.cumsum(n_cell).tolist(), n_cell.tolist())]
-    coef = {j: _zf_coef(n_ant[j], n_pool[j], gains.ap_to_ut[
-        np.ix_(channel.groups[j], channel.cells[j])].sum(axis=0)
-        * power[starts[j]:starts[j] + n_pool[j]].sum(), cap[j])
-        for j in np.flatnonzero(n_cell).tolist()}
     # Power each group with users radiates at each other group's users.
     n_planes, bits = -(-n_cell.size // 8), min(n_cell.size, 8)
     radiated = np.zeros((8 * n_planes, len(users)))
@@ -201,44 +207,23 @@ def _group_walk(gains: GainMatrix, aps: tuple[ApNode, ...],
     radiated[np.repeat(np.arange(n_cell.size), n_cell), np.arange(len(users))] = 0.0
     radiated = radiated.reshape(n_planes, 8, -1)[:, :bits]
 
-    def tables(lo: int, hi: int) -> np.ndarray:
-        """1 + I at the users lo:hi for each plane's bytes, [planes, 2^bits, users]."""
-        t = np.zeros((n_planes, 1 << bits, hi - lo))
-        t[0] = 1.0
-        for k in range(bits):
-            t[:, 1 << k:2 << k] = t[:, :1 << k] + radiated[:, k, None, lo:hi]
-        return t
-
-    width = max(1, BLOCK_BYTES // 2 // (8 * n_planes << bits))  # table columns that fit
-    by_plane = [[j for j in coef if j >> 3 == p] for p in range(n_planes)]
-
-    def one_plus_i(j: int, at: np.ndarray, kept: np.ndarray | None) -> np.ndarray:
-        """1 + I at group j's users in the states whose bytes are `at`."""
-        out, lo = np.empty((at.shape[0], n_cell[j])), cols[j].start
-        for c in range(0, n_cell[j], width):
-            t = tables(lo + c, min(lo + c + width, cols[j].stop)) if kept is None else kept
-            t[0].take(at[:, 0], axis=0, out=out[:, c:c + width])
-            for p in range(1, n_planes):
-                out[:, c:c + width] += t[p].take(at[:, p], axis=0)
-        return out
-
     def walk():
-        for block in row_blocks(words.shape[0], 16):  # BLOCK_BYTES/16 states a range
-            rows = words[block]
-            for p, groups in enumerate(by_plane):
-                plane = np.ascontiguousarray(rows.view(np.uint8)[:, p])
-                for j in groups:
-                    on = (plane >> (j & 7) & 1).view(bool).nonzero()[0]
-                    kept = tables(cols[j].start, cols[j].stop) if n_cell[j] <= width else None
-                    # A chunk row: its words, index, size and weights (48 bytes), and per
-                    # user 1 + I, a gather and a stream search's two rates (32 bytes).
-                    step = max(1, BLOCK_BYTES // 4 // (8 * words.shape[1] + 48 + 32 * n_cell[j]))
-                    for lo in range(0, on.size, step):
-                        idx = on[lo:lo + step]
-                        at = rows.take(idx, axis=0).view(np.uint8)
-                        eff, s, share = _zf_search(coef[j], cap[j], one_plus_i(j, at, kept), tech)
-                        yield j, idx + block.start, eff, share, s
-                    del kept
+        planes = np.ascontiguousarray(words.view(np.uint8).T[:n_planes])
+        for j in np.flatnonzero(n_cell).tolist():
+            on = (planes[j >> 3] >> (j & 7) & 1).view(bool).nonzero()[0]
+            t = _tables(radiated[..., cols[j]])
+            coef = _zf_coef(n_ant[j], n_pool[j], gains.ap_to_ut[
+                np.ix_(channel.groups[j], channel.cells[j])].sum(axis=0)
+                * power[starts[j]:starts[j] + n_pool[j]].sum(), cap[j])
+            # A chunk row: its words, index, size and weights (48 bytes), and per
+            # user 1 + I, a gather and a stream search's two rates (32 bytes).
+            step = max(1, BLOCK_BYTES // 4 // (8 * words.shape[1] + 48 + 32 * n_cell[j]))
+            for lo in range(0, on.size, step):
+                at = words.take(on[lo:lo + step], axis=0).view(np.uint8)
+                one_plus_i = t[0].take(at[:, 0], axis=0)
+                for p in range(1, n_planes):
+                    one_plus_i += t[p].take(at[:, p], axis=0)
+                yield j, on[lo:lo + step], *_zf_search(coef, cap[j], one_plus_i, tech)
 
     return users, cols, walk()
 
@@ -250,7 +235,7 @@ def _state_rates(gains: GainMatrix, aps: tuple[ApNode, ...], channel: ChannelGro
     users, cols, walk = _group_walk(gains, aps, channel, tech, words)
     out = np.zeros((words.shape[0], n_users_total))
     streams = np.zeros((words.shape[0], len(channel.groups)), dtype=int)
-    for j, on, rates, share, chosen in walk:
+    for j, on, rates, chosen, share in walk:
         if n_users_total:
             out[on[:, None], users[cols[j]]] = rates * share[..., None]
         streams[on, j] = chosen
@@ -312,7 +297,7 @@ def chain_average_rates(gains: GainMatrix, aps: tuple[ApNode, ...],
     users, cols, walk = _group_walk(gains, aps, channel, tech, channel.chain.words)
     total = np.zeros((by_size.shape[1], len(users)))
     counts: Counter = Counter()
-    for j, on, rates, share, streams in walk:
+    for j, on, rates, streams, share in walk:
         pi = by_size.take(channel.chain.sizes.take(on), axis=0)
         pi *= np.reshape(share, (-1, 1))
         total[:, cols[j]] += pi.T @ rates

@@ -621,8 +621,8 @@ def _wide_channel(draw):
 @settings(max_examples=60, deadline=None)
 @given(_wide_channel(), _CONTENDED_TECH, st.integers(1, 5))
 def test_wide_chain_average_equals_per_state_average(channel, tech, columns):
-    # Under the small budgets a table holds one or a few user columns, so
-    # the crowded cell's table is built in column slices for every block.
+    # Under the small budgets a chunk holds one or a few states, so the
+    # crowded cell is walked in many chunks.
     gains, assoc, aps, members, model, n_users = channel
     want, counts = per_state_average(gains, assoc, aps, members, model, tech, n_users)
     planes = -(-len(members) // 8)
@@ -633,6 +633,20 @@ def test_wide_chain_average_equals_per_state_average(channel, tech, columns):
                 tech, n_users)
         np.testing.assert_allclose(avg, want, rtol=1e-12, atol=1e-12)
         assert chosen == counts
+
+
+@settings(max_examples=30, deadline=None)
+@given(_wide_channel(), _CONTENDED_TECH)
+def test_walk_builds_each_group_tables_once(channel, tech):
+    # At a one-byte budget every chunk holds one state, yet each group with
+    # users gets one table build over the whole chain, as wide as its cell.
+    gains, assoc, aps, members, model, n_users = channel
+    with mock.patch.object(rates_module, "BLOCK_BYTES", 1), mock.patch.object(
+            rates_module, "_tables", wraps=rates_module._tables) as tables:
+        chain_average_rates(gains, aps, ap_groups(assoc, {0: ChannelCtmc(members, model)})[0],
+                            tech, n_users)
+    widths = [len(assoc.sets[a]) for a in members]
+    assert [c.args[0].shape[-1] for c in tables.call_args_list] == [n for n in widths if n]
 
 
 def test_stream_counts_of_a_two_ap_chain():
